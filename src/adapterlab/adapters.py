@@ -27,14 +27,12 @@ class FreezeMode(enum.Enum):
     PRETRAIN_BACKBONE = "pretrain_backbone"
     TRAIN_L_ADAPTER = "train_l_adapter"
     TRAIN_T_ADAPTER = "train_t_adapter"
-    FINETUNE_ALL = "finetune_all"
 
 
 _MODE_PREFIXES = {
     FreezeMode.PRETRAIN_BACKBONE: ("emb.", "layer.", "mlm."),
     FreezeMode.TRAIN_L_ADAPTER: ("l_adapter.", "inv."),
     FreezeMode.TRAIN_T_ADAPTER: ("t_adapter.", "head."),
-    FreezeMode.FINETUNE_ALL: ("",),
 }
 
 
@@ -62,6 +60,15 @@ class PlacementPlan:
         keep = set(range(1, i + 1))
         return PlacementPlan(self.l_layers & keep, self.t_layers & keep,
                              self.invertible if i > 0 else False)
+
+    def places(self, name: str) -> bool:
+        """Whether parameter ``name`` belongs to an adapter this plan places."""
+        kind, _, rest = name.partition(".")
+        if kind == "inv":
+            return self.invertible
+        layers = {"l_adapter": self.l_layers, "t_adapter": self.t_layers}.get(kind)
+        layer = rest.partition(".")[0]
+        return layers is not None and layer.isdigit() and int(layer) in layers
 
     def to_dict(self) -> dict:
         return {"l_layers": sorted(self.l_layers),
@@ -116,19 +123,15 @@ def bottleneck_forward(x: Tensor, down_w: Tensor, down_b: Tensor,
 
 def language_adapter_forward(h_l: Tensor, r_l: Tensor, down_w: Tensor,
                              down_b: Tensor, up_w: Tensor, up_b: Tensor) -> Tensor:
-    """U(ReLU(D(h_l))) + r_l."""
+    """U(ReLU(D(h_l))) + r_l. A task adapter applies the same equation to the
+    layer's L-adapter output, or to the bare hidden state where the L-adapter
+    is absent."""
     if h_l.shape != r_l.shape:
         raise ValueError(f"shape mismatch: {h_l.shape} vs {r_l.shape}")
     return T.add(bottleneck_forward(h_l, down_w, down_b, up_w, up_b), r_l)
 
 
-def task_adapter_forward(la_out: Tensor, r_l: Tensor, down_w: Tensor,
-                         down_b: Tensor, up_w: Tensor, up_b: Tensor) -> Tensor:
-    """U(ReLU(D(la_out))) + r_l; ``la_out`` is the layer's L-adapter output,
-    or the bare hidden state where the L-adapter is absent."""
-    if la_out.shape != r_l.shape:
-        raise ValueError(f"shape mismatch: {la_out.shape} vs {r_l.shape}")
-    return T.add(bottleneck_forward(la_out, down_w, down_b, up_w, up_b), r_l)
+task_adapter_forward = language_adapter_forward
 
 
 class AdapterStack:

@@ -1,18 +1,25 @@
-"""Versioned checkpoint container.
+"""Versioned checkpoint container, and the one path from a checkpoint to a
+model.
 
 A checkpoint is a zip archive holding ``manifest.json`` plus one raw
 little-endian binary blob per parameter. The manifest records the format
 version, the component kind (backbone / l_adapter / t_adapter / head), the
-relevant configs, and every parameter's shape. Components save and load
-independently and compose by parameter name.
+relevant configs, and every parameter's shape. ``build_model`` composes an
+encoder, its adapter stack and any pair head from a checkpoint by parameter
+name; ``save_model`` writes one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 
 import numpy as np
+
+from .adapters import AdapterConfig, PlacementPlan, attach
+from .encoder import Encoder, EncoderConfig
+from .tasks import register_pair_head
 
 FORMAT = "adapterlab-ckpt v1"
 KINDS = ("backbone", "l_adapter", "t_adapter", "head")
@@ -48,12 +55,82 @@ def save_checkpoint(path, kind: str, params: dict[str, np.ndarray],
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (manifest, params)."""
-    with zipfile.ZipFile(path) as zf:
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile:
+        raise CheckpointError(f"{path}: not a checkpoint zip archive")
+    with zf:
+        if "manifest.json" not in zf.namelist():
+            raise CheckpointError(f"{path}: no manifest.json in the archive")
         manifest = json.loads(zf.read("manifest.json"))
         if manifest.get("format") != FORMAT:
             raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
         params = {}
         for name, shape in manifest["params"].items():
-            blob = zf.read(f"params/{name}.bin")
+            try:
+                blob = zf.read(f"params/{name}.bin")
+            except KeyError:
+                raise CheckpointError(f"{path}: no blob for parameter {name}")
+            if len(blob) != math.prod(shape) * 8:
+                raise CheckpointError(
+                    f"{path}: blob of parameter {name} holds {len(blob)} bytes, "
+                    f"shape {shape} needs {math.prod(shape) * 8}")
             params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return manifest, params
+
+
+def manifest_config(manifest: dict) -> EncoderConfig:
+    """The encoder config a checkpoint was saved with."""
+    if not manifest.get("config"):
+        raise CheckpointError("checkpoint carries no encoder config")
+    return EncoderConfig.from_dict(manifest["config"])
+
+
+def manifest_plan(manifest: dict) -> PlacementPlan:
+    """The placement a checkpoint was saved with; empty for a bare backbone."""
+    placement = manifest.get("placement")
+    return PlacementPlan.from_dict(placement) if placement else PlacementPlan()
+
+
+def build_model(manifest: dict, state: dict[str, np.ndarray],
+                plan: PlacementPlan | None = None,
+                adapter_config: AdapterConfig | None = None,
+                seed: int = 0) -> Encoder:
+    """Encoder + adapter stack + pair head, loaded from a checkpoint.
+
+    ``plan`` (default: the checkpoint's own) may drop adapter layers the
+    checkpoint holds or add ones it lacks; added adapters are initialised
+    from ``seed``. Every blob must land in a model slot unless ``plan``
+    dropped its layer, and every model parameter ``plan`` did not add must
+    come from the checkpoint; a breach raises ``CheckpointError``.
+    """
+    encoder = Encoder(manifest_config(manifest), seed=0)
+    stored = manifest_plan(manifest)
+    plan = stored if plan is None else plan
+    if adapter_config is None:
+        adapter_config = AdapterConfig(**(manifest.get("adapter_config") or {}))
+    if plan.l_layers or plan.t_layers or plan.invertible:
+        attach(encoder, plan, adapter_config, seed=seed)
+    if "head.pair.w" in state:
+        register_pair_head(encoder.params, encoder.config.hidden_size)
+
+    slots = set(encoder.params.names())
+    for name in state:
+        if name not in slots and not (stored.places(name) and not plan.places(name)):
+            raise CheckpointError(f"checkpoint parameter {name} has no slot in the model")
+    for name in sorted(slots - state.keys()):
+        if not (plan.places(name) and not stored.places(name)):
+            raise CheckpointError(f"model parameter {name} is missing from the checkpoint")
+    encoder.params.load_state_dict({n: v for n, v in state.items() if n in slots})
+    return encoder
+
+
+def save_model(path, kind: str, encoder: Encoder, extra: dict | None = None) -> None:
+    """Checkpoint of the whole model with the configs ``build_model`` needs."""
+    stack = encoder.adapters
+    save_checkpoint(
+        path, kind, encoder.params.state_dict(),
+        config=encoder.config.to_dict(),
+        placement=stack.plan.to_dict() if stack else None,
+        adapter_config=vars(stack.config) if stack else None,
+        extra=extra)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import synth, tasks, training
-from .adapters import AdapterConfig, PlacementPlan, attach, checksum
+from .adapters import AdapterConfig, PlacementPlan
 from .budget import build_report, paper_scale_report
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import (build_model, load_checkpoint, manifest_config,
+                         manifest_plan, save_model)
 from .corpus import load_jsonl
 from .encoder import Encoder, EncoderConfig
 from .tokenizer import Vocabulary, train_bpe
@@ -92,10 +92,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _echo_config(out: Path, args: argparse.Namespace, config: dict,
-                 seed: int, checksums: dict | None = None) -> None:
+                 seed: int) -> None:
     doc = {"subcommand": args.subcommand, "seed": seed, "config": config}
-    if checksums:
-        doc["checksums"] = checksums
     (out / "config.json").write_text(json.dumps(doc, indent=2))
 
 
@@ -123,6 +121,13 @@ def _load_vocab(config: dict) -> Vocabulary:
 
 
 # -- data sources ----------------------------------------------------------
+
+def _held_out_seed(seed: int) -> int:
+    """Synthetic-data seed of the evaluation subcommands. The training
+    subcommands generate from the run seed itself, so by default an
+    evaluation never scores the programs its run seed trained on."""
+    return seed + 2 ** 31
+
 
 def _nl_texts(config: dict, seed: int) -> list[str]:
     """NL pretraining corpus: a text file (one document per line) or synthetic."""
@@ -184,43 +189,6 @@ def _cloze_examples(config: dict, vocab: Vocabulary, seed: int,
     return examples
 
 
-# -- checkpoint <-> model --------------------------------------------------
-
-def _build_model(ckpt_path, adapter_seed: int = 0) -> tuple[Encoder, dict]:
-    """Rebuild an encoder (plus any adapter stack) from a checkpoint."""
-    try:
-        manifest, params = load_checkpoint(ckpt_path)
-    except FileNotFoundError:
-        raise CliError(f"checkpoint not found: {ckpt_path}")
-    if not manifest.get("config"):
-        raise CliError(f"checkpoint {ckpt_path} carries no encoder config")
-    encoder = Encoder(EncoderConfig.from_dict(manifest["config"]), seed=0)
-    if manifest.get("placement"):
-        plan = PlacementPlan.from_dict(manifest["placement"])
-        acfg = AdapterConfig(**(manifest.get("adapter_config") or {}))
-        attach(encoder, plan, acfg, seed=adapter_seed)
-    encoder.params.load_state_dict(params, strict=False)
-    return encoder, manifest
-
-
-def _save_model(path, kind: str, encoder: Encoder, extra: dict | None = None) -> None:
-    stack = encoder.adapters
-    save_checkpoint(
-        path, kind, encoder.params.state_dict(),
-        config=encoder.config.to_dict(),
-        placement=stack.plan.to_dict() if stack else None,
-        adapter_config=vars(stack.config) if stack else None,
-        extra=extra)
-
-
-def _component_checksums(encoder: Encoder) -> dict:
-    return {"backbone": checksum(encoder.params, "emb."),
-            "layers": checksum(encoder.params, "layer."),
-            "l_adapter": checksum(encoder.params, "l_adapter."),
-            "t_adapter": checksum(encoder.params, "t_adapter."),
-            "invertible": checksum(encoder.params, "inv.")}
-
-
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tokenizer_train(args, config, seed, out: Path) -> dict:
@@ -241,7 +209,7 @@ def cmd_pretrain(args, config, seed, out: Path) -> dict:
     except (TypeError, ValueError) as e:
         raise CliError(f"bad encoder config: {e}")
     report = training.pretrain_mlm(encoder, texts, vocab, _train_config(config, seed))
-    _save_model(out / "backbone.ckpt", "backbone", encoder)
+    save_model(out / "backbone.ckpt", "backbone", encoder)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "backbone.ckpt"), "steps": report.steps,
             "final_val_loss": report.val_curve[-1],
@@ -250,12 +218,16 @@ def cmd_pretrain(args, config, seed, out: Path) -> dict:
 
 def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
     vocab = _load_vocab(config)
-    encoder, _ = _build_model(_require(config, "backbone"), adapter_seed=seed)
-    if encoder.adapters is None:
+    manifest, state = load_checkpoint(_require(config, "backbone"))
+    plan = adapter_cfg = None
+    if not manifest.get("placement"):
         plan_cfg = config.get("placement")
         plan = (PlacementPlan.from_dict(plan_cfg) if plan_cfg else
-                PlacementPlan.full(encoder.config.num_layers, invertible=True))
-        attach(encoder, plan, AdapterConfig(**config.get("adapter", {})), seed=seed)
+                PlacementPlan.full(manifest_config(manifest).num_layers,
+                                   invertible=True))
+        adapter_cfg = AdapterConfig(**config.get("adapter", {}))
+    encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
+    del state  # the model holds its own copy; free this one before training
     records = _code_records(config, seed)
     texts = [r.code for r in records]
     try:
@@ -264,8 +236,8 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
     except training.TrainingError as e:
         raise CliError(str(e))
     language = records[0].language if records else "unknown"
-    _save_model(out / "l_adapter.ckpt", "l_adapter", encoder,
-                extra={"language": language})
+    save_model(out / "l_adapter.ckpt", "l_adapter", encoder,
+               extra={"language": language})
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "l_adapter.ckpt"), "language": language,
             "steps": report.steps, "final_val_loss": report.val_curve[-1],
@@ -275,20 +247,16 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
 def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
     vocab = _load_vocab(config)
     task_kind = config.get("task", "retrieval")
-    encoder, manifest = _build_model(_require(config, "model"), adapter_seed=seed)
-    stack = encoder.adapters
-    if stack is None or not stack.plan.t_layers:
-        # extend the plan with all-layer T-adapters, keeping trained weights
-        old_plan = stack.plan if stack else PlacementPlan()
-        plan = PlacementPlan(old_plan.l_layers,
-                             frozenset(range(1, encoder.config.num_layers + 1)),
-                             old_plan.invertible)
-        state = encoder.params.state_dict()
-        encoder = Encoder(encoder.config, seed=0)
-        acfg = AdapterConfig(**{**(manifest.get("adapter_config") or {}),
-                                **config.get("adapter", {})})
-        attach(encoder, plan, acfg, seed=seed)
-        encoder.params.load_state_dict(state, strict=False)
+    manifest, state = load_checkpoint(_require(config, "model"))
+    plan, adapter_cfg = manifest_plan(manifest), None
+    if not plan.t_layers:
+        # widen the plan with all-layer T-adapters
+        layers = range(1, manifest_config(manifest).num_layers + 1)
+        plan = dataclasses.replace(plan, t_layers=frozenset(layers))
+        adapter_cfg = AdapterConfig(**{**(manifest.get("adapter_config") or {}),
+                                       **config.get("adapter", {})})
+    encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
+    del state  # the model holds its own copy; free this one before training
     records = _retrieval_records(config, seed)
     if task_kind == "pair_classification":
         pairs = synth.pairs_from_retrieval(records, config.get("n_pairs", 400),
@@ -303,8 +271,8 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
             task_kind)
     except training.TrainingError as e:
         raise CliError(str(e))
-    _save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
-                extra={"task": task_kind})
+    save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
+               extra={"task": task_kind})
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "t_adapter.ckpt"), "task": task_kind,
             "steps": report.steps,
@@ -336,8 +304,8 @@ def _split_retrieval(records, seed: int):
 
 def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
     vocab = _load_vocab(config)
-    encoder, _ = _build_model(_require(config, "model"))
-    examples = _cloze_examples(config, vocab, seed)
+    encoder = build_model(*load_checkpoint(_require(config, "model")))
+    examples = _cloze_examples(config, vocab, _held_out_seed(seed))
     try:
         result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     except tasks.TaskError as e:
@@ -348,9 +316,9 @@ def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
 
 def cmd_eval_clone(args, config, seed, out: Path) -> dict:
     vocab = _load_vocab(config)
-    encoder, _ = _build_model(_require(config, "model"))
+    encoder = build_model(*load_checkpoint(_require(config, "model")))
     task_kind = config.get("task", "retrieval")
-    records = _retrieval_records(config, seed)
+    records = _retrieval_records(config, _held_out_seed(seed))
     try:
         if task_kind == "retrieval":
             res = tasks.embed_corpus(encoder, records, vocab,
@@ -398,10 +366,8 @@ def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
     manifest, state = load_checkpoint(ckpt_path)
     if not manifest.get("placement"):
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
-    enc_cfg = EncoderConfig.from_dict(manifest["config"])
-    full_plan = PlacementPlan.from_dict(manifest["placement"])
-    acfg = AdapterConfig(**(manifest.get("adapter_config") or {}))
-    L = enc_cfg.num_layers
+    full_plan = manifest_plan(manifest)
+    L = manifest_config(manifest).num_layers
     layers = config.get("layers")
     if layers is None:
         lo, hi = 0, L
@@ -413,14 +379,11 @@ def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
     if not 0 <= lo <= hi <= L:
         raise CliError(f"layer range {lo}..{hi} outside [0, {L}]")
 
-    examples = _cloze_examples(config, vocab, seed)
+    examples = _cloze_examples(config, vocab, _held_out_seed(seed))
     rows = []
     for i in range(lo, hi + 1):
-        encoder = Encoder(enc_cfg, seed=0)
         plan = full_plan.truncated(i, L)
-        if plan.l_layers or plan.t_layers or plan.invertible:
-            attach(encoder, plan, acfg, seed=seed)
-        encoder.params.load_state_dict(state, strict=False)
+        encoder = build_model(manifest, state, plan, seed=seed)
         if args.retrain_per_layer and i > 0:
             records = _code_records(config, seed)
             training.train_language_adapter(encoder, [r.code for r in records],
@@ -439,7 +402,9 @@ def cmd_zero_shot(args, config, seed, out: Path) -> dict:
     if args.eval_language:
         config["eval_language"] = args.eval_language
     vocab = _load_vocab(config)
-    encoder, manifest = _build_model(_require(config, "model"))
+    manifest, state = load_checkpoint(_require(config, "model"))
+    encoder = build_model(manifest, state)
+    del state  # the model holds its own copy
     trained_on = config.get("train_language") or manifest.get("language")
     if not trained_on:
         raise CliError("training language unknown; set config key 'train_language'")
@@ -448,7 +413,8 @@ def cmd_zero_shot(args, config, seed, out: Path) -> dict:
         raise CliError("--eval-language (or config key 'eval_language') is required")
     scores = {}
     for language in (trained_on, unseen):
-        examples = _cloze_examples(config, vocab, seed, language=language)
+        examples = _cloze_examples(config, vocab, _held_out_seed(seed),
+                                   language=language)
         scores[language] = tasks.eval_cloze(encoder, examples, vocab.mask_id).accuracy
     return {"train_language": trained_on, "eval_language": unseen,
             "cloze_accuracy": scores,

@@ -1,4 +1,4 @@
-"""Dataset ingestion: JSON-lines loading, deterministic splitting, NL stripping.
+"""Dataset ingestion: record types and validated JSON-lines loading.
 
 All datasets travel as JSON-lines. Record kinds:
   unlabeled:  {id, language, code, nl?}
@@ -10,9 +10,8 @@ All datasets travel as JSON-lines. Record kinds:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-from typing import Any, Sequence
+from typing import Any
 
 
 class CorpusError(ValueError):
@@ -110,68 +109,3 @@ def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
         detail = "; ".join(f"line {n}: {m}" for n, m in errors[:5])
         raise CorpusError(f"{path}: {len(errors)}/{n_lines} malformed lines ({detail})")
     return records, errors
-
-
-def save_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = dataclasses.asdict(rec)
-            obj = {k: v for k, v in obj.items() if v is not None}
-            fh.write(json.dumps(obj) + "\n")
-
-
-def _split_key(record_id: str, seed: int) -> str:
-    return hashlib.sha256(f"{seed}:{record_id}".encode()).hexdigest()
-
-
-def split_90_10(records: Sequence, seed: int = 0):
-    """Deterministic 90/10 train/validation partition keyed on record id hash.
-
-    Independent of input order; |train| = round-half-up(0.9 N).
-    """
-    if len(records) < 10:
-        raise CorpusError(f"need at least 10 records to split, got {len(records)}")
-    ids = [getattr(r, "id") for r in records]
-    if len(set(ids)) != len(ids):
-        raise CorpusError("duplicate record ids")
-    order = sorted(range(len(records)), key=lambda i: _split_key(ids[i], seed))
-    n_train = int(0.9 * len(records) + 0.5)
-    train_idx = set(order[:n_train])
-    train = [records[i] for i in range(len(records)) if i in train_idx]
-    val = [records[i] for i in range(len(records)) if i not in train_idx]
-    return train, val
-
-
-def strip_nl(record: CorpusRecord, comment_prefixes: dict[str, list[str]]) -> CorpusRecord | None:
-    """Drop the NL field and remove comment lines by declared per-language prefix.
-
-    Non-comment code bytes are left untouched. Returns None (caller should
-    warn and exclude) when stripping leaves no code.
-    """
-    if record.language not in comment_prefixes:
-        raise CorpusError(f"no comment-prefix rule for language {record.language!r}")
-    prefixes = tuple(comment_prefixes[record.language])
-    kept = [line for line in record.code.split("\n")
-            if not (prefixes and line.lstrip().startswith(prefixes))]
-    code = "\n".join(kept)
-    if not code.strip():
-        return None
-    return dataclasses.replace(record, nl=None, code=code)
-
-
-@dataclasses.dataclass
-class DatasetManifest:
-    language: str
-    task_kind: str
-    paths: dict[str, str]                      # split name -> jsonl path
-    comment_prefixes: dict[str, list[str]]
-    counts: dict[str, int] = dataclasses.field(default_factory=dict)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "DatasetManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))

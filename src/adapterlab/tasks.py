@@ -250,8 +250,14 @@ def in_batch_negative_loss(embeddings: Tensor, labels: Sequence,
     if n_skipped == n:
         raise TaskError("no anchor has an in-batch positive")
 
-    denom = T.tsum(T.mul(T.exp(scaled), T.Tensor(offdiag)), axis=1, keepdims=True)
-    log_denom = T.log(denom)                       # [n, 1]
+    # logsumexp over x != a: shift each row by its off-diagonal maximum (a
+    # constant, so gradients are unchanged). The masked-out diagonal is
+    # shifted to 0 so that exp cannot overflow there.
+    row_max = np.max(np.where(offdiag > 0, scaled.data, -np.inf), axis=1, keepdims=True)
+    shift = np.where(offdiag > 0, row_max, scaled.data)
+    denom = T.tsum(T.mul(T.exp(T.sub(scaled, T.Tensor(shift))), T.Tensor(offdiag)),
+                   axis=1, keepdims=True)
+    log_denom = T.add(T.log(denom), T.Tensor(row_max))   # [n, 1]
     per_pair = T.sub(log_denom, scaled)            # -log softmax numerator
     weights = np.zeros_like(pos_mask)
     n_valid = int(valid.sum())

@@ -189,15 +189,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out ** 2),)
-
-    return _make(out, (a,), backward)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
 

@@ -1,13 +1,17 @@
-"""Checkpoint container: round-trip fidelity, manifest contents, and
-format validation."""
+"""Checkpoint container: round-trip fidelity, manifest contents, format
+validation, and the composition rule of ``build_model``."""
 
+import json
 import zipfile
 
 import numpy as np
 import pytest
 
-from adapterlab.checkpoint import (CheckpointError, load_checkpoint,
-                                   save_checkpoint)
+from adapterlab.adapters import PlacementPlan, attach
+from adapterlab.checkpoint import (FORMAT, CheckpointError, build_model,
+                                   load_checkpoint, save_checkpoint, save_model)
+from adapterlab.encoder import Encoder, EncoderConfig
+from adapterlab.tasks import register_pair_head
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -49,3 +53,96 @@ def test_placement_and_adapter_config_stored(tmp_path):
     manifest, _ = load_checkpoint(p)
     assert manifest["placement"]["invertible"] is True
     assert manifest["adapter_config"]["l_bottleneck"] == 2
+
+
+def _hand_made(path, manifest_params, blobs):
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps({"format": FORMAT,
+                                                 "params": manifest_params}))
+        for name, blob in blobs.items():
+            zf.writestr(f"params/{name}.bin", blob)
+
+
+@pytest.mark.parametrize("blobs", [
+    {"w": np.zeros(5).tobytes()},    # 40 bytes for a 2x3 float64 array
+    {},                              # no blob at all
+])
+def test_corrupt_blob_names_file_and_parameter(tmp_path, blobs):
+    p = tmp_path / "corrupt.ckpt"
+    _hand_made(p, {"w": [2, 3]}, blobs)
+    with pytest.raises(CheckpointError, match=r"corrupt\.ckpt.*parameter w\b"):
+        load_checkpoint(p)
+
+
+def test_not_a_checkpoint_archive_rejected(tmp_path):
+    plain = tmp_path / "plain.ckpt"
+    plain.write_text("not a zip")
+    bare = tmp_path / "bare.ckpt"
+    with zipfile.ZipFile(bare, "w") as zf:
+        zf.writestr("params/w.bin", np.zeros(1).tobytes())
+    for p in (plain, bare):
+        with pytest.raises(CheckpointError, match=p.name):
+            load_checkpoint(p)
+
+
+# -- composing a model from a checkpoint -----------------------------------
+
+CFG = EncoderConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
+                    vocab_size=20, max_positions=16, dropout=0.0)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """(manifest, state) of a model with L-adapters, invertible adapter and
+    pair head; random values stand in for trained weights."""
+    enc = Encoder(CFG, seed=1)
+    attach(enc, PlacementPlan.full(4, invertible=True), seed=2)
+    register_pair_head(enc.params, CFG.hidden_size)
+    rng = np.random.default_rng(3)
+    for name in enc.params.names():
+        enc.params[name].data = rng.normal(size=enc.params[name].data.shape)
+    save_model(tmp_path / "m.ckpt", "l_adapter", enc, extra={"language": "alpha"})
+    return load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_build_model_restores_every_parameter(saved):
+    manifest, state = saved
+    enc = build_model(manifest, state)
+    assert enc.adapters.plan == PlacementPlan.full(4, invertible=True)
+    assert set(enc.params.names()) == set(state)
+    for name, value in state.items():
+        assert (enc.params[name].data == value).all()
+
+
+def test_build_model_rejects_blob_without_slot(saved):
+    manifest, state = saved
+    state["t_adapter.9.down.w"] = np.zeros((8, 1))
+    with pytest.raises(CheckpointError, match=r"t_adapter\.9\.down\.w"):
+        build_model(manifest, state)
+
+
+def test_build_model_rejects_missing_declared_parameter(saved):
+    manifest, state = saved
+    del state["l_adapter.2.up.b"]
+    with pytest.raises(CheckpointError, match=r"l_adapter\.2\.up\.b"):
+        build_model(manifest, state)
+
+
+def test_build_model_truncated_plan_drops_layers(saved):
+    manifest, state = saved
+    plan = PlacementPlan.full(4, invertible=True).truncated(2, 4)
+    enc = build_model(manifest, state, plan)
+    assert "l_adapter.3.down.w" not in enc.params
+    assert (enc.params["l_adapter.2.down.w"].data == state["l_adapter.2.down.w"]).all()
+    bare = build_model(manifest, state, PlacementPlan())
+    assert bare.adapters is None
+    assert (bare.params["head.pair.w"].data == state["head.pair.w"]).all()
+
+
+def test_build_model_widened_plan_adds_fresh_task_adapters(saved):
+    manifest, state = saved
+    plan = PlacementPlan.full(4, t_adapters=True, invertible=True)
+    enc = build_model(manifest, state, plan, seed=5)
+    assert (enc.params["t_adapter.4.up.w"].data == 0).all()  # near-identity init
+    for name, value in state.items():
+        assert (enc.params[name].data == value).all()

@@ -3,10 +3,12 @@ end-to-end pipeline through every subcommand."""
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
+from adapterlab import synth
 from adapterlab.cli import dispatch
 
 TINY = [
@@ -177,3 +179,72 @@ def test_zero_shot_cli(pipeline, tmp_path):
     rep = _report(tmp_path)
     assert rep["train_language"] == "alpha"
     assert set(rep["cloze_accuracy"]) == {"alpha", "beta"}
+
+
+def test_pair_task_adapter_then_eval_clone_cli(pipeline, tmp_path):
+    root, vocab = pipeline
+    small = ["--set", "synthetic.n_classes=5", "--set", "synthetic.per_class=5"]
+    assert _run(["train-task-adapter", "--out", str(tmp_path / "tp"),
+                 "--seed", "0", "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "task=pair_classification", "--set", "n_pairs=40",
+                 "--set", "train.max_steps=4", "--set", "train.eval_every=4",
+                 *small]) == 0
+    assert _run(["eval-clone", "--out", str(tmp_path / "ec"), "--seed", "0",
+                 "--set", f"vocab={vocab}",
+                 "--set", f"model={tmp_path / 'tp' / 't_adapter.ckpt'}",
+                 "--set", "task=pair_classification", "--set", "n_pairs=20",
+                 *small]) == 0
+    rep = _report(tmp_path / "ec")
+    assert rep["tp"] + rep["fp"] + rep["tn"] + rep["fn"] == rep["n_pairs"] == 20
+
+
+def test_checkpoint_missing_blob_exits_1_naming_it(pipeline, tmp_path, capsys):
+    root, vocab = pipeline
+    broken = tmp_path / "broken.ckpt"
+    with zipfile.ZipFile(root / "la" / "l_adapter.ckpt") as src, \
+            zipfile.ZipFile(broken, "w") as dst:
+        for item in src.infolist():
+            if item.filename != "params/l_adapter.1.down.w.bin":
+                dst.writestr(item, src.read(item))
+    rc = _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
+               "--set", f"vocab={vocab}", "--set", f"model={broken}",
+               "--set", "synthetic.n=20"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "l_adapter.1.down.w" in err["message"]
+
+
+def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
+                                                    monkeypatch):
+    """With no data path and no synthetic.seed, the evaluation subcommands
+    score programs that the training subcommands of the same run seed did
+    not train on."""
+    root, vocab = pipeline
+    drawn = []
+
+    def spy(generate):
+        def wrapper(*args, **kwargs):
+            records = generate(*args, **kwargs)
+            drawn[-1].update(r.code for r in records)
+            return records
+        return wrapper
+
+    monkeypatch.setattr(synth, "synth_code_records", spy(synth.synth_code_records))
+    monkeypatch.setattr(synth, "synth_clone_classes", spy(synth.synth_clone_classes))
+
+    def programs(subcommand, *sets):
+        drawn.append(set())
+        argv = [subcommand, "--out", str(tmp_path / subcommand), "--seed", "0",
+                "--set", f"vocab={vocab}", "--set", "train.max_steps=1"]
+        for s in sets:
+            argv += ["--set", s]
+        assert _run(argv) == 0
+        assert drawn[-1]
+        return drawn[-1]
+
+    la = root / "la" / "l_adapter.ckpt"
+    trained = programs("train-lang-adapter", f"backbone={root / 'pre' / 'backbone.ckpt'}")
+    assert not trained & programs("eval-cloze", f"model={la}")
+    trained = programs("train-task-adapter", f"model={la}")
+    assert not trained & programs("eval-clone", f"model={la}")

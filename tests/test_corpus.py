@@ -1,12 +1,10 @@
-"""Dataset ingestion: JSON-lines validation, deterministic splits, and
-NL/comment stripping."""
+"""Dataset ingestion: JSON-lines validation."""
 
 import json
 
 import pytest
 
-from adapterlab.corpus import (CorpusError, CorpusRecord, load_jsonl,
-                               save_jsonl, split_90_10, strip_nl)
+from adapterlab.corpus import CorpusError, load_jsonl
 
 
 def _write_jsonl(path, rows):
@@ -53,63 +51,10 @@ def test_load_unknown_kind_raises(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
-    recs = [CorpusRecord(id=f"r{i}", language="alpha", code=f"x = {i} ;",
-                         nl="doc" if i % 2 else None) for i in range(4)]
+    rows = [{"id": f"r{i}", "language": "alpha", "code": f"x = {i} ;",
+             **({"nl": "doc"} if i % 2 else {})} for i in range(4)]
     p = tmp_path / "d.jsonl"
-    save_jsonl(p, recs)
+    _write_jsonl(p, rows)
     back, _ = load_jsonl(p, "unlabeled")
-    assert [r.id for r in back] == [r.id for r in recs]
+    assert [r.id for r in back] == [r["id"] for r in rows]
     assert back[1].nl == "doc" and back[0].nl is None
-
-
-def _records(n):
-    return [CorpusRecord(id=f"r{i}", language="a", code="c") for i in range(n)]
-
-
-def test_split_sizes_round_half_up():
-    train, val = split_90_10(_records(15))
-    assert len(train) == 14 and len(val) == 1  # round(13.5+) = 14
-    train, val = split_90_10(_records(100))
-    assert len(train) == 90 and len(val) == 10
-
-
-def test_split_deterministic_and_order_independent():
-    recs = _records(50)
-    t1, v1 = split_90_10(recs, seed=7)
-    t2, v2 = split_90_10(list(reversed(recs)), seed=7)
-    assert {r.id for r in t1} == {r.id for r in t2}
-    assert {r.id for r in v1} == {r.id for r in v2}
-    t3, _ = split_90_10(recs, seed=8)
-    assert {r.id for r in t1} != {r.id for r in t3}
-
-
-def test_split_rejects_duplicates_and_tiny_sets():
-    with pytest.raises(CorpusError):
-        split_90_10(_records(5))
-    dup = _records(10)
-    dup[3].id = dup[4].id
-    with pytest.raises(CorpusError):
-        split_90_10(dup)
-
-
-PREFIXES = {"alpha": ["#"], "beta": ["//"]}
-
-
-def test_strip_nl_removes_comments_and_nl():
-    rec = CorpusRecord(id="r", language="alpha",
-                       code="# a comment\nx = 1 ;\n  # indented comment\ny = 2 ;",
-                       nl="adds numbers")
-    out = strip_nl(rec, PREFIXES)
-    assert out.nl is None
-    assert out.code == "x = 1 ;\ny = 2 ;"
-
-
-def test_strip_nl_all_comments_returns_none():
-    rec = CorpusRecord(id="r", language="beta", code="// only\n// comments")
-    assert strip_nl(rec, PREFIXES) is None
-
-
-def test_strip_nl_unknown_language_raises():
-    rec = CorpusRecord(id="r", language="gamma", code="x")
-    with pytest.raises(CorpusError):
-        strip_nl(rec, PREFIXES)

@@ -3,6 +3,7 @@ oracles, pair classification, and the in-batch-negative contrastive loss."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from adapterlab import tensor as T
 from adapterlab.corpus import ClozeRecord, PairRecord, RetrievalRecord
@@ -188,27 +189,28 @@ def _contrastive_oracle(emb, labels, temperature):
         pos = [j for j in range(n) if j != a and labels[j] == labels[a]]
         if not pos:
             continue
-        denom = sum(np.exp(emb[a] @ emb[x] / temperature)
-                    for x in range(n) if x != a)
-        terms = [-np.log(np.exp(emb[a] @ emb[p] / temperature) / denom)
-                 for p in pos]
+        log_denom = logsumexp([emb[a] @ emb[x] / temperature
+                               for x in range(n) if x != a])
+        terms = [log_denom - emb[a] @ emb[p] / temperature for p in pos]
         losses.append(np.mean(terms))
     return float(np.mean(losses))
 
 
 def test_in_batch_negative_loss_matches_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(10):
+    for temperature in [0.05] * 10 + [1e-3] * 10:
         n = int(rng.integers(4, 16))
         labels = list(rng.integers(0, 4, size=n))
         while all(labels.count(l) < 2 for l in labels):
             labels = list(rng.integers(0, 4, size=n))
         emb = T.Tensor(rng.normal(size=(n, 6)), requires_grad=True)
-        loss, n_skipped = in_batch_negative_loss(emb, labels, temperature=0.05)
-        want = _contrastive_oracle(emb.data, labels, 0.05)
+        loss, n_skipped = in_batch_negative_loss(emb, labels, temperature=temperature)
+        want = _contrastive_oracle(emb.data, labels, temperature)
         assert loss.item() == pytest.approx(want, rel=1e-10)
         assert n_skipped == sum(1 for i, l in enumerate(labels)
                                 if labels.count(l) == 1)
+        T.backward(loss)
+        assert np.isfinite(emb.grad).all()
 
 
 def test_in_batch_negative_loss_all_singletons_raises():
