@@ -110,6 +110,45 @@ def _train_config(config: dict, seed: int) -> training.TrainConfig:
         raise CliError(f"bad train config: {e}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _placement_plan(value) -> PlacementPlan:
+    """The ``placement`` config: an object with exactly the keys of
+    ``PlacementPlan.to_dict``."""
+    keys = set(PlacementPlan().to_dict())
+    if not isinstance(value, dict):
+        raise CliError(f"config key 'placement' must be an object with keys {sorted(keys)}")
+    missing, unknown = sorted(keys - value.keys()), sorted(value.keys() - keys)
+    if missing:
+        raise CliError(f"placement config is missing key(s) {missing}")
+    if unknown:
+        raise CliError(f"placement config has unknown key(s) {unknown}")
+    for key in ("l_layers", "t_layers"):
+        if not (isinstance(value[key], list) and all(map(_is_int, value[key]))):
+            raise CliError(f"placement key {key!r} must be a list of layer numbers")
+    if not isinstance(value["invertible"], bool):
+        raise CliError("placement key 'invertible' must be true or false")
+    return PlacementPlan.from_dict(value)
+
+
+def _adapter_config(base: dict, config: dict) -> AdapterConfig:
+    """``base`` (a checkpoint's adapter config) with the ``adapter`` config
+    keys laid over it."""
+    fields = config.get("adapter", {})
+    if not isinstance(fields, dict):
+        raise CliError("config key 'adapter' must be an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(AdapterConfig)}
+    unknown = fields.keys() - defaults.keys()
+    if unknown:
+        raise CliError(f"adapter config has unknown key(s) {sorted(unknown)}")
+    for key, v in fields.items():
+        if not ((_is_int(v) and v >= 1) or (v is None and defaults[key] is None)):
+            raise CliError(f"adapter config key {key!r} must be a positive integer")
+    return AdapterConfig(**{**base, **fields})
+
+
 def _load_vocab(config: dict) -> Vocabulary:
     path = config.get("vocab")
     if not path:
@@ -222,10 +261,10 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
     plan = adapter_cfg = None
     if not manifest.get("placement"):
         plan_cfg = config.get("placement")
-        plan = (PlacementPlan.from_dict(plan_cfg) if plan_cfg else
+        plan = (_placement_plan(plan_cfg) if plan_cfg else
                 PlacementPlan.full(manifest_config(manifest).num_layers,
                                    invertible=True))
-        adapter_cfg = AdapterConfig(**config.get("adapter", {}))
+        adapter_cfg = _adapter_config({}, config)
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     records = _code_records(config, seed)
@@ -253,8 +292,7 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
         # widen the plan with all-layer T-adapters
         layers = range(1, manifest_config(manifest).num_layers + 1)
         plan = dataclasses.replace(plan, t_layers=frozenset(layers))
-        adapter_cfg = AdapterConfig(**{**(manifest.get("adapter_config") or {}),
-                                       **config.get("adapter", {})})
+        adapter_cfg = _adapter_config(manifest.get("adapter_config") or {}, config)
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     records = _retrieval_records(config, seed)
@@ -346,10 +384,9 @@ def cmd_budget(args, config, seed, out: Path) -> dict:
     else:
         try:
             enc_cfg = EncoderConfig(**config.get("encoder", {}))
-            adapter_cfg = AdapterConfig(**config.get("adapter", {}))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad budget config: {e}")
-        report = build_report(enc_cfg, adapter_cfg)
+        report = build_report(enc_cfg, _adapter_config({}, config))
     doc = report.to_dict()
     print(f"{'component':<12}{'parameters':>14}{'MB':>10}{'% of model':>12}")
     for name, count in report.counts.items():

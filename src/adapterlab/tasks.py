@@ -55,8 +55,8 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord], mask_id: int,
         for r, ex in enumerate(chunk):
             ids[r, :len(ex.tokens)] = ex.tokens
             attn[r, :len(ex.tokens)] = 1
-        hidden = encoder.forward(ids, attn, mode="mlm")
-        logits = encoder.mlm_logits(hidden).data
+        with T.no_grad():
+            logits = encoder.mlm_logits(encoder.forward(ids, attn, mode="mlm")).data
         for r, ex in enumerate(chunk):
             row = logits[r, ex.mask_index]
             cand = np.asarray(ex.candidates)
@@ -89,9 +89,9 @@ def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
         texts = [it.code for it in chunk]
         n_truncated += sum(len(vocab.encode(t)) > max_len for t in texts)
         ids, attn = encode_batch(texts, vocab, max_len)
-        hidden = encoder.forward(ids, attn, mode="embed")
-        emb = encoder.sequence_embedding(hidden, attn)
-        rows.append(emb.data)
+        with T.no_grad():
+            hidden = encoder.forward(ids, attn, mode="embed")
+            rows.append(encoder.sequence_embedding(hidden, attn).data)
     return EmbedResult(ids=[it.id for it in items],
                        labels=[it.label for it in items],
                        embeddings=np.concatenate(rows, axis=0),
@@ -197,12 +197,13 @@ def classify_pair(encoder: Encoder, pair: PairRecord, vocab: Vocabulary,
     """Probability that the pair is a clone (threshold 0.5 for F1)."""
     max_len = max_len or encoder.config.max_positions
     ids, attn = encode_batch([pair.code_a, pair.code_b], vocab, max_len)
-    hidden = encoder.forward(ids, attn, mode="embed")
-    emb = encoder.sequence_embedding(hidden, attn)
-    e_a = T.tslice(emb, (slice(0, 1), slice(None)))
-    e_b = T.tslice(emb, (slice(1, 2), slice(None)))
-    logit = pair_logits(encoder.params, e_a, e_b)
-    return float(T.sigmoid(logit).data.squeeze())
+    with T.no_grad():
+        hidden = encoder.forward(ids, attn, mode="embed")
+        emb = encoder.sequence_embedding(hidden, attn)
+        e_a = T.tslice(emb, (slice(0, 1), slice(None)))
+        e_b = T.tslice(emb, (slice(1, 2), slice(None)))
+        logit = pair_logits(encoder.params, e_a, e_b)
+        return float(T.sigmoid(logit).data.squeeze())
 
 
 def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,

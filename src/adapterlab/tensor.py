@@ -4,10 +4,17 @@ Just enough machinery for a small transformer encoder: matmul, elementwise
 arithmetic, ReLU/GELU, softmax, layer norm, embedding lookup, dropout and
 cross-entropy, all on numpy arrays. Tensors are immutable once produced by
 an op; backward walks the recorded tape for a single scalar loss.
+
+The tape records only what a gradient needs: an op whose inputs all have
+``requires_grad=False`` (frozen parameters, constants, anything computed
+only from them) builds a constant, each backward closure computes only the
+parent gradients that are needed, and inside ``no_grad()`` nothing is
+recorded at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Callable, Iterable, Mapping
 
@@ -94,9 +101,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a constant."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
@@ -107,7 +127,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -116,7 +137,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -125,7 +147,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -134,8 +157,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
 
     def backward(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data ** 2), b.shape))
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data ** 2), b.shape)
+                if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -146,9 +170,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward)
 
@@ -283,7 +310,8 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(tensors, np.split(g, splits, axis=axis)))
 
     return _make(out, tuple(tensors), backward)
 
@@ -332,13 +360,17 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     n = x.shape[-1]
 
     def backward(g):
-        gxhat = g * weight.data
-        dx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = gw = gb = None
+        if x.requires_grad:
+            gxhat = g * weight.data
+            dx = inv * (gxhat
+                        - gxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
-        gw = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
+        if weight.requires_grad:
+            gw = (g * xhat).sum(axis=axes)
+        if bias.requires_grad:
+            gb = g.sum(axis=axes)
         return dx, gw, gb
 
     return _make(out, (x, weight, bias), backward)
@@ -430,7 +462,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate ``.grad`` on every requires_grad tensor reachable from loss."""
+    """Accumulate ``.grad`` on every requires_grad leaf reachable from loss.
+
+    An intermediate node's ``.grad`` is dropped once its closure has run.
+    """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
@@ -441,6 +476,7 @@ def backward(loss: Tensor) -> None:
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
+        node.grad = None
         for parent, g in zip(node._parents, grads):
             if not parent.requires_grad or g is None:
                 continue
@@ -453,18 +489,17 @@ def backward(loss: Tensor) -> None:
 # -- parameter collections -------------------------------------------------
 
 class ParameterSet:
-    """Ordered map of hierarchical names to parameter tensors with trainable flags."""
+    """Ordered map of hierarchical names to parameter tensors. A parameter
+    is trainable exactly when its tensor has ``requires_grad``."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(value, dtype=DEFAULT_DTYPE), requires_grad=True)
+        t = Tensor(np.asarray(value, dtype=DEFAULT_DTYPE), requires_grad=trainable)
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -486,13 +521,13 @@ class ParameterSet:
         return self._params.items()
 
     def set_trainable(self, name: str, flag: bool) -> None:
-        self._trainable[name] = flag
+        self._params[name].requires_grad = bool(flag)
 
     def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
+        return self._params[name].requires_grad
 
     def trainable_names(self) -> list[str]:
-        return [n for n, f in self._trainable.items() if f]
+        return [n for n, t in self._params.items() if t.requires_grad]
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -25,7 +25,10 @@ from .tokenizer import MaskedBatch, Vocabulary, apply_mlm_mask, encode_batch
 
 
 class TrainingError(RuntimeError):
-    pass
+    """A training run that cannot go on. A loop that stops on a bad step
+    sets ``report`` to its ``TrainReport``, stopping reason included."""
+
+    report: "TrainReport | None" = None
 
 
 @dataclasses.dataclass
@@ -88,13 +91,20 @@ class AdamState:
 
 def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
-    """Standard bias-corrected Adam update on the trainable subset only."""
+    """Standard bias-corrected Adam update on the trainable subset only.
+
+    Every gradient is checked before anything changes: a wrong shape or a
+    non-finite entry leaves the parameters and ``state`` untouched.
+    """
+    for name, g in grads.items():
+        if g.shape != params[name].data.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
     for name, g in grads.items():
         p = params[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
         m += (1 - cfg.beta1) * (g - m)
@@ -121,7 +131,7 @@ def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
 
 def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                   cfg: TrainConfig, mask_seed: int = 12345) -> float:
-    """Deterministic masked-LM loss: fixed mask seed, dropout off."""
+    """Deterministic masked-LM loss: fixed mask seed, dropout off, no tape."""
     losses = []
     for start in range(0, len(texts), cfg.batch_size):
         chunk = list(texts[start:start + cfg.batch_size])
@@ -130,10 +140,38 @@ def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                                seed=mask_seed + start)
         if (batch.labels == MaskedBatch.IGNORE).all():
             continue
-        losses.append(mlm_loss(encoder, batch).item())
+        with T.no_grad():
+            losses.append(mlm_loss(encoder, batch).item())
     if not losses:
         raise TrainingError("no maskable validation tokens")
     return float(np.mean(losses))
+
+
+def _abort(report: TrainReport, step: int, start_time: float, reason: str,
+           detail: str | None = None) -> TrainingError:
+    """Close ``report`` on a step that cannot be taken; returns the error,
+    which carries the report."""
+    report.stopping_reason = reason
+    report.steps = step
+    report.seconds = time.time() - start_time
+    err = TrainingError(f"{detail or reason} at step {step}")
+    err.report = report
+    return err
+
+
+def _step(encoder: Encoder, loss: T.Tensor, state: AdamState, cfg: TrainConfig,
+          report: TrainReport, step: int, start_time: float) -> None:
+    """Backward and Adam update for one training step; a non-finite loss
+    or gradient stops the run before any weight changes."""
+    if not np.isfinite(loss.item()):
+        raise _abort(report, step, start_time, "non-finite loss")
+    report.loss_curve.append(loss.item())
+    grads = T.gradients(loss, encoder.params)
+    try:
+        adam_step(encoder.params, grads, state, cfg)
+    except TrainingError as e:
+        raise _abort(report, step, start_time, "non-finite gradient", str(e)) from e
+    report.steps = step
 
 
 def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
@@ -162,15 +200,7 @@ def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
         if (batch.labels == MaskedBatch.IGNORE).all():
             continue
         loss = mlm_loss(encoder, batch, training=True, rng=rng)
-        if not np.isfinite(loss.item()):
-            report.stopping_reason = "non-finite loss"
-            report.steps = step
-            report.seconds = time.time() - start_time
-            raise TrainingError(f"non-finite loss at step {step}")
-        report.loss_curve.append(loss.item())
-        grads = T.gradients(loss, encoder.params)
-        adam_step(encoder.params, grads, state, cfg)
-        report.steps = step
+        _step(encoder, loss, state, cfg, report, step, start_time)
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             val = eval_mlm_loss(encoder, val_texts, vocab, cfg)
@@ -289,15 +319,7 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
                                          T.exp(T.mul(T.absolute(logit),
                                                      T.Tensor(-1.0))))))
             loss = T.tmean(T.sub(softplus, T.mul(y, logit)))
-
-        if not np.isfinite(loss.item()):
-            report.steps = step
-            report.seconds = time.time() - start_time
-            raise TrainingError(f"non-finite loss at step {step}")
-        report.loss_curve.append(loss.item())
-        grads = T.gradients(loss, encoder.params)
-        adam_step(encoder.params, grads, state, cfg)
-        report.steps = step
+        _step(encoder, loss, state, cfg, report, step, start_time)
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             val = validate()

@@ -1,6 +1,6 @@
 """Adapters: forward equations against straight-line reimplementations,
-near-identity initialization, invertibility, placement plans, freeze modes,
-and checksums."""
+near-identity initialization, invertibility, placement plans, freeze modes
+and the gradients they leave, and checksums."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from adapterlab.adapters import (AdapterConfig, AdapterStack, FreezeMode,
                                  language_adapter_forward, task_adapter_forward,
                                  trainable_parameters)
 from adapterlab.encoder import Encoder, EncoderConfig
+from adapterlab.tasks import pair_logits, register_pair_head
 
 CFG = EncoderConfig(num_layers=3, hidden_size=16, num_heads=2, ffn_size=32,
                     vocab_size=40, max_positions=12, dropout=0.0)
@@ -176,7 +177,6 @@ def test_param_count_formulas():
 
 def test_freeze_modes_partition_names():
     enc = _fresh(PlacementPlan.full(3, t_adapters=True, invertible=True))
-    from adapterlab.tasks import register_pair_head
     register_pair_head(enc.params, CFG.hidden_size)
     all_names = set(enc.params.names())
     back = set(trainable_parameters(enc.params, FreezeMode.PRETRAIN_BACKBONE))
@@ -204,3 +204,73 @@ def test_checksum_detects_any_byte_change():
     assert checksum(enc.params, "layer.") != before
     # unrelated prefix unaffected
     assert checksum(enc.params, "l_adapter.") == checksum(enc.params, "l_adapter.")
+
+
+def _perturb_adapters(enc, rng):
+    """Move adapters away from the identity so their gradients are live."""
+    for name in enc.params.names():
+        if name.startswith(("l_adapter.", "t_adapter.", "inv.")):
+            enc.params[name].data = rng.normal(0, 0.2, size=enc.params[name].data.shape)
+
+
+@pytest.mark.parametrize("mode", [FreezeMode.TRAIN_L_ADAPTER, FreezeMode.TRAIN_T_ADAPTER])
+def test_freeze_leaves_trainable_gradients_bit_identical(mode):
+    enc = _fresh(PlacementPlan.full(3, t_adapters=True, invertible=True))
+    register_pair_head(enc.params, CFG.hidden_size)
+    rng = np.random.default_rng(4)
+    _perturb_adapters(enc, rng)
+    ids = rng.integers(0, CFG.vocab_size, size=(4, 7))
+    attn = np.ones_like(ids)
+    attn[3, 5:] = 0
+    labels = rng.integers(0, CFG.vocab_size, size=ids.shape)
+
+    def loss():
+        hidden = enc.forward(ids, attn)
+        emb = enc.sequence_embedding(hidden, attn)
+        pair = pair_logits(enc.params, T.tslice(emb, (slice(0, 2),)),
+                           T.tslice(emb, (slice(2, 4),)))
+        return T.add(T.cross_entropy(enc.mlm_logits(hidden), labels), T.tsum(pair))
+
+    for name in enc.params.names():
+        enc.params.set_trainable(name, True)
+    everything = T.gradients(loss(), enc.params)
+    trainable = apply_freeze(enc.params, mode)
+    grads = T.gradients(loss(), enc.params)
+    assert sorted(grads) == trainable
+    for name in trainable:
+        assert grads[name].tobytes() == everything[name].tobytes(), name
+    for name, t in enc.params.items():
+        if name not in grads:
+            assert t.grad is None, name
+
+
+def test_tape_starts_at_the_lowest_adapter():
+    cfg = EncoderConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
+                        vocab_size=20, max_positions=10, dropout=0.0)
+    enc = Encoder(cfg, seed=0)
+    attach(enc, PlacementPlan(l_layers=frozenset({2}), invertible=False), seed=1)
+    rng = np.random.default_rng(2)
+    _perturb_adapters(enc, rng)
+    apply_freeze(enc.params, FreezeMode.TRAIN_L_ADAPTER)
+    ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
+    attn = np.ones_like(ids)
+    labels = rng.integers(0, cfg.vocab_size, size=ids.shape)
+
+    def loss():
+        return T.cross_entropy(enc.mlm_logits(enc.forward(ids, attn)), labels)
+
+    below = {id(t) for name, t in enc.params.items()
+             if name.startswith(("emb.", "layer.1."))}
+    seen, stack, nodes = set(), [loss()], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        nodes += t._backward is not None
+        assert not any(id(p) in below for p in t._parents)
+        stack.extend(t._parents)
+    assert nodes > 0
+    report = T.finite_difference_check(loss, enc.params, max_entries_per_param=4,
+                                       rng=np.random.default_rng(3))
+    assert report.passed, report.per_param

@@ -83,6 +83,12 @@ def test_budget_custom_config(tmp_path):
     assert rep["counts"]["backbone"] > 0
 
 
+def test_budget_bad_adapter_value_exits_1_naming_key(tmp_path, capsys):
+    rc = _run(["budget", "--out", str(tmp_path), "--set", 'adapter.l_bottleneck="x"'])
+    assert rc == 1
+    assert "l_bottleneck" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
 def test_effective_config_echoed(tmp_path):
     assert _run(["budget", "--out", str(tmp_path),
                  "--set", "encoder.num_layers=2"]) == 0
@@ -248,3 +254,30 @@ def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
     assert not trained & programs("eval-cloze", f"model={la}")
     trained = programs("train-task-adapter", f"model={la}")
     assert not trained & programs("eval-clone", f"model={la}")
+
+
+@pytest.mark.parametrize("subcommand, sets, key", [
+    ("train-lang-adapter", ['placement={"l_layers": [1]}'], "t_layers"),
+    ("train-lang-adapter", ['placement={"l_layers": [1], "t_layers": [], '
+                            '"invertible": false, "l_layer": [2]}'], "l_layer"),
+    ("train-lang-adapter", ['placement={"l_layers": [1], "t_layers": [], '
+                            '"invertible": "no"}'], "invertible"),
+    ("train-lang-adapter", ["adapter.l_bottlenek=4"], "l_bottlenek"),
+    ("train-lang-adapter", ['adapter.l_bottleneck="x"'], "l_bottleneck"),
+    ("train-task-adapter", ["adapter.t_bottlenek=4"], "t_bottlenek"),
+    ("train-task-adapter", ["adapter.inv_steps=null"], "inv_steps"),
+])
+def test_bad_adapter_config_exits_1_naming_key(pipeline, tmp_path, capsys,
+                                               subcommand, sets, key):
+    root, vocab = pipeline
+    source = {"train-lang-adapter": f"backbone={root / 'pre' / 'backbone.ckpt'}",
+              "train-task-adapter": f"model={root / 'la' / 'l_adapter.ckpt'}"}
+    argv = [subcommand, "--out", str(tmp_path), "--seed", "0",
+            "--set", f"vocab={vocab}", "--set", source[subcommand],
+            "--set", "train.max_steps=1"]
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and err["subcommand"] == subcommand
+    assert key in err["message"]

@@ -1,5 +1,6 @@
 """Autodiff core: op gradients against finite differences, parameter
-registry semantics, and the gradient-check harness itself."""
+registry semantics, freeze-aware and tape-free evaluation, and the
+gradient-check harness itself."""
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ def test_parameter_set_basics():
         ps2.load_state_dict({"missing": np.ones(1)}, strict=True)
 
 
+def test_trainable_flag_is_requires_grad():
+    ps = ParameterSet()
+    w = ps.add("w", np.ones(2))
+    f = ps.add("f", np.ones(2), trainable=False)
+    assert w.requires_grad and not f.requires_grad
+    ps.set_trainable("w", False)
+    ps.set_trainable("f", True)
+    assert not w.requires_grad and f.requires_grad
+    assert ps.trainable_names() == ["f"] and ps.is_trainable("f")
+
+
 def test_gradients_only_trainable():
     ps = ParameterSet()
     w = ps.add("w", np.ones((2,)))
@@ -203,8 +215,78 @@ def test_finite_difference_check_flags_wrong_gradient():
         out = T.mul(T.tsum(T.mul(ps["w"], ps["w"])), T.Tensor(1.0))
         # tamper with the backward of the final node
         orig = out._backward
-        out._backward = lambda g: tuple(1.5 * x for x in orig(g))
+        out._backward = lambda g: tuple(None if x is None else 1.5 * x for x in orig(g))
         return out
 
     report2 = finite_difference_check(g, ps, rng=np.random.default_rng(0))
     assert not report2.passed
+
+
+def _tape(root):
+    """Every tensor reachable from ``root`` through recorded parents."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            out.append(t)
+            stack.extend(t._parents)
+    return out
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
+def test_binary_op_backward_skips_parent_without_grad(op):
+    x, y = RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)) + 4.0
+    g = RNG.normal(size=(3, 3))
+    both = op(Tensor(x, requires_grad=True), Tensor(y, requires_grad=True))
+    gx, gy = both._backward(g)
+    left = op(Tensor(x, requires_grad=True), Tensor(y))
+    right = op(Tensor(x), Tensor(y, requires_grad=True))
+    assert left._backward(g)[1] is None and right._backward(g)[0] is None
+    assert np.array_equal(left._backward(g)[0], gx)
+    assert np.array_equal(right._backward(g)[1], gy)
+
+
+def test_layer_norm_and_concat_backward_skip_parents_without_grad():
+    x, w, b = RNG.normal(size=(2, 3, 4)), RNG.normal(size=4), RNG.normal(size=4)
+    g = RNG.normal(size=(2, 3, 4))
+    full = T.layer_norm(*(Tensor(v, requires_grad=True) for v in (x, w, b)))._backward(g)
+    for k in range(3):
+        flags = [i == k for i in range(3)]
+        out = T.layer_norm(*(Tensor(v, requires_grad=f) for v, f in zip((x, w, b), flags)))
+        grads = out._backward(g)
+        assert np.array_equal(grads[k], full[k])
+        assert all(grads[i] is None for i in range(3) if i != k)
+    parts = [Tensor(RNG.normal(size=(2, 2)), requires_grad=True), Tensor(np.ones((2, 3)))]
+    ga, gb = T.concat(parts, axis=-1)._backward(RNG.normal(size=(2, 5)))
+    assert ga.shape == (2, 2) and gb is None
+
+
+def test_no_grad_records_nothing_and_restores_state():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with T.no_grad():
+        out = T.mul(w, w)
+        with T.no_grad():
+            pass
+        after_nested = T.add(w, w)
+    for t in (out, after_nested):
+        assert not t.requires_grad and t._backward is None and t._parents == ()
+    assert T.add(w, w)._backward is not None
+    with pytest.raises(KeyError):
+        with T.no_grad():
+            raise KeyError("inside")
+    restored = T.add(w, w)
+    assert restored.requires_grad and restored._backward is not None
+
+
+def test_backward_frees_intermediate_grads_and_keeps_leaf_grads():
+    ps = ParameterSet()
+    w = ps.add("w", RNG.normal(size=(3, 4)))
+    b = ps.add("b", RNG.normal(size=4))
+    x = Tensor(RNG.normal(size=(2, 3)))
+    loss = T.tsum(T.gelu(T.add(T.matmul(x, w), b)))
+    T.backward(loss)
+    nodes = [t for t in _tape(loss) if t._backward is not None]
+    assert len(nodes) == 4
+    assert all(t.grad is None for t in nodes)
+    assert w.grad is not None and b.grad is not None and x.grad is None

@@ -4,6 +4,8 @@ determinism, early stopping, and error paths."""
 import numpy as np
 import pytest
 
+from adapterlab import tasks
+from adapterlab import tensor as T
 from adapterlab.adapters import PlacementPlan, attach, checksum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.synth import synth_clone_classes, synth_code_records, synth_nl_corpus
@@ -58,6 +60,67 @@ def test_adam_step_shape_mismatch():
     ps.add("w", np.zeros(3))
     with pytest.raises(ValueError):
         adam_step(ps, {"w": np.zeros(2)}, AdamState(), TrainConfig())
+
+
+def test_adam_step_non_finite_gradient_changes_nothing():
+    ps = ParameterSet()
+    ps.add("w", np.array([1.0, -2.0]))
+    ps.add("b", np.array([0.5]))
+    cfg, state = TrainConfig(learning_rate=0.1), AdamState()
+    adam_step(ps, {"w": np.array([0.5, -0.1]), "b": np.array([0.2])}, state, cfg)
+    before = {n: t.data.tobytes() for n, t in ps.items()}
+    moments = [{n: a.tobytes() for n, a in d.items()} for d in (state.m, state.v)]
+    with pytest.raises(TrainingError, match="non-finite gradient for b"):
+        adam_step(ps, {"w": np.array([0.3, 0.3]), "b": np.array([np.nan])}, state, cfg)
+    assert {n: t.data.tobytes() for n, t in ps.items()} == before
+    assert [{n: a.tobytes() for n, a in d.items()} for d in (state.m, state.v)] == moments
+    assert state.step == 1
+
+
+def _poisoned_gradients(monkeypatch):
+    clean = T.gradients
+
+    def poisoned(loss, params):
+        grads = clean(loss, params)
+        grads[next(iter(grads))] = np.full_like(next(iter(grads.values())), np.inf)
+        return grads
+    monkeypatch.setattr(T, "gradients", poisoned)
+
+
+def _poisoned_contrastive_loss(monkeypatch):
+    clean = tasks.in_batch_negative_loss
+
+    def poisoned(*args, **kwargs):
+        loss, skipped = clean(*args, **kwargs)
+        return T.mul(loss, T.Tensor(np.nan)), skipped
+    monkeypatch.setattr(tasks, "in_batch_negative_loss", poisoned)
+
+
+@pytest.mark.parametrize("loop, fault, reason", [
+    ("pretrain", _poisoned_gradients, "non-finite gradient"),
+    ("task", _poisoned_gradients, "non-finite gradient"),
+    ("task", _poisoned_contrastive_loss, "non-finite loss"),
+])
+def test_non_finite_step_stops_with_report(corpus_and_vocab, monkeypatch,
+                                           loop, fault, reason):
+    texts, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=5, eval_every=5, max_len=32,
+                      seed=0, classes_per_batch=3, items_per_class=2)
+    if loop == "task":
+        attach(enc, PlacementPlan.full(CFG.num_layers, t_adapters=True), seed=3)
+        items = synth_clone_classes(5, 6, seed=0)
+    before = checksum(enc.params)
+    fault(monkeypatch)
+    with pytest.raises(TrainingError, match=f"{reason}.* at step 1") as info:
+        if loop == "task":
+            train_task_adapter(enc, items[:20], items[20:], vocab, cfg, "retrieval")
+        else:
+            pretrain_mlm(enc, texts, vocab, cfg)
+    report = info.value.report
+    assert report is not None and report.stopping_reason == reason
+    assert report.steps == 1 and report.val_steps == [0]
+    assert checksum(enc.params) == before
 
 
 def test_pretrain_reduces_val_loss(corpus_and_vocab):
