@@ -144,7 +144,6 @@ class AdapterStack:
         self.config = (config or AdapterConfig()).resolved(c.hidden_size)
         self.params = encoder.params
         self.hidden = c.hidden_size
-        self.output_inverse_enabled = True
         bad = (plan.l_layers | plan.t_layers) - set(range(1, c.num_layers + 1))
         if bad:
             raise ValueError(f"adapter layers {sorted(bad)} outside [1, {c.num_layers}]")
@@ -209,7 +208,7 @@ class AdapterStack:
         return T.concat([y1, y2], axis=-1)
 
     def output_inverse(self, x: Tensor) -> Tensor:
-        if not (self.plan.invertible and self.output_inverse_enabled):
+        if not self.plan.invertible:
             return x
         return self.invertible_inverse(x)
 

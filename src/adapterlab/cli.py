@@ -5,7 +5,9 @@ sweeps, and zero-shot transfer runs.
 Every run reads one JSON config (optional), applies ``--set key.path=value``
 overrides, and writes its artifacts under ``--out``: the effective config,
 a JSON report, and any checkpoints. Exit codes: 0 success, 1 failed
-precondition (with an error JSON on stderr), 2 usage error.
+precondition (with an error JSON on stderr naming the exception class), 2
+usage error. A training run that stops on a bad step still writes its
+``train_report.json``.
 """
 
 from __future__ import annotations
@@ -269,11 +271,8 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
     del state  # the model holds its own copy; free this one before training
     records = _code_records(config, seed)
     texts = [r.code for r in records]
-    try:
-        report = training.train_language_adapter(
-            encoder, texts, vocab, _train_config(config, seed))
-    except training.TrainingError as e:
-        raise CliError(str(e))
+    report = training.train_language_adapter(encoder, texts, vocab,
+                                             _train_config(config, seed))
     language = records[0].language if records else "unknown"
     save_model(out / "l_adapter.ckpt", "l_adapter", encoder,
                extra={"language": language})
@@ -303,12 +302,8 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
         val_data = pairs[int(0.9 * len(pairs)):]
     else:
         train_data, val_data = _split_retrieval(records, seed)
-    try:
-        report = training.train_task_adapter(
-            encoder, train_data, val_data, vocab, _train_config(config, seed),
-            task_kind)
-    except training.TrainingError as e:
-        raise CliError(str(e))
+    report = training.train_task_adapter(
+        encoder, train_data, val_data, vocab, _train_config(config, seed), task_kind)
     save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
                extra={"task": task_kind})
     (out / "train_report.json").write_text(report.to_json())
@@ -344,10 +339,7 @@ def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
     vocab = _load_vocab(config)
     encoder = build_model(*load_checkpoint(_require(config, "model")))
     examples = _cloze_examples(config, vocab, _held_out_seed(seed))
-    try:
-        result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
-    except tasks.TaskError as e:
-        raise CliError(str(e))
+    result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
     return {"accuracy": result.accuracy, "n_examples": result.n}
 
@@ -357,24 +349,19 @@ def cmd_eval_clone(args, config, seed, out: Path) -> dict:
     encoder = build_model(*load_checkpoint(_require(config, "model")))
     task_kind = config.get("task", "retrieval")
     records = _retrieval_records(config, _held_out_seed(seed))
-    try:
-        if task_kind == "retrieval":
-            res = tasks.embed_corpus(encoder, records, vocab,
-                                     config.get("max_len"))
-            ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
-            return {"task": task_kind, "map_at_r": ev.map_at_r,
-                    "n_items": len(records), "n_truncated": res.n_truncated}
-        if task_kind == "pair_classification":
-            if "head.pair.w" not in encoder.params:
-                raise CliError("model checkpoint has no pair-classification head")
-            pairs = synth.pairs_from_retrieval(records,
-                                               config.get("n_pairs", 200),
-                                               seed=seed)
-            scores = tasks.eval_pairs(encoder, pairs, vocab,
-                                      max_len=config.get("max_len"))
-            return {"task": task_kind, "n_pairs": len(pairs), **scores}
-    except tasks.TaskError as e:
-        raise CliError(str(e))
+    if task_kind == "retrieval":
+        res = tasks.embed_corpus(encoder, records, vocab, config.get("max_len"))
+        ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
+        return {"task": task_kind, "map_at_r": ev.map_at_r,
+                "n_items": len(records), "n_truncated": res.n_truncated}
+    if task_kind == "pair_classification":
+        if "head.pair.w" not in encoder.params:
+            raise CliError("model checkpoint has no pair-classification head")
+        pairs = synth.pairs_from_retrieval(records, config.get("n_pairs", 200),
+                                           seed=seed)
+        scores = tasks.eval_pairs(encoder, pairs, vocab,
+                                  max_len=config.get("max_len"))
+        return {"task": task_kind, "n_pairs": len(pairs), **scores}
     raise CliError(f"unknown task kind {task_kind!r}")
 
 
@@ -519,6 +506,8 @@ def dispatch(argv=None) -> int:
         print(json.dumps(report, indent=2))
         return 0
     except (CliError, ValueError, RuntimeError, OSError) as e:
+        if getattr(e, "report", None) is not None:  # a training run that stopped
+            (out / "train_report.json").write_text(e.report.to_json())
         error = {"error": type(e).__name__, "message": str(e),
                  "subcommand": args.subcommand}
         print(json.dumps(error), file=sys.stderr)

@@ -98,10 +98,6 @@ class Encoder:
         zeros("mlm.ln.b", (h,))
         zeros("mlm.bias", (V,))
 
-    def backbone_param_names(self) -> list[str]:
-        return [n for n in self.params.names()
-                if n.startswith(("emb.", "layer.", "mlm."))]
-
     # -- forward -----------------------------------------------------------
     def _attention(self, x: Tensor, attention_mask: np.ndarray, l: int,
                    training: bool, rng) -> Tensor:

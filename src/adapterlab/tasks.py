@@ -79,19 +79,26 @@ class EmbedResult:
     n_truncated: int
 
 
+def embed_texts(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
+                max_len: int, training: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+    """Unit-norm mean-pooled embeddings [len(texts), h]: encode, run the
+    ``embed`` forward pass, pool."""
+    ids, attn = encode_batch(texts, vocab, max_len)
+    hidden = encoder.forward(ids, attn, mode="embed", training=training, rng=rng)
+    return encoder.sequence_embedding(hidden, attn)
+
+
 def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
                  vocab: Vocabulary, max_len: int | None = None,
                  batch_size: int = 16) -> EmbedResult:
     max_len = max_len or encoder.config.max_positions
     rows, n_truncated = [], 0
     for start in range(0, len(items), batch_size):
-        chunk = items[start:start + batch_size]
-        texts = [it.code for it in chunk]
+        texts = [it.code for it in items[start:start + batch_size]]
         n_truncated += sum(len(vocab.encode(t)) > max_len for t in texts)
-        ids, attn = encode_batch(texts, vocab, max_len)
         with T.no_grad():
-            hidden = encoder.forward(ids, attn, mode="embed")
-            rows.append(encoder.sequence_embedding(hidden, attn).data)
+            rows.append(embed_texts(encoder, texts, vocab, max_len).data)
     return EmbedResult(ids=[it.id for it in items],
                        labels=[it.label for it in items],
                        embeddings=np.concatenate(rows, axis=0),
@@ -192,25 +199,33 @@ def pair_logits(params: ParameterSet, e_a: Tensor, e_b: Tensor) -> Tensor:
     return T.add(T.matmul(feats, params["head.pair.w"]), params["head.pair.b"])
 
 
+def pair_batch_logits(encoder: Encoder, pairs: Sequence[PairRecord],
+                      vocab: Vocabulary, max_len: int, training: bool = False,
+                      rng: np.random.Generator | None = None) -> Tensor:
+    """Clone logits [len(pairs), 1]. One embedding batch holds every ``a``
+    side, then every ``b`` side."""
+    k = len(pairs)
+    emb = embed_texts(encoder, [p.code_a for p in pairs] + [p.code_b for p in pairs],
+                      vocab, max_len, training=training, rng=rng)
+    e_a = T.tslice(emb, (slice(0, k), slice(None)))
+    e_b = T.tslice(emb, (slice(k, 2 * k), slice(None)))
+    return pair_logits(encoder.params, e_a, e_b)
+
+
 def classify_pair(encoder: Encoder, pair: PairRecord, vocab: Vocabulary,
                   max_len: int | None = None) -> float:
     """Probability that the pair is a clone (threshold 0.5 for F1)."""
     max_len = max_len or encoder.config.max_positions
-    ids, attn = encode_batch([pair.code_a, pair.code_b], vocab, max_len)
     with T.no_grad():
-        hidden = encoder.forward(ids, attn, mode="embed")
-        emb = encoder.sequence_embedding(hidden, attn)
-        e_a = T.tslice(emb, (slice(0, 1), slice(None)))
-        e_b = T.tslice(emb, (slice(1, 2), slice(None)))
-        logit = pair_logits(encoder.params, e_a, e_b)
+        logit = pair_batch_logits(encoder, [pair], vocab, max_len)
         return float(T.sigmoid(logit).data.squeeze())
 
 
 def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
-               threshold: float = 0.5, max_len: int | None = None) -> dict:
+               max_len: int | None = None) -> dict:
     tp = fp = tn = fn = 0
     for pair in pairs:
-        pred = classify_pair(encoder, pair, vocab, max_len) > threshold
+        pred = classify_pair(encoder, pair, vocab, max_len) > 0.5
         if pair.label and pred:
             tp += 1
         elif pair.label and not pred:

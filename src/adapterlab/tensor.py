@@ -1,7 +1,7 @@
 """Dense arrays with reverse-mode automatic differentiation.
 
 Just enough machinery for a small transformer encoder: matmul, elementwise
-arithmetic, ReLU/GELU, softmax, layer norm, embedding lookup, dropout and
+arithmetic, ReLU/GELU, masked softmax, layer norm, embedding lookup, dropout and
 cross-entropy, all on numpy arrays. Tensors are immutable once produced by
 an op; backward walks the recorded tape for a single scalar loss.
 
@@ -314,18 +314,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
                      for t, part in zip(tensors, np.split(g, splits, axis=axis)))
 
     return _make(out, tuple(tensors), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), backward)
 
 
 def masked_softmax(scores: Tensor, key_mask: np.ndarray, axis: int = -1) -> Tensor:

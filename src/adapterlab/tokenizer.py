@@ -100,14 +100,15 @@ class Vocabulary:
             return [self.bos_id] + ids + [self.eos_id]
         return ids
 
-    def decode(self, ids: Sequence[int], skip_special: bool = True) -> str:
+    def decode(self, ids: Sequence[int]) -> str:
+        """Text of ``ids``; special tokens are left out."""
         out: list[str] = []
         special = self.special_ids
         for i in ids:
             i = int(i)
             if i not in self.id_to_token:
                 raise TokenizerError(f"id {i} out of range")
-            if skip_special and i in special:
+            if i in special:
                 continue
             out.append(self.id_to_token[i])
         return "".join(out)
@@ -207,18 +208,15 @@ class MaskedBatch:
 
 
 def apply_mlm_mask(ids: np.ndarray, attention_mask: np.ndarray, vocab: Vocabulary,
-                   mask_rate: float = 0.15, seed: int | np.random.Generator = 0,
-                   mask_token_prob: float = 0.8, random_token_prob: float = 0.1) -> MaskedBatch:
-    """BERT-style corruption: of the selected positions, ``mask_token_prob``
-    become the mask token, ``random_token_prob`` a random vocabulary token,
-    and the rest stay unchanged (labels still record the original).
+                   mask_rate: float = 0.15, seed: int | np.random.Generator = 0) -> MaskedBatch:
+    """BERT-style corruption: of the selected positions, 80% become the mask
+    token, 10% a random vocabulary token, and the rest stay unchanged (labels
+    still record the original).
 
     Special tokens and pad positions are never selected.
     """
     if not 0.0 <= mask_rate <= 1.0:
         raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
-    if mask_token_prob + random_token_prob > 1.0 + 1e-12:
-        raise ValueError("mask_token_prob + random_token_prob must be <= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = np.asarray(ids)
     attention_mask = np.asarray(attention_mask)
@@ -230,8 +228,8 @@ def apply_mlm_mask(ids: np.ndarray, attention_mask: np.ndarray, vocab: Vocabular
 
     out = ids.copy()
     roll = rng.random(ids.shape)
-    to_mask = selected & (roll < mask_token_prob)
-    to_random = selected & (roll >= mask_token_prob) & (roll < mask_token_prob + random_token_prob)
+    to_mask = selected & (roll < 0.8)
+    to_random = selected & (roll >= 0.8) & (roll < 0.9)
     out[to_mask] = vocab.mask_id
     if to_random.any():
         out[to_random] = rng.integers(0, vocab.size, size=int(to_random.sum()))

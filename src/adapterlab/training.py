@@ -1,6 +1,7 @@
-"""Training loops: MLM pretraining of the backbone, L-adapter training on
-code, T-adapter training on task data. Adam with bias correction, inverted
-dropout, early stopping on a validation metric.
+"""Training: MLM pretraining of the backbone, L-adapter training on code,
+T-adapter training on task data. The three share one loop (``_fit``) and
+differ only in their batch loss and validation metric. Adam with bias
+correction, inverted dropout, early stopping on a validation metric.
 
 All randomness flows from TrainConfig.seed through one generator, so a fixed
 seed and data order reproduce checkpoints bit-exactly.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .tokenizer import MaskedBatch, Vocabulary, apply_mlm_mask, encode_batch
 
 
 class TrainingError(RuntimeError):
-    """A training run that cannot go on. A loop that stops on a bad step
-    sets ``report`` to its ``TrainReport``, stopping reason included."""
+    """A training run that cannot go on. When the loop stops on a bad step,
+    ``report`` is its closed ``TrainReport``, stopping reason included."""
 
     report: "TrainReport | None" = None
 
@@ -68,6 +69,7 @@ class TrainReport:
     stopping_reason: str = ""
     steps: int = 0
     seconds: float = 0.0
+    skipped_batches: int = 0  # steps whose batch had no label to learn
 
     def to_json(self) -> str:
         rows = [{"step": i + 1, "loss": v} for i, v in enumerate(self.loss_curve)]
@@ -75,6 +77,7 @@ class TrainReport:
             "steps": self.steps,
             "seconds": self.seconds,
             "stopping_reason": self.stopping_reason,
+            "skipped_batches": self.skipped_batches,
             "val_metric": self.val_metric_name,
             "validation": [{"step": s, "value": v}
                            for s, v in zip(self.val_steps, self.val_curve)],
@@ -129,15 +132,18 @@ def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
     return T.cross_entropy(logits, batch.labels, ignore_index=MaskedBatch.IGNORE)
 
 
+_EVAL_MASK_SEED = 12345
+
+
 def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
-                  cfg: TrainConfig, mask_seed: int = 12345) -> float:
+                  cfg: TrainConfig) -> float:
     """Deterministic masked-LM loss: fixed mask seed, dropout off, no tape."""
     losses = []
     for start in range(0, len(texts), cfg.batch_size):
         chunk = list(texts[start:start + cfg.batch_size])
         ids, attn = encode_batch(chunk, vocab, cfg.max_len)
         batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate,
-                               seed=mask_seed + start)
+                               seed=_EVAL_MASK_SEED + start)
         if (batch.labels == MaskedBatch.IGNORE).all():
             continue
         with T.no_grad():
@@ -147,66 +153,64 @@ def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
     return float(np.mean(losses))
 
 
-def _abort(report: TrainReport, step: int, start_time: float, reason: str,
-           detail: str | None = None) -> TrainingError:
-    """Close ``report`` on a step that cannot be taken; returns the error,
-    which carries the report."""
-    report.stopping_reason = reason
-    report.steps = step
-    report.seconds = time.time() - start_time
-    err = TrainingError(f"{detail or reason} at step {step}")
-    err.report = report
-    return err
+def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainReport,
+         batch_loss: Callable[[np.random.Generator], T.Tensor | None],
+         validate: Callable[[], float], higher_is_better: bool) -> TrainReport:
+    """The one training loop of every trainer. Freezes per ``mode``, then
+    takes ``cfg.max_steps`` Adam steps on ``batch_loss(rng)``; a batch with
+    nothing to learn returns None and is counted, not stepped. ``validate()``
+    runs at step 0, every ``cfg.eval_every`` steps and at the last step.
+    With ``cfg.early_stop``, ``cfg.patience`` validations in a row that do
+    not beat the best so far (step 0 included) stop the run.
 
-
-def _step(encoder: Encoder, loss: T.Tensor, state: AdamState, cfg: TrainConfig,
-          report: TrainReport, step: int, start_time: float) -> None:
-    """Backward and Adam update for one training step; a non-finite loss
-    or gradient stops the run before any weight changes."""
-    if not np.isfinite(loss.item()):
-        raise _abort(report, step, start_time, "non-finite loss")
-    report.loss_curve.append(loss.item())
-    grads = T.gradients(loss, encoder.params)
-    try:
-        adam_step(encoder.params, grads, state, cfg)
-    except TrainingError as e:
-        raise _abort(report, step, start_time, "non-finite gradient", str(e)) from e
-    report.steps = step
-
-
-def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
-               cfg: TrainConfig, mode: FreezeMode) -> TrainReport:
-    if not texts:
-        raise TrainingError("empty corpus")
+    A step that cannot be taken (a non-finite forward pass, loss or
+    gradient) stops the run before any weight changes and raises
+    ``TrainingError`` carrying the closed report.
+    """
     apply_freeze(encoder.params, mode)
-    train_idx, val_idx = _index_split(len(texts), cfg.seed)
-    train_texts = [texts[i] for i in train_idx]
-    val_texts = [texts[i] for i in val_idx] or train_texts[:cfg.batch_size]
-
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
-    report = TrainReport(val_metric_name="mlm_loss")
     start_time = time.time()
-    best, bad_evals = np.inf, 0
 
-    report.val_steps.append(0)
-    report.val_curve.append(eval_mlm_loss(encoder, val_texts, vocab, cfg))
+    def abort(step: int, reason: str, detail: str | None = None) -> TrainingError:
+        report.stopping_reason = reason
+        report.steps = step
+        report.seconds = time.time() - start_time
+        err = TrainingError(f"{detail or reason} at step {step}")
+        err.report = report
+        return err
 
+    def evaluate(step: int) -> float:
+        try:
+            val = validate()
+        except T.NumericError as e:
+            raise abort(step, "non-finite forward pass", str(e)) from e
+        report.val_steps.append(step)
+        report.val_curve.append(val)
+        return val
+
+    best, bad_evals = evaluate(0), 0
     for step in range(1, cfg.max_steps + 1):
-        pick = rng.integers(0, len(train_texts), size=cfg.batch_size)
-        chunk = [train_texts[i] for i in pick]
-        ids, attn = encode_batch(chunk, vocab, cfg.max_len)
-        batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate, seed=rng)
-        if (batch.labels == MaskedBatch.IGNORE).all():
-            continue
-        loss = mlm_loss(encoder, batch, training=True, rng=rng)
-        _step(encoder, loss, state, cfg, report, step, start_time)
+        try:
+            loss = batch_loss(rng)
+        except T.NumericError as e:
+            raise abort(step, "non-finite forward pass", str(e)) from e
+        if loss is None:
+            report.skipped_batches += 1
+        else:
+            if not np.isfinite(loss.item()):
+                raise abort(step, "non-finite loss")
+            report.loss_curve.append(loss.item())
+            grads = T.gradients(loss, encoder.params)
+            try:
+                adam_step(encoder.params, grads, state, cfg)
+            except TrainingError as e:
+                raise abort(step, "non-finite gradient", str(e)) from e
+        report.steps = step
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            val = eval_mlm_loss(encoder, val_texts, vocab, cfg)
-            report.val_steps.append(step)
-            report.val_curve.append(val)
-            if val < best - 1e-6:
+            val = evaluate(step)
+            if (val > best + 1e-6) if higher_is_better else (val < best - 1e-6):
                 best, bad_evals = val, 0
             else:
                 bad_evals += 1
@@ -217,6 +221,27 @@ def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
         report.stopping_reason = "max steps"
     report.seconds = time.time() - start_time
     return report
+
+
+def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
+               cfg: TrainConfig, mode: FreezeMode) -> TrainReport:
+    if not texts:
+        raise TrainingError("empty corpus")
+    train_idx, val_idx = _index_split(len(texts), cfg.seed)
+    train_texts = [texts[i] for i in train_idx]
+    val_texts = [texts[i] for i in val_idx] or train_texts[:cfg.batch_size]
+
+    def batch_loss(rng: np.random.Generator) -> T.Tensor | None:
+        pick = rng.integers(0, len(train_texts), size=cfg.batch_size)
+        ids, attn = encode_batch([train_texts[i] for i in pick], vocab, cfg.max_len)
+        batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate, seed=rng)
+        if (batch.labels == MaskedBatch.IGNORE).all():
+            return None
+        return mlm_loss(encoder, batch, training=True, rng=rng)
+
+    return _fit(encoder, cfg, mode, TrainReport(val_metric_name="mlm_loss"),
+                batch_loss, lambda: eval_mlm_loss(encoder, val_texts, vocab, cfg),
+                higher_is_better=False)
 
 
 def pretrain_mlm(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
@@ -270,69 +295,37 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
         raise TrainingError("task dataset needs a validation split")
     if task_kind == "pair_classification" and "head.pair.w" not in encoder.params:
         tasks.register_pair_head(encoder.params, encoder.config.hidden_size)
-    apply_freeze(encoder.params, FreezeMode.TRAIN_T_ADAPTER)
-    # Task training removes the output-side inverse path; the input-side
-    # invertible forward stays.
-    encoder.adapters.output_inverse_enabled = False
 
-    rng = np.random.default_rng(cfg.seed)
-    state = AdamState()
-    report = TrainReport(val_metric_name="map_at_r" if task_kind == "retrieval" else "f1")
-    start_time = time.time()
-    best, bad_evals = -np.inf, 0
-
-    def validate() -> float:
-        if task_kind == "retrieval":
-            res = tasks.embed_corpus(encoder, val_data, vocab, cfg.max_len)
-            return tasks.map_at_r(res.embeddings, res.labels, res.ids).map_at_r
-        return tasks.eval_pairs(encoder, val_data, vocab, max_len=cfg.max_len)["f1"]
-
-    report.val_steps.append(0)
-    report.val_curve.append(validate())
-    best = report.val_curve[0]
-
-    for step in range(1, cfg.max_steps + 1):
-        if task_kind == "retrieval":
+    if task_kind == "retrieval":
+        def batch_loss(rng: np.random.Generator) -> T.Tensor:
             idx = _class_batches([r.label for r in train_data], rng,
                                  cfg.classes_per_batch, cfg.items_per_class)
             items: list[RetrievalRecord] = [train_data[i] for i in idx]
-            ids, attn = encode_batch([r.code for r in items], vocab, cfg.max_len)
-            hidden = encoder.forward(ids, attn, mode="embed", training=True, rng=rng)
-            emb = encoder.sequence_embedding(hidden, attn)
-            loss, _ = tasks.in_batch_negative_loss(emb, [r.label for r in items],
-                                                   cfg.temperature)
-        else:
+            emb = tasks.embed_texts(encoder, [r.code for r in items], vocab,
+                                    cfg.max_len, training=True, rng=rng)
+            return tasks.in_batch_negative_loss(emb, [r.label for r in items],
+                                                cfg.temperature)[0]
+
+        def validate() -> float:
+            res = tasks.embed_corpus(encoder, val_data, vocab, cfg.max_len)
+            return tasks.map_at_r(res.embeddings, res.labels, res.ids).map_at_r
+    else:
+        def batch_loss(rng: np.random.Generator) -> T.Tensor:
             pick = rng.integers(0, len(train_data), size=cfg.batch_size)
             pairs: list[PairRecord] = [train_data[i] for i in pick]
-            texts = [p.code_a for p in pairs] + [p.code_b for p in pairs]
-            ids, attn = encode_batch(texts, vocab, cfg.max_len)
-            hidden = encoder.forward(ids, attn, mode="embed", training=True, rng=rng)
-            emb = encoder.sequence_embedding(hidden, attn)
-            k = len(pairs)
-            e_a = T.tslice(emb, (slice(0, k), slice(None)))
-            e_b = T.tslice(emb, (slice(k, 2 * k), slice(None)))
-            logit = tasks.pair_logits(encoder.params, e_a, e_b)
+            logit = tasks.pair_batch_logits(encoder, pairs, vocab, cfg.max_len,
+                                            training=True, rng=rng)
             y = T.Tensor(np.array([[float(p.label)] for p in pairs]))
             # stable BCE-with-logits: softplus(z) - y*z
             softplus = T.add(T.relu(logit),
                              T.log(T.add(T.Tensor(1.0),
                                          T.exp(T.mul(T.absolute(logit),
                                                      T.Tensor(-1.0))))))
-            loss = T.tmean(T.sub(softplus, T.mul(y, logit)))
-        _step(encoder, loss, state, cfg, report, step, start_time)
+            return T.tmean(T.sub(softplus, T.mul(y, logit)))
 
-        if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            val = validate()
-            report.val_steps.append(step)
-            report.val_curve.append(val)
-            if val > best + 1e-6:
-                best, bad_evals = val, 0
-            else:
-                bad_evals += 1
-                if cfg.early_stop and bad_evals >= cfg.patience:
-                    report.stopping_reason = f"early stop after {bad_evals} flat evals"
-                    break
-    if not report.stopping_reason:
-        report.stopping_reason = "max steps"
-    report.seconds = time.time() - start_time
-    return report
+        def validate() -> float:
+            return tasks.eval_pairs(encoder, val_data, vocab, max_len=cfg.max_len)["f1"]
+
+    report = TrainReport(val_metric_name="map_at_r" if task_kind == "retrieval" else "f1")
+    return _fit(encoder, cfg, FreezeMode.TRAIN_T_ADAPTER, report, batch_loss,
+                validate, higher_is_better=True)

@@ -117,21 +117,6 @@ def test_invertible_needs_even_hidden():
         attach(enc, PlacementPlan(frozenset(), frozenset(), invertible=True))
 
 
-def test_output_inverse_toggle():
-    enc = _fresh(PlacementPlan.full(3, invertible=True))
-    stack = enc.adapters
-    rng = np.random.default_rng(6)
-    for name in enc.params.names():
-        if name.startswith("inv."):
-            enc.params[name].data = rng.normal(size=enc.params[name].data.shape) * 0.1
-    x = T.Tensor(rng.normal(size=(2, CFG.hidden_size)))
-    with_inverse = stack.output_inverse(x).data
-    stack.output_inverse_enabled = False
-    without = stack.output_inverse(x)
-    assert without is x
-    assert not np.allclose(with_inverse, x.data)
-
-
 def test_placement_plan_full_and_drop():
     plan = PlacementPlan.full(12, t_adapters=True, invertible=True, drop_l_from=12)
     assert plan.l_layers == frozenset(range(1, 12))

@@ -137,6 +137,25 @@ def test_eval_cloze_cli(pipeline, tmp_path):
     assert (tmp_path / "predictions.json").exists()
 
 
+def test_failed_training_run_keeps_its_report(pipeline, tmp_path, capsys):
+    """A forward pass that overflows stops the run: the error JSON names the
+    library's exception and ``--out`` keeps the report of the run."""
+    root, vocab = pipeline
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = _run(["train-lang-adapter", "--out", str(tmp_path), "--seed", "0",
+                   "--set", f"vocab={vocab}",
+                   "--set", f"backbone={root / 'pre' / 'backbone.ckpt'}",
+                   "--set", "train.learning_rate=1e200",
+                   "--set", "train.max_steps=5", "--set", "synthetic.n=60"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "TrainingError" and err["subcommand"] == "train-lang-adapter"
+    report = json.loads((tmp_path / "train_report.json").read_text())
+    assert report["stopping_reason"] == "non-finite forward pass"
+    assert 1 <= report["steps"] < 5 and f"at step {report['steps']}" in err["message"]
+    assert not (tmp_path / "l_adapter.ckpt").exists()
+
+
 def test_train_task_adapter_and_eval_clone_cli(pipeline, tmp_path):
     root, vocab = pipeline
     assert _run(["train-task-adapter", "--out", str(tmp_path / "ta"),

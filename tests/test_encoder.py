@@ -122,9 +122,3 @@ def test_paper_scale_config_shape():
     assert PAPER_SCALE_CONFIG.num_layers == 12
     assert PAPER_SCALE_CONFIG.hidden_size == 768
     assert PAPER_SCALE_CONFIG.vocab_size == 50265
-
-
-def test_backbone_param_names_cover_all(encoder):
-    names = encoder.backbone_param_names()
-    assert set(names) == set(encoder.params.names())
-    assert "emb.tok" in names and "mlm.bias" in names

@@ -4,7 +4,7 @@ determinism, early stopping, and error paths."""
 import numpy as np
 import pytest
 
-from adapterlab import tasks
+from adapterlab import tasks, training
 from adapterlab import tensor as T
 from adapterlab.adapters import PlacementPlan, attach, checksum
 from adapterlab.encoder import Encoder, EncoderConfig
@@ -123,6 +123,53 @@ def test_non_finite_step_stops_with_report(corpus_and_vocab, monkeypatch,
     assert checksum(enc.params) == before
 
 
+@pytest.mark.parametrize("faulty, step, val_steps", [(True, 1, [0]), (False, 0, [])],
+                         ids=["training-batch", "validation"])
+def test_non_finite_forward_pass_stops_with_report(corpus_and_vocab, monkeypatch,
+                                                   faulty, step, val_steps):
+    """A forward pass that raises NumericError, in a training batch
+    (``faulty=True``) or in validation, stops the run with its report."""
+    texts, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    clean = Encoder.forward
+
+    def overflowing(self, *args, **kwargs):
+        if kwargs.get("training", False) == faulty:
+            raise T.NumericError("non-finite hidden states")
+        return clean(self, *args, **kwargs)
+    monkeypatch.setattr(Encoder, "forward", overflowing)
+    before = checksum(enc.params)
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=5, eval_every=5, max_len=32)
+    with pytest.raises(TrainingError, match=f"non-finite hidden states at step {step}") as info:
+        pretrain_mlm(enc, texts, vocab, cfg)
+    report = info.value.report
+    assert report.stopping_reason == "non-finite forward pass"
+    assert report.steps == step and report.val_steps == val_steps
+    assert checksum(enc.params) == before
+
+
+def test_skipped_batch_is_counted_and_still_validated(corpus_and_vocab, monkeypatch):
+    """A training batch with no label to learn takes no step, but it is
+    counted, and the validation due at that step (here the last) runs."""
+    texts, vocab = corpus_and_vocab
+    clean, calls = training.apply_mlm_mask, []
+
+    def blank_sixth_batch(*args, **kwargs):
+        batch = clean(*args, **kwargs)
+        if isinstance(kwargs.get("seed"), np.random.Generator):  # a training batch
+            calls.append(1)
+            if len(calls) == 6:
+                batch.labels[:] = batch.IGNORE
+        return batch
+    monkeypatch.setattr(training, "apply_mlm_mask", blank_sixth_batch)
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=6, eval_every=3, max_len=32)
+    report = pretrain_mlm(_encoder(vocab), texts, vocab, cfg)
+    assert report.skipped_batches == 1 and len(report.loss_curve) == 5
+    assert report.steps == 6 and report.val_steps == [0, 3, 6]
+    assert report.stopping_reason == "max steps"
+    assert '"skipped_batches": 1' in report.to_json()
+
+
 def test_pretrain_reduces_val_loss(corpus_and_vocab):
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
@@ -183,9 +230,15 @@ def test_task_adapter_freezes_backbone_and_l_adapters(corpus_and_vocab):
                                    invertible=True), seed=3)
     items = synth_clone_classes(5, 6, seed=0)
     train, val = items[:20], items[20:]
+    t_before = checksum(enc.params, "t_adapter.")
+    rng = np.random.default_rng(6)
+    for name in enc.params.names():
+        if name.startswith("inv."):
+            enc.params[name].data = rng.normal(size=enc.params[name].data.shape) * 0.1
+    x = T.Tensor(rng.normal(size=(2, CFG.hidden_size)))
+    inverse_before = enc.adapters.output_inverse(x).data
     frozen_before = (checksum(enc.params, "emb."), checksum(enc.params, "layer."),
                      checksum(enc.params, "l_adapter."), checksum(enc.params, "inv."))
-    t_before = checksum(enc.params, "t_adapter.")
     cfg = TrainConfig(learning_rate=1e-3, max_steps=8, eval_every=8,
                       max_len=48, seed=0, classes_per_batch=3, items_per_class=2)
     report = train_task_adapter(enc, train, val, vocab, cfg, "retrieval")
@@ -194,7 +247,10 @@ def test_task_adapter_freezes_backbone_and_l_adapters(corpus_and_vocab):
     assert frozen_before == frozen_after
     assert checksum(enc.params, "t_adapter.") != t_before
     assert report.val_metric_name == "map_at_r"
-    assert enc.adapters.output_inverse_enabled is False
+    # the MLM output path of the caller's model is left as it was
+    inverse_after = enc.adapters.output_inverse(x).data
+    assert np.array_equal(inverse_after, inverse_before)
+    assert not np.allclose(inverse_after, x.data)
 
 
 def test_task_adapter_pair_classification_registers_head(corpus_and_vocab):
@@ -234,7 +290,9 @@ def test_early_stopping_fires(corpus_and_vocab):
     cfg = TrainConfig(learning_rate=1e-9, max_steps=40, eval_every=5,
                       early_stop=True, patience=2, max_len=32, seed=0)
     report = pretrain_mlm(enc, texts, vocab, cfg)
-    assert report.steps < 40
+    # the step-0 validation counts as the best so far: flat at 5 and 10
+    assert report.val_steps == [0, 5, 10]
+    assert report.steps == 10
     assert "early stop" in report.stopping_reason
 
 
