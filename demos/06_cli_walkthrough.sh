@@ -1,6 +1,6 @@
 #!/bin/sh
 # Demo: the same pipeline driven entirely through the CLI, at tiny scale.
-# Artifacts land under demos/runs/. Runtime: about a minute.
+# Artifacts land under demos/runs/. Runtime: about ten seconds.
 set -e
 cd "$(dirname "$0")"
 R=runs

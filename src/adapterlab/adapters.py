@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import Encoder
+from .schema import JsonConfig, check
 from .tensor import ParameterSet, Tensor
 
 
@@ -37,21 +38,22 @@ _MODE_PREFIXES = {
 
 
 @dataclasses.dataclass(frozen=True)
-class PlacementPlan:
+class PlacementPlan(JsonConfig):
     """Which layers carry which adapter kind, plus invertible-adapter presence."""
     l_layers: frozenset[int] = frozenset()
     t_layers: frozenset[int] = frozenset()
     invertible: bool = False
 
+    def __post_init__(self):
+        check(self, "layer numbers >= 1", lambda v: all(l >= 1 for l in v),
+              "l_layers", "t_layers")
+
     @classmethod
     def full(cls, num_layers: int, t_adapters: bool = False,
-             invertible: bool = True, drop_l_from: int | None = None) -> "PlacementPlan":
-        """All-layer plan; ``drop_l_from`` drops L-adapters from that layer up."""
-        l_layers = set(range(1, num_layers + 1))
-        if drop_l_from is not None:
-            l_layers -= set(range(drop_l_from, num_layers + 1))
-        t_layers = set(range(1, num_layers + 1)) if t_adapters else set()
-        return cls(frozenset(l_layers), frozenset(t_layers), invertible)
+             invertible: bool = True) -> "PlacementPlan":
+        """L-adapters (and with ``t_adapters`` T-adapters) at every layer."""
+        layers = frozenset(range(1, num_layers + 1))
+        return cls(layers, layers if t_adapters else frozenset(), invertible)
 
     def truncated(self, i: int, num_layers: int) -> "PlacementPlan":
         """Keep adapters only at layers 1..i (the layer-sweep setting)."""
@@ -75,35 +77,29 @@ class PlacementPlan:
                 "t_layers": sorted(self.t_layers),
                 "invertible": self.invertible}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlacementPlan":
-        return cls(frozenset(d["l_layers"]), frozenset(d["t_layers"]), d["invertible"])
-
 
 @dataclasses.dataclass
-class AdapterConfig:
+class AdapterConfig(JsonConfig):
     """Bottleneck sizes. Defaults: reduction 2 for L-adapters, 16 for
     T-adapters; the invertible adapter uses 2 additive coupling steps."""
-    l_bottleneck: int | None = None     # default hidden/2
+    l_bottleneck: int | None = None     # default max(1, hidden/2)
     t_bottleneck: int | None = None     # default max(1, hidden/16)
-    inv_coupling_dim: int | None = None # default hidden/4
+    inv_coupling_dim: int | None = None # default max(1, hidden/4)
     inv_steps: int = 2
 
-    def resolved(self, hidden_size: int) -> "ResolvedAdapterConfig":
-        return ResolvedAdapterConfig(
-            l_bottleneck=self.l_bottleneck or hidden_size // 2,
+    def __post_init__(self):
+        check(self, "null or >= 1", lambda v: v is None or v >= 1,
+              "l_bottleneck", "t_bottleneck", "inv_coupling_dim")
+        check(self, ">= 1", lambda v: v >= 1, "inv_steps")
+
+    def resolved(self, hidden_size: int) -> "AdapterConfig":
+        """This config with every default size filled in for ``hidden_size``."""
+        return AdapterConfig(
+            l_bottleneck=self.l_bottleneck or max(1, hidden_size // 2),
             t_bottleneck=self.t_bottleneck or max(1, hidden_size // 16),
             inv_coupling_dim=self.inv_coupling_dim or max(1, hidden_size // 4),
             inv_steps=self.inv_steps,
         )
-
-
-@dataclasses.dataclass
-class ResolvedAdapterConfig:
-    l_bottleneck: int
-    t_bottleneck: int
-    inv_coupling_dim: int
-    inv_steps: int
 
 
 def bottleneck_param_count(hidden: int, bottleneck: int) -> int:

@@ -54,7 +54,8 @@ def save_checkpoint(path, kind: str, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (manifest, params)."""
+    """Returns (manifest, params). The manifest's configs are checked where
+    they are read, by ``manifest_config`` and the other ``manifest_*``."""
     try:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
@@ -62,11 +63,22 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with zf:
         if "manifest.json" not in zf.namelist():
             raise CheckpointError(f"{path}: no manifest.json in the archive")
-        manifest = json.loads(zf.read("manifest.json"))
+        try:
+            manifest = json.loads(zf.read("manifest.json"))
+        except ValueError as e:
+            raise CheckpointError(f"{path}: manifest.json is not valid JSON: {e}")
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"{path}: manifest.json is not an object")
         if manifest.get("format") != FORMAT:
             raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
+        shapes = manifest.get("params")
+        if not isinstance(shapes, dict) or not all(
+                isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
+                for s in shapes.values()):
+            raise CheckpointError(f"{path}: manifest key 'params' must map every "
+                                  "parameter name to its shape")
         params = {}
-        for name, shape in manifest["params"].items():
+        for name, shape in shapes.items():
             try:
                 blob = zf.read(f"params/{name}.bin")
             except KeyError:
@@ -79,17 +91,32 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, params
 
 
+def _from_manifest(cls, manifest: dict, key: str):
+    """``cls.from_dict`` of the manifest's ``key``, ``cls()`` when it is empty."""
+    if not manifest.get(key):
+        return cls()
+    try:
+        return cls.from_dict(manifest[key])
+    except ValueError as e:
+        raise CheckpointError(f"manifest key {key!r}: {e}") from e
+
+
 def manifest_config(manifest: dict) -> EncoderConfig:
     """The encoder config a checkpoint was saved with."""
     if not manifest.get("config"):
         raise CheckpointError("checkpoint carries no encoder config")
-    return EncoderConfig.from_dict(manifest["config"])
+    return _from_manifest(EncoderConfig, manifest, "config")
 
 
 def manifest_plan(manifest: dict) -> PlacementPlan:
     """The placement a checkpoint was saved with; empty for a bare backbone."""
-    placement = manifest.get("placement")
-    return PlacementPlan.from_dict(placement) if placement else PlacementPlan()
+    return _from_manifest(PlacementPlan, manifest, "placement")
+
+
+def manifest_adapter_config(manifest: dict) -> AdapterConfig:
+    """The adapter sizes a checkpoint was saved with; defaults for a bare
+    backbone."""
+    return _from_manifest(AdapterConfig, manifest, "adapter_config")
 
 
 def build_model(manifest: dict, state: dict[str, np.ndarray],
@@ -108,7 +135,7 @@ def build_model(manifest: dict, state: dict[str, np.ndarray],
     stored = manifest_plan(manifest)
     plan = stored if plan is None else plan
     if adapter_config is None:
-        adapter_config = AdapterConfig(**(manifest.get("adapter_config") or {}))
+        adapter_config = manifest_adapter_config(manifest)
     if plan.l_layers or plan.t_layers or plan.invertible:
         attach(encoder, plan, adapter_config, seed=seed)
     if "head.pair.w" in state:
@@ -118,6 +145,10 @@ def build_model(manifest: dict, state: dict[str, np.ndarray],
     for name in state:
         if name not in slots and not (stored.places(name) and not plan.places(name)):
             raise CheckpointError(f"checkpoint parameter {name} has no slot in the model")
+        elif name in slots and state[name].shape != encoder.params[name].data.shape:
+            raise CheckpointError(f"checkpoint parameter {name} has shape "
+                                  f"{list(state[name].shape)}, its model slot "
+                                  f"{list(encoder.params[name].data.shape)}")
     for name in sorted(slots - state.keys()):
         if not (plan.places(name) and not stored.places(name)):
             raise CheckpointError(f"model parameter {name} is missing from the checkpoint")
@@ -132,5 +163,5 @@ def save_model(path, kind: str, encoder: Encoder, extra: dict | None = None) -> 
         path, kind, encoder.params.state_dict(),
         config=encoder.config.to_dict(),
         placement=stack.plan.to_dict() if stack else None,
-        adapter_config=vars(stack.config) if stack else None,
+        adapter_config=stack.config.to_dict() if stack else None,
         extra=extra)

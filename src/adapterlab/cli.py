@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -24,15 +23,11 @@ from pathlib import Path
 from . import synth, tasks, training
 from .adapters import AdapterConfig, PlacementPlan
 from .budget import build_report, paper_scale_report
-from .checkpoint import (build_model, load_checkpoint, manifest_config,
-                         manifest_plan, save_model)
-from .corpus import load_jsonl
+from .checkpoint import (build_model, load_checkpoint, manifest_adapter_config,
+                         manifest_config, manifest_plan, save_model)
 from .encoder import Encoder, EncoderConfig
 from .tokenizer import Vocabulary, train_bpe
-
-SUBCOMMANDS = ("tokenizer-train", "pretrain", "train-lang-adapter",
-               "train-task-adapter", "eval-cloze", "eval-clone", "budget",
-               "sweep-layers", "zero-shot")
+from .training import TrainConfig
 
 
 class CliError(RuntimeError):
@@ -63,6 +58,8 @@ def load_run_config(args: argparse.Namespace) -> dict:
             raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as e:
             raise CliError(f"config file {args.config} is not valid JSON: {e}")
+        if not isinstance(config, dict):
+            raise CliError(f"config file {args.config} does not hold a JSON object")
     config = copy.deepcopy(config)
     for item in args.set or []:
         path, value = _parse_override(item)
@@ -87,153 +84,30 @@ def resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out: Path, args: argparse.Namespace, config: dict,
-                 seed: int) -> None:
-    doc = {"subcommand": args.subcommand, "seed": seed, "config": config}
-    (out / "config.json").write_text(json.dumps(doc, indent=2))
-
-
-def _write_report(out: Path, report: dict) -> None:
-    (out / "report.json").write_text(json.dumps(report, indent=2))
-
-
-def _train_config(config: dict, seed: int) -> training.TrainConfig:
-    fields = dict(config.get("train", {}))
-    fields.setdefault("seed", seed)
+def _config(cls, config: dict, key: str, base: dict | None = None):
+    """``cls.from_dict`` of config section ``key`` laid over ``base``
+    (default: the class's defaults). The one place where a bad config value
+    becomes a ``CliError``, which names the section and the key."""
+    value = config.get(key, {})
     try:
-        return training.TrainConfig(**fields)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad train config: {e}")
+        if not isinstance(value, dict):
+            raise ValueError("must be an object")
+        return cls.from_dict({**(cls().to_dict() if base is None else base), **value})
+    except ValueError as e:
+        raise CliError(f"config key {key!r}: {e}") from e
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _placement_plan(value) -> PlacementPlan:
-    """The ``placement`` config: an object with exactly the keys of
-    ``PlacementPlan.to_dict``."""
-    keys = set(PlacementPlan().to_dict())
-    if not isinstance(value, dict):
-        raise CliError(f"config key 'placement' must be an object with keys {sorted(keys)}")
-    missing, unknown = sorted(keys - value.keys()), sorted(value.keys() - keys)
-    if missing:
-        raise CliError(f"placement config is missing key(s) {missing}")
-    if unknown:
-        raise CliError(f"placement config has unknown key(s) {unknown}")
-    for key in ("l_layers", "t_layers"):
-        if not (isinstance(value[key], list) and all(map(_is_int, value[key]))):
-            raise CliError(f"placement key {key!r} must be a list of layer numbers")
-    if not isinstance(value["invertible"], bool):
-        raise CliError("placement key 'invertible' must be true or false")
-    return PlacementPlan.from_dict(value)
-
-
-def _adapter_config(base: dict, config: dict) -> AdapterConfig:
-    """``base`` (a checkpoint's adapter config) with the ``adapter`` config
-    keys laid over it."""
-    fields = config.get("adapter", {})
-    if not isinstance(fields, dict):
-        raise CliError("config key 'adapter' must be an object")
-    defaults = {f.name: f.default for f in dataclasses.fields(AdapterConfig)}
-    unknown = fields.keys() - defaults.keys()
-    if unknown:
-        raise CliError(f"adapter config has unknown key(s) {sorted(unknown)}")
-    for key, v in fields.items():
-        if not ((_is_int(v) and v >= 1) or (v is None and defaults[key] is None)):
-            raise CliError(f"adapter config key {key!r} must be a positive integer")
-    return AdapterConfig(**{**base, **fields})
-
-
-def _load_vocab(config: dict) -> Vocabulary:
-    path = config.get("vocab")
-    if not path:
-        raise CliError("config key 'vocab' (vocabulary file path) is required")
-    try:
-        return Vocabulary.load(path)
-    except FileNotFoundError:
-        raise CliError(f"vocabulary file not found: {path}")
-
-
-# -- data sources ----------------------------------------------------------
-
-def _held_out_seed(seed: int) -> int:
-    """Synthetic-data seed of the evaluation subcommands. The training
-    subcommands generate from the run seed itself, so by default an
-    evaluation never scores the programs its run seed trained on."""
-    return seed + 2 ** 31
-
-
-def _nl_texts(config: dict, seed: int) -> list[str]:
-    """NL pretraining corpus: a text file (one document per line) or synthetic."""
-    path = config.get("corpus")
-    if path:
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            raise CliError(f"corpus file not found: {path}")
-        texts = [ln for ln in lines if ln.strip()]
-        if not texts:
-            raise CliError(f"corpus file {path} has no non-empty lines")
-        return texts
-    spec = config.get("synthetic", {})
-    return synth.synth_nl_corpus(spec.get("n_sentences", 4000),
-                                 seed=spec.get("seed", seed))
-
-
-def _code_records(config: dict, seed: int, key: str = "corpus"):
-    """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
-    path = config.get(key)
-    if path:
-        records, _ = load_jsonl(path, "unlabeled")
-        return records
-    spec = config.get("synthetic", {})
-    return synth.synth_code_records(spec.get("language", "alpha"),
-                                    spec.get("n", 600),
-                                    seed=spec.get("seed", seed))
-
-
-def _retrieval_records(config: dict, seed: int):
-    path = config.get("data")
-    if path:
-        records, _ = load_jsonl(path, "retrieval")
-        return records
-    spec = config.get("synthetic", {})
-    return synth.synth_clone_classes(spec.get("n_classes", 20),
-                                     spec.get("per_class", 20),
-                                     seed=spec.get("seed", seed),
-                                     language=spec.get("language", "alpha"))
-
-
-def _cloze_examples(config: dict, vocab: Vocabulary, seed: int,
-                    language: str | None = None):
-    path = config.get("data")
-    if path:
-        examples, _ = load_jsonl(path, "cloze")
-        return examples
-    spec = dict(config.get("synthetic", {}))
-    if language is not None:
-        spec["language"] = language
-    records = synth.synth_code_records(spec.get("language", "alpha"),
-                                       spec.get("n", 200),
-                                       seed=spec.get("seed", seed))
-    candidates = tuple(config.get("candidates", ("max", "min")))
-    examples = synth.build_cloze_examples(records, vocab, candidates)
-    if not examples:
-        raise CliError("no cloze probes could be built from the corpus")
-    return examples
+def _require(config: dict, key: str) -> str:
+    value = config.get(key)
+    if not value:
+        raise CliError(f"config key {key!r} is required")
+    return value
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tokenizer_train(args, config, seed, out: Path) -> dict:
-    texts = _nl_texts(config, seed)
+    texts = synth.nl_texts(config, seed)
     vocab = train_bpe(texts, config.get("vocab_size", 2048))
     vocab.save(out / "vocab.txt")
     return {"vocab_size": vocab.size, "n_documents": len(texts),
@@ -241,15 +115,12 @@ def cmd_tokenizer_train(args, config, seed, out: Path) -> dict:
 
 
 def cmd_pretrain(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
-    texts = _nl_texts(config, seed)
-    enc_cfg = dict(config.get("encoder", {}))
-    enc_cfg["vocab_size"] = vocab.size
-    try:
-        encoder = Encoder(EncoderConfig(**enc_cfg), seed=seed)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad encoder config: {e}")
-    report = training.pretrain_mlm(encoder, texts, vocab, _train_config(config, seed))
+    vocab = Vocabulary.load(_require(config, "vocab"))
+    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
+    enc_cfg = _config(EncoderConfig, config, "encoder")
+    texts = synth.nl_texts(config, seed)
+    encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
+    report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
     save_model(out / "backbone.ckpt", "backbone", encoder)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "backbone.ckpt"), "steps": report.steps,
@@ -258,21 +129,25 @@ def cmd_pretrain(args, config, seed, out: Path) -> dict:
 
 
 def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
+    vocab = Vocabulary.load(_require(config, "vocab"))
+    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(_require(config, "backbone"))
     plan = adapter_cfg = None
-    if not manifest.get("placement"):
-        plan_cfg = config.get("placement")
-        plan = (_placement_plan(plan_cfg) if plan_cfg else
-                PlacementPlan.full(manifest_config(manifest).num_layers,
-                                   invertible=True))
-        adapter_cfg = _adapter_config({}, config)
+    if manifest.get("placement"):  # a config key the run would ignore is an error
+        ignored = sorted({"placement", "adapter"} & config.keys())
+        if ignored:
+            raise CliError(f"config key(s) {ignored} do not apply: the backbone "
+                           "checkpoint already has adapters")
+    else:
+        plan = (_config(PlacementPlan, config, "placement", {})
+                if config.get("placement") else
+                PlacementPlan.full(manifest_config(manifest).num_layers, invertible=True))
+        adapter_cfg = _config(AdapterConfig, config, "adapter")
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = _code_records(config, seed)
-    texts = [r.code for r in records]
-    report = training.train_language_adapter(encoder, texts, vocab,
-                                             _train_config(config, seed))
+    records = synth.code_records(config, seed)
+    report = training.train_language_adapter(encoder, [r.code for r in records],
+                                             vocab, train_cfg)
     language = records[0].language if records else "unknown"
     save_model(out / "l_adapter.ckpt", "l_adapter", encoder,
                extra={"language": language})
@@ -283,27 +158,33 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
 
 
 def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
+    vocab = Vocabulary.load(_require(config, "vocab"))
+    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     task_kind = config.get("task", "retrieval")
     manifest, state = load_checkpoint(_require(config, "model"))
     plan, adapter_cfg = manifest_plan(manifest), None
-    if not plan.t_layers:
+    if plan.t_layers:  # a config key the run would ignore is an error
+        if "adapter" in config:
+            raise CliError("config key 'adapter' does not apply: the model "
+                           "checkpoint already has task adapters")
+    else:
         # widen the plan with all-layer T-adapters
         layers = range(1, manifest_config(manifest).num_layers + 1)
         plan = dataclasses.replace(plan, t_layers=frozenset(layers))
-        adapter_cfg = _adapter_config(manifest.get("adapter_config") or {}, config)
+        adapter_cfg = _config(AdapterConfig, config, "adapter",
+                              manifest_adapter_config(manifest).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = _retrieval_records(config, seed)
+    records = synth.retrieval_records(config, seed)
     if task_kind == "pair_classification":
         pairs = synth.pairs_from_retrieval(records, config.get("n_pairs", 400),
                                            seed=seed)
         train_data = pairs[:int(0.9 * len(pairs))]
         val_data = pairs[int(0.9 * len(pairs)):]
     else:
-        train_data, val_data = _split_retrieval(records, seed)
-    report = training.train_task_adapter(
-        encoder, train_data, val_data, vocab, _train_config(config, seed), task_kind)
+        train_data, val_data = training.class_split(records, seed)
+    report = training.train_task_adapter(encoder, train_data, val_data, vocab,
+                                         train_cfg, task_kind)
     save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
                extra={"task": task_kind})
     (out / "train_report.json").write_text(report.to_json())
@@ -314,41 +195,20 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
             "stopping_reason": report.stopping_reason}
 
 
-def _split_retrieval(records, seed: int):
-    """Per-class validation split: at least two held-out members per class
-    (classes too small to spare two stay entirely in training), so MAP@R on
-    the validation set never sees singleton classes."""
-    by_class: dict = {}
-    for r in records:
-        by_class.setdefault(r.label, []).append(r)
-    train, val = [], []
-    for label in sorted(by_class):
-        members = sorted(
-            by_class[label],
-            key=lambda r: hashlib.sha256(f"{seed}:{r.id}".encode()).hexdigest())
-        n_val = max(2, round(0.1 * len(members))) if len(members) >= 4 else 0
-        val.extend(members[:n_val])
-        train.extend(members[n_val:])
-    if not val:
-        raise CliError("every retrieval class is too small to hold out "
-                       "validation members (need >= 4 per class)")
-    return train, val
-
-
 def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
+    vocab = Vocabulary.load(_require(config, "vocab"))
     encoder = build_model(*load_checkpoint(_require(config, "model")))
-    examples = _cloze_examples(config, vocab, _held_out_seed(seed))
+    examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed))
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
     return {"accuracy": result.accuracy, "n_examples": result.n}
 
 
 def cmd_eval_clone(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
+    vocab = Vocabulary.load(_require(config, "vocab"))
     encoder = build_model(*load_checkpoint(_require(config, "model")))
     task_kind = config.get("task", "retrieval")
-    records = _retrieval_records(config, _held_out_seed(seed))
+    records = synth.retrieval_records(config, synth.held_out_seed(seed))
     if task_kind == "retrieval":
         res = tasks.embed_corpus(encoder, records, vocab, config.get("max_len"))
         ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
@@ -369,11 +229,8 @@ def cmd_budget(args, config, seed, out: Path) -> dict:
     if args.paper_scale:
         report = paper_scale_report()
     else:
-        try:
-            enc_cfg = EncoderConfig(**config.get("encoder", {}))
-        except (TypeError, ValueError) as e:
-            raise CliError(f"bad budget config: {e}")
-        report = build_report(enc_cfg, _adapter_config({}, config))
+        report = build_report(_config(EncoderConfig, config, "encoder"),
+                              _config(AdapterConfig, config, "adapter"))
     doc = report.to_dict()
     print(f"{'component':<12}{'parameters':>14}{'MB':>10}{'% of model':>12}")
     for name, count in report.counts.items():
@@ -385,33 +242,31 @@ def cmd_budget(args, config, seed, out: Path) -> dict:
 
 
 def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
-    vocab = _load_vocab(config)
-    ckpt_path = _require(config, "model")
-    manifest, state = load_checkpoint(ckpt_path)
+    vocab = Vocabulary.load(_require(config, "vocab"))
+    manifest, state = load_checkpoint(_require(config, "model"))
     if not manifest.get("placement"):
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan = manifest_plan(manifest)
     L = manifest_config(manifest).num_layers
-    layers = config.get("layers")
-    if layers is None:
-        lo, hi = 0, L
-    else:
-        try:
-            lo, hi = (int(p) for p in str(layers).split(".."))
-        except ValueError:
-            raise CliError(f"bad layer range {layers!r}; expected LO..HI")
+    layers = config.get("layers", f"0..{L}")
+    try:
+        lo, hi = (int(p) for p in str(layers).split(".."))
+    except ValueError:
+        raise CliError(f"bad layer range {layers!r}; expected LO..HI")
     if not 0 <= lo <= hi <= L:
         raise CliError(f"layer range {lo}..{hi} outside [0, {L}]")
 
-    examples = _cloze_examples(config, vocab, _held_out_seed(seed))
+    examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed))
+    if args.retrain_per_layer:
+        texts = [r.code for r in synth.code_records(config, seed)]
+        train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     rows = []
     for i in range(lo, hi + 1):
         plan = full_plan.truncated(i, L)
         encoder = build_model(manifest, state, plan, seed=seed)
         if args.retrain_per_layer and i > 0:
-            records = _code_records(config, seed)
-            training.train_language_adapter(encoder, [r.code for r in records],
-                                            vocab, _train_config(config, seed))
+            report = training.train_language_adapter(encoder, texts, vocab, train_cfg)
+            (out / f"train_report.layer{i}.json").write_text(report.to_json())
         result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
         rows.append({"i": i, "accuracy": result.accuracy,
                      "l_layers": sorted(plan.l_layers)})
@@ -425,7 +280,7 @@ def cmd_zero_shot(args, config, seed, out: Path) -> dict:
         config["model"] = args.adapter
     if args.eval_language:
         config["eval_language"] = args.eval_language
-    vocab = _load_vocab(config)
+    vocab = Vocabulary.load(_require(config, "vocab"))
     manifest, state = load_checkpoint(_require(config, "model"))
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
@@ -437,19 +292,12 @@ def cmd_zero_shot(args, config, seed, out: Path) -> dict:
         raise CliError("--eval-language (or config key 'eval_language') is required")
     scores = {}
     for language in (trained_on, unseen):
-        examples = _cloze_examples(config, vocab, _held_out_seed(seed),
-                                   language=language)
+        examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed),
+                                        language=language)
         scores[language] = tasks.eval_cloze(encoder, examples, vocab.mask_id).accuracy
     return {"train_language": trained_on, "eval_language": unseen,
             "cloze_accuracy": scores,
             "transfer_gap": scores[trained_on] - scores[unseen]}
-
-
-def _require(config: dict, key: str) -> str:
-    value = config.get(key)
-    if not value:
-        raise CliError(f"config key {key!r} is required")
-    return value
 
 
 _HANDLERS = {
@@ -470,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adapterlab",
         description="Parameter-efficient cross-modal transfer experiments.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file for this run")
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
@@ -497,12 +345,14 @@ def dispatch(argv=None) -> int:
     try:
         config = load_run_config(args)
         seed = resolve_seed(args)
-        out = _out_dir(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         report = _HANDLERS[args.subcommand](args, config, seed, out)
         report["subcommand"] = args.subcommand
         report["seed"] = seed
-        _write_report(out, report)
-        _echo_config(out, args, config, seed)
+        (out / "report.json").write_text(json.dumps(report, indent=2))
+        (out / "config.json").write_text(json.dumps(
+            {"subcommand": args.subcommand, "seed": seed, "config": config}, indent=2))
         print(json.dumps(report, indent=2))
         return 0
     except (CliError, ValueError, RuntimeError, OSError) as e:

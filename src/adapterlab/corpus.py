@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any
 
 
 class CorpusError(ValueError):
@@ -55,13 +54,6 @@ class PairRecord:
     label: int
 
 
-_REQUIRED_FIELDS = {
-    "unlabeled": ("id", "language", "code"),
-    "cloze": ("id", "tokens", "mask_index", "candidates", "answer", "language"),
-    "retrieval": ("id", "label", "code", "language"),
-    "pair": ("id_a", "id_b", "code_a", "code_b", "label"),
-}
-
 _RECORD_TYPES = {
     "unlabeled": CorpusRecord,
     "cloze": ClozeRecord,
@@ -70,22 +62,21 @@ _RECORD_TYPES = {
 }
 
 
-def _build(kind: str, obj: dict) -> Any:
-    cls = _RECORD_TYPES[kind]
-    fields = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in obj.items() if k in fields})
-
-
 def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
-    """Load and validate one JSON object per line.
+    """Load and validate one JSON object per line: every field of the
+    kind's record type without a default is required, unknown keys are
+    dropped.
 
     Malformed lines are collected with their line numbers; more than
     ``max_bad_fraction`` of them is a hard failure.
     Returns (records, error_report) where error_report is a list of
     (line_number, message).
     """
-    if kind not in _REQUIRED_FIELDS:
+    if kind not in _RECORD_TYPES:
         raise CorpusError(f"unknown record kind {kind!r}")
+    cls = _RECORD_TYPES[kind]
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
     records, errors = [], []
     n_lines = 0
     with open(path, encoding="utf-8") as fh:
@@ -98,11 +89,11 @@ def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
             except json.JSONDecodeError as e:
                 errors.append((lineno, f"invalid JSON: {e.msg}"))
                 continue
-            missing = [f for f in _REQUIRED_FIELDS[kind] if f not in obj]
+            missing = [f for f in required if f not in obj]
             if missing:
                 errors.append((lineno, f"missing fields: {', '.join(missing)}"))
                 continue
-            records.append(_build(kind, obj))
+            records.append(cls(**{f.name: obj[f.name] for f in fields if f.name in obj}))
     if n_lines == 0:
         raise CorpusError(f"{path}: empty file")
     if len(errors) / n_lines > max_bad_fraction:

@@ -15,11 +15,12 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .schema import JsonConfig, check
 from .tensor import ParameterSet, Tensor
 
 
 @dataclasses.dataclass
-class EncoderConfig:
+class EncoderConfig(JsonConfig):
     num_layers: int = 4
     hidden_size: int = 64
     num_heads: int = 4
@@ -30,15 +31,12 @@ class EncoderConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
+        check(self, ">= 1", lambda v: v >= 1, "num_layers", "hidden_size",
+              "num_heads", "ffn_size", "vocab_size", "max_positions")
+        check(self, "in [0, 1)", lambda v: 0 <= v < 1, "dropout")
+        check(self, "> 0", lambda v: v > 0, "ln_eps")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 # Reference config matching the paper-scale 12-layer backbone.

@@ -1,6 +1,7 @@
 """Synthetic corpora: a small English-like pretraining corpus, toy code
 languages with max/min cloze probes, and clone-retrieval classes built by
-systematic renaming and reordering.
+systematic renaming and reordering; and the data sources of a run config,
+which read a configured dataset file or fall back to these generators.
 
 The NL corpus deliberately covers the code alphabet (digits, brackets,
 operators) and contains the words "max" and "min", so the shared tokenizer
@@ -11,10 +12,12 @@ single vocabulary tokens.
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClozeRecord, CorpusRecord, PairRecord, RetrievalRecord
+from .corpus import (ClozeRecord, CorpusError, CorpusRecord, PairRecord,
+                     RetrievalRecord, load_jsonl)
 from .tokenizer import Vocabulary
 
 _NL_WORDS = (
@@ -201,3 +204,64 @@ def pairs_from_retrieval(items: list[RetrievalRecord], n_pairs: int,
         pairs.append(PairRecord(id_a=ra.id, id_b=rb.id, code_a=ra.code,
                                 code_b=rb.code, label=int(positive)))
     return pairs
+
+
+# -- data sources of a run config: a dataset path when one is set, else the
+# generators above, sized and seeded by the config's "synthetic" object ------
+
+def held_out_seed(seed: int) -> int:
+    """Synthetic-data seed of the evaluation subcommands. The training
+    subcommands generate from the run seed itself, so by default an
+    evaluation never scores the programs its run seed trained on."""
+    return seed + 2 ** 31
+
+
+def nl_texts(config: dict, seed: int) -> list[str]:
+    """NL pretraining corpus: a text file (one document per line) or synthetic."""
+    path = config.get("corpus")
+    if path:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        texts = [ln for ln in lines if ln.strip()]
+        if not texts:
+            raise CorpusError(f"corpus file {path} has no non-empty lines")
+        return texts
+    spec = config.get("synthetic", {})
+    return synth_nl_corpus(spec.get("n_sentences", 4000), seed=spec.get("seed", seed))
+
+
+def code_records(config: dict, seed: int) -> list[CorpusRecord]:
+    """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
+    path = config.get("corpus")
+    if path:
+        return load_jsonl(path, "unlabeled")[0]
+    spec = config.get("synthetic", {})
+    return synth_code_records(spec.get("language", "alpha"), spec.get("n", 600),
+                              seed=spec.get("seed", seed))
+
+
+def retrieval_records(config: dict, seed: int) -> list[RetrievalRecord]:
+    """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
+    path = config.get("data")
+    if path:
+        return load_jsonl(path, "retrieval")[0]
+    spec = config.get("synthetic", {})
+    return synth_clone_classes(spec.get("n_classes", 20), spec.get("per_class", 20),
+                               seed=spec.get("seed", seed),
+                               language=spec.get("language", "alpha"))
+
+
+def cloze_examples(config: dict, vocab: Vocabulary, seed: int,
+                   language: str | None = None) -> list[ClozeRecord]:
+    """Cloze probes: cloze JSON-lines, or built from synthetic programs
+    (in ``language`` when given)."""
+    path = config.get("data")
+    if path:
+        return load_jsonl(path, "cloze")[0]
+    spec = config.get("synthetic", {})
+    records = synth_code_records(language or spec.get("language", "alpha"),
+                                 spec.get("n", 200), seed=spec.get("seed", seed))
+    candidates = tuple(config.get("candidates", ("max", "min")))
+    examples = build_cloze_examples(records, vocab, candidates)
+    if not examples:
+        raise CorpusError("no cloze probes could be built from the corpus")
+    return examples

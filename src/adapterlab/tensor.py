@@ -58,32 +58,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):

@@ -10,6 +10,7 @@ seed and data order reproduce checkpoints bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ from . import tensor as T
 from .adapters import FreezeMode, apply_freeze
 from .corpus import PairRecord, RetrievalRecord
 from .encoder import Encoder
+from .schema import JsonConfig, check
 from .tensor import ParameterSet
 from .tokenizer import MaskedBatch, Vocabulary, apply_mlm_mask, encode_batch
 
@@ -33,7 +35,7 @@ class TrainingError(RuntimeError):
 
 
 @dataclasses.dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     learning_rate: float = 1e-4
     batch_size: int = 8
     max_steps: int = 200
@@ -51,18 +53,18 @@ class TrainConfig:
     items_per_class: int = 4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        check(self, "> 0", lambda v: v > 0, "learning_rate", "adam_eps", "temperature")
+        check(self, ">= 1", lambda v: v >= 1, "batch_size", "patience", "eval_every",
+              "max_len", "classes_per_batch", "items_per_class")
+        check(self, ">= 0", lambda v: v >= 0, "max_steps", "seed")
+        check(self, "in [0, 1)", lambda v: 0 <= v < 1, "beta1", "beta2")
+        check(self, "in [0, 1]", lambda v: 0 <= v <= 1, "mask_rate")
 
 
 @dataclasses.dataclass
 class TrainReport:
     loss_curve: list[float] = dataclasses.field(default_factory=list)
+    loss_steps: list[int] = dataclasses.field(default_factory=list)
     val_steps: list[int] = dataclasses.field(default_factory=list)
     val_curve: list[float] = dataclasses.field(default_factory=list)
     val_metric_name: str = "loss"
@@ -72,7 +74,7 @@ class TrainReport:
     skipped_batches: int = 0  # steps whose batch had no label to learn
 
     def to_json(self) -> str:
-        rows = [{"step": i + 1, "loss": v} for i, v in enumerate(self.loss_curve)]
+        rows = [{"step": s, "loss": v} for s, v in zip(self.loss_steps, self.loss_curve)]
         return json.dumps({
             "steps": self.steps,
             "seconds": self.seconds,
@@ -118,10 +120,34 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
 
 
 def _index_split(n: int, seed: int) -> tuple[list[int], list[int]]:
+    """90/10 train/validation split of ``n`` texts (the MLM trainers)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = int(0.9 * n + 0.5)
     return list(order[:n_train]), list(order[n_train:])
+
+
+def class_split(records: Sequence[RetrievalRecord], seed: int
+                ) -> tuple[list[RetrievalRecord], list[RetrievalRecord]]:
+    """Per-class train/validation split of retrieval records: at least two
+    held-out members per class (classes too small to spare two stay entirely
+    in training), so MAP@R on the validation set never sees singleton
+    classes."""
+    by_class: dict = {}
+    for r in records:
+        by_class.setdefault(r.label, []).append(r)
+    train, val = [], []
+    for label in sorted(by_class):
+        members = sorted(
+            by_class[label],
+            key=lambda r: hashlib.sha256(f"{seed}:{r.id}".encode()).hexdigest())
+        n_val = max(2, round(0.1 * len(members))) if len(members) >= 4 else 0
+        val.extend(members[:n_val])
+        train.extend(members[n_val:])
+    if not val:
+        raise TrainingError("every retrieval class is too small to hold out "
+                            "validation members (need >= 4 per class)")
+    return train, val
 
 
 def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
@@ -200,6 +226,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
         else:
             if not np.isfinite(loss.item()):
                 raise abort(step, "non-finite loss")
+            report.loss_steps.append(step)
             report.loss_curve.append(loss.item())
             grads = T.gradients(loss, encoder.params)
             try:

@@ -118,10 +118,11 @@ def test_invertible_needs_even_hidden():
 
 
 def test_placement_plan_full_and_drop():
-    plan = PlacementPlan.full(12, t_adapters=True, invertible=True, drop_l_from=12)
-    assert plan.l_layers == frozenset(range(1, 12))
-    assert plan.t_layers == frozenset(range(1, 13))
+    plan = PlacementPlan.full(12, t_adapters=True, invertible=True)
+    assert plan.l_layers == plan.t_layers == frozenset(range(1, 13))
     assert plan.invertible
+    assert PlacementPlan.full(3, invertible=False) == PlacementPlan(
+        frozenset({1, 2, 3}), frozenset(), False)
 
 
 def test_placement_plan_truncation():

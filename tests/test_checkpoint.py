@@ -146,3 +146,39 @@ def test_build_model_widened_plan_adds_fresh_task_adapters(saved):
     assert (enc.params["t_adapter.4.up.w"].data == 0).all()  # near-identity init
     for name, value in state.items():
         assert (enc.params[name].data == value).all()
+
+
+@pytest.mark.parametrize("manifest, match", [
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "not an object"),
+    (json.dumps({"format": FORMAT}), "'params'"),
+    (json.dumps({"format": FORMAT, "params": {"w": [2, "3"]}}), "'params'"),
+])
+def test_malformed_manifest_rejected(tmp_path, manifest, match):
+    p = tmp_path / "m.ckpt"
+    with zipfile.ZipFile(p, "w") as zf:
+        zf.writestr("manifest.json", manifest)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("config", {"hidden_size": 8}, "num_layers"),
+    ("config", {**CFG.to_dict(), "num_heads": 3}, "divisible"),
+    ("placement", {"l_layers": [1]}, "t_layers"),
+    ("placement", {"l_layers": [1], "t_layers": [], "invertible": "yes"}, "invertible"),
+    ("adapter_config", {"rank": 2}, "rank"),
+])
+def test_build_model_names_bad_manifest_key(saved, key, value, named):
+    """The manifest's configs go through the same ``from_dict`` checks as a
+    run config; a failure is a CheckpointError naming the manifest key."""
+    manifest, state = saved
+    with pytest.raises(CheckpointError, match=f"manifest key '{key}'.*{named}"):
+        build_model({**manifest, key: value}, state)
+
+
+def test_build_model_rejects_blob_of_wrong_shape(saved):
+    manifest, state = saved
+    state["l_adapter.1.down.w"] = np.zeros((8, 3))
+    with pytest.raises(CheckpointError, match=r"l_adapter\.1\.down\.w has shape \[8, 3\]"):
+        build_model(manifest, state)

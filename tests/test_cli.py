@@ -285,12 +285,15 @@ def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
     ("train-lang-adapter", ['adapter.l_bottleneck="x"'], "l_bottleneck"),
     ("train-task-adapter", ["adapter.t_bottlenek=4"], "t_bottlenek"),
     ("train-task-adapter", ["adapter.inv_steps=null"], "inv_steps"),
+    ("pretrain", ['train.max_steps="abc"'], "max_steps"),
+    ("pretrain", ["train.eval_every=0"], "eval_every"),
 ])
 def test_bad_adapter_config_exits_1_naming_key(pipeline, tmp_path, capsys,
                                                subcommand, sets, key):
     root, vocab = pipeline
     source = {"train-lang-adapter": f"backbone={root / 'pre' / 'backbone.ckpt'}",
-              "train-task-adapter": f"model={root / 'la' / 'l_adapter.ckpt'}"}
+              "train-task-adapter": f"model={root / 'la' / 'l_adapter.ckpt'}",
+              "pretrain": "synthetic.n_sentences=50"}
     argv = [subcommand, "--out", str(tmp_path), "--seed", "0",
             "--set", f"vocab={vocab}", "--set", source[subcommand],
             "--set", "train.max_steps=1"]
@@ -300,3 +303,94 @@ def test_bad_adapter_config_exits_1_naming_key(pipeline, tmp_path, capsys,
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "CliError" and err["subcommand"] == subcommand
     assert key in err["message"]
+
+
+def _edited_copy(src, dst, edit):
+    """Copy of checkpoint ``src`` whose manifest went through ``edit``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            data = zin.read(item)
+            if item.filename == "manifest.json":
+                manifest = json.loads(data)
+                edit(manifest)
+                data = json.dumps(manifest)
+            zout.writestr(item, data)
+    return dst
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m.update(placement={"l_layers": [1]}), "t_layers"),
+    (lambda m: m["config"].update(colour=1), "colour"),
+    (lambda m: m["adapter_config"].update(rank=4), "rank"),
+    (lambda m: m.pop("params"), "params"),
+], ids=["placement-missing-key", "config-extra-key", "adapter-config-extra-key",
+        "params-missing"])
+def test_edited_manifest_exits_1_naming_key(pipeline, tmp_path, capsys, edit, key):
+    """A checkpoint manifest is checked like a run config: each edit ends in a
+    CheckpointError that names the key, not in a traceback."""
+    root, vocab = pipeline
+    ckpt = _edited_copy(root / "la" / "l_adapter.ckpt", tmp_path / "edited.ckpt", edit)
+    rc = _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
+               "--set", f"vocab={vocab}", "--set", f"model={ckpt}",
+               "--set", "synthetic.n=20"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CheckpointError" and key in err["message"]
+
+
+@pytest.mark.parametrize("sets, key", [
+    (['placement={"l_layers": [1], "t_layers": [], "invertible": false}'], "placement"),
+    (["adapter.l_bottleneck=4"], "adapter"),
+])
+def test_lang_adapter_config_on_adapted_backbone_exits_1(pipeline, tmp_path, capsys,
+                                                         sets, key):
+    """A backbone checkpoint that already has adapters keeps its placement and
+    sizes, so a ``placement`` or ``adapter`` config would be ignored: an error."""
+    root, vocab = pipeline
+    argv = ["train-lang-adapter", "--out", str(tmp_path), "--seed", "0",
+            "--set", f"vocab={vocab}", "--set", f"backbone={root / 'la' / 'l_adapter.ckpt'}",
+            "--set", "train.max_steps=1"]
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and key in err["message"]
+    assert not (tmp_path / "l_adapter.ckpt").exists()
+
+
+def test_task_adapter_config_on_task_checkpoint_exits_1(pipeline, tmp_path, capsys):
+    """A model checkpoint that already has T-adapters keeps their sizes, so an
+    ``adapter`` config would be ignored: an error."""
+    root, vocab = pipeline
+    small = ["--set", f"vocab={vocab}", "--set", "synthetic.n_classes=5",
+             "--set", "synthetic.per_class=5", "--set", "train.max_steps=1"]
+    assert _run(["train-task-adapter", "--out", str(tmp_path / "ta"), "--seed", "0",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}", *small]) == 0
+    capsys.readouterr()
+    rc = _run(["train-task-adapter", "--out", str(tmp_path / "again"), "--seed", "0",
+               "--set", f"model={tmp_path / 'ta' / 't_adapter.ckpt'}",
+               "--set", "adapter.t_bottleneck=2", *small])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and "adapter" in err["message"]
+    # without the key, the same checkpoint trains on
+    assert _run(["train-task-adapter", "--out", str(tmp_path / "again"), "--seed", "0",
+                 "--set", f"model={tmp_path / 'ta' / 't_adapter.ckpt'}", *small]) == 0
+
+
+def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
+    root, vocab = pipeline
+    assert _run(["sweep-layers", "--retrain-per-layer", "--out", str(tmp_path),
+                 "--seed", "0", "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "synthetic.n=20", "--set", "train.max_steps=3",
+                 "--set", "train.eval_every=3"]) == 0
+    rep = _report(tmp_path)
+    assert rep["mode"] == "retrain" and [row["i"] for row in rep["rows"]] == [0, 1, 2]
+    # layer 0 has no adapter to retrain; layers 1 and 2 each keep their report
+    assert sorted(p.name for p in tmp_path.glob("train_report*.json")) == [
+        "train_report.layer1.json", "train_report.layer2.json"]
+    for i in (1, 2):
+        report = json.loads((tmp_path / f"train_report.layer{i}.json").read_text())
+        assert report["steps"] == 3 and report["stopping_reason"] == "max steps"
+        assert [row["step"] for row in report["loss"]] == [1, 2, 3]

@@ -1,0 +1,126 @@
+"""Config classes check their own input: ``from_dict`` is the exact inverse
+of ``to_dict`` for every valid config, and anything else raises
+``ValueError`` naming the key, never another exception."""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adapterlab.adapters import AdapterConfig, PlacementPlan
+from adapterlab.encoder import EncoderConfig
+from adapterlab.training import TrainConfig
+
+sizes = st.integers(1, 512)
+unit = st.floats(0.0, 1.0, exclude_max=True)
+positive = st.floats(1e-12, 10.0)
+
+encoder_configs = st.builds(
+    lambda heads, per_head, **kw: EncoderConfig(num_heads=heads,
+                                                hidden_size=heads * per_head, **kw),
+    heads=st.integers(1, 16), per_head=st.integers(1, 64), num_layers=st.integers(1, 48),
+    ffn_size=sizes, vocab_size=st.integers(1, 10 ** 6), max_positions=sizes,
+    dropout=unit, ln_eps=positive)
+train_configs = st.builds(
+    TrainConfig, learning_rate=positive, batch_size=sizes, max_steps=st.integers(0, 10 ** 6),
+    beta1=unit, beta2=unit, adam_eps=positive, patience=sizes, eval_every=sizes,
+    early_stop=st.booleans(), seed=st.integers(0, 2 ** 63), mask_rate=st.floats(0.0, 1.0),
+    max_len=sizes, temperature=positive, classes_per_batch=sizes, items_per_class=sizes)
+adapter_configs = st.builds(AdapterConfig, st.none() | sizes, st.none() | sizes,
+                            st.none() | sizes, sizes)
+layer_sets = st.frozensets(st.integers(1, 48))
+plans = st.builds(PlacementPlan, layer_sets, layer_sets, st.booleans())
+
+CONFIGS = [(EncoderConfig, encoder_configs), (TrainConfig, train_configs),
+           (AdapterConfig, adapter_configs), (PlacementPlan, plans)]
+IDS = [cls.__name__ for cls, _ in CONFIGS]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=6)
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, configs", CONFIGS, ids=IDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_valid_config_survives_a_json_round_trip(cls, configs, data):
+    config = data.draw(configs)
+    assert cls.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+@pytest.mark.parametrize("cls, configs", CONFIGS, ids=IDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_junk_raises_value_error_and_nothing_else(cls, configs, data):
+    junk = data.draw(json_values | st.dictionaries(
+        st.sampled_from(_names(cls)) | st.text(max_size=8), json_values))
+    try:
+        config = cls.from_dict(junk)
+    except ValueError:
+        return
+    assert isinstance(config, cls) and cls.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("cls, configs", CONFIGS, ids=IDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
+    d = data.draw(configs).to_dict()
+    key = data.draw(st.sampled_from(_names(cls)))
+    how = data.draw(st.sampled_from(["drop", "add", "retype"]))
+    if how == "drop":
+        del d[key]
+    elif how == "add":
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in d))
+        d[key] = data.draw(json_values)
+    else:  # no field of any config takes a string or an object
+        d[key] = data.draw(st.text(max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                 json_values))
+    with pytest.raises(ValueError) as info:
+        cls.from_dict(d)
+    assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (EncoderConfig, "num_layers", 0),
+    (EncoderConfig, "num_heads", 0),
+    (EncoderConfig, "dropout", 1.0),
+    (EncoderConfig, "ln_eps", 0.0),
+    (TrainConfig, "eval_every", 0),
+    (TrainConfig, "max_steps", -1),
+    (TrainConfig, "learning_rate", -1e-3),
+    (TrainConfig, "beta2", 1.0),
+    (TrainConfig, "mask_rate", 1.5),
+    (TrainConfig, "temperature", 0.0),
+    (AdapterConfig, "l_bottleneck", 0),
+    (AdapterConfig, "inv_steps", 0),
+    (PlacementPlan, "t_layers", frozenset({0, 2})),
+])
+def test_out_of_range_value_is_refused_from_python_and_json(cls, key, value):
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+    d = cls().to_dict()
+    d[key] = sorted(value) if isinstance(value, frozenset) else value
+    with pytest.raises(ValueError, match=key):
+        cls.from_dict(d)
+
+
+def test_from_dict_keeps_json_types_apart():
+    """A bool is no integer, an integer is a number, and lists become sets."""
+    with pytest.raises(ValueError, match="num_layers"):
+        EncoderConfig.from_dict({**EncoderConfig().to_dict(), "num_layers": True})
+    for too_big in (float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), "learning_rate": too_big})
+    assert TrainConfig.from_dict({**TrainConfig().to_dict(),
+                                  "learning_rate": 1}).learning_rate == 1.0
+    assert PlacementPlan.from_dict({"l_layers": [2, 1, 2], "t_layers": [],
+                                    "invertible": True}).l_layers == frozenset({1, 2})

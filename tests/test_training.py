@@ -1,6 +1,9 @@
 """Training loops: Adam reference math, loss decrease, freeze contracts,
 determinism, early stopping, and error paths."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from adapterlab.training import (AdamState, TrainConfig, TrainingError,
                                  train_language_adapter, train_task_adapter)
 
 CFG = EncoderConfig(num_layers=2, hidden_size=32, num_heads=4, ffn_size=64,
-                    vocab_size=0, max_positions=64, dropout=0.1)
+                    vocab_size=1, max_positions=64, dropout=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -150,24 +153,28 @@ def test_non_finite_forward_pass_stops_with_report(corpus_and_vocab, monkeypatch
 
 def test_skipped_batch_is_counted_and_still_validated(corpus_and_vocab, monkeypatch):
     """A training batch with no label to learn takes no step, but it is
-    counted, and the validation due at that step (here the last) runs."""
+    counted, and the validation due at that step (here the last) runs. Each
+    loss row carries the step it was taken at."""
     texts, vocab = corpus_and_vocab
     clean, calls = training.apply_mlm_mask, []
 
-    def blank_sixth_batch(*args, **kwargs):
+    def blank_second_and_sixth_batch(*args, **kwargs):
         batch = clean(*args, **kwargs)
         if isinstance(kwargs.get("seed"), np.random.Generator):  # a training batch
             calls.append(1)
-            if len(calls) == 6:
+            if len(calls) in (2, 6):
                 batch.labels[:] = batch.IGNORE
         return batch
-    monkeypatch.setattr(training, "apply_mlm_mask", blank_sixth_batch)
+    monkeypatch.setattr(training, "apply_mlm_mask", blank_second_and_sixth_batch)
     cfg = TrainConfig(learning_rate=1e-3, max_steps=6, eval_every=3, max_len=32)
     report = pretrain_mlm(_encoder(vocab), texts, vocab, cfg)
-    assert report.skipped_batches == 1 and len(report.loss_curve) == 5
+    assert report.skipped_batches == 2 and len(report.loss_curve) == 4
     assert report.steps == 6 and report.val_steps == [0, 3, 6]
     assert report.stopping_reason == "max steps"
-    assert '"skipped_batches": 1' in report.to_json()
+    doc = json.loads(report.to_json())
+    assert doc["skipped_batches"] == 2
+    assert [row["step"] for row in doc["loss"]] == [1, 3, 4, 5]
+    assert [row["loss"] for row in doc["loss"]] == report.loss_curve
 
 
 def test_pretrain_reduces_val_loss(corpus_and_vocab):
@@ -303,3 +310,21 @@ def test_eval_mlm_loss_deterministic(corpus_and_vocab):
     a = eval_mlm_loss(enc, texts[:20], vocab, cfg)
     b = eval_mlm_loss(enc, texts[:20], vocab, cfg)
     assert a == b
+
+
+def test_class_split_holds_out_two_per_class():
+    """Classes of four or more members give at least two to validation;
+    smaller ones stay whole in training; the split depends only on the seed."""
+    tiny = [dataclasses.replace(r, id=f"tiny-{r.id}", label="tiny")
+            for r in synth_clone_classes(1, 3, seed=1)]
+    records = synth_clone_classes(3, 5, seed=0) + tiny
+    train, val = training.class_split(records, seed=7)
+    assert sorted(r.id for r in train + val) == sorted(r.id for r in records)
+    by_class = {}
+    for r in val:
+        by_class[r.label] = by_class.get(r.label, 0) + 1
+    assert by_class == {"class00": 2, "class01": 2, "class02": 2}
+    assert training.class_split(records, seed=7) == (train, val)
+    assert {r.label for r in train} == {"class00", "class01", "class02", "tiny"}
+    with pytest.raises(TrainingError, match="too small"):
+        training.class_split(tiny, seed=7)
