@@ -108,8 +108,7 @@ def bottleneck_param_count(hidden: int, bottleneck: int) -> int:
 
 
 def invertible_param_count(hidden: int, coupling_dim: int, steps: int) -> int:
-    half = hidden // 2
-    return steps * (2 * half * coupling_dim + coupling_dim + half)
+    return steps * bottleneck_param_count(hidden // 2, coupling_dim)
 
 
 def bottleneck_forward(x: Tensor, down_w: Tensor, down_b: Tensor,
@@ -151,24 +150,20 @@ class AdapterStack:
     def _init_params(self, rng: np.random.Generator) -> None:
         h = self.hidden
 
-        def bottleneck(prefix: str, d: int) -> None:
+        def bottleneck(prefix: str, width: int, d: int) -> None:
             # Near-identity init: zero up-projection, small random down.
-            self.params.add(f"{prefix}.down.w", rng.normal(0.0, 1e-3, size=(h, d)))
+            self.params.add(f"{prefix}.down.w", rng.normal(0.0, 1e-3, size=(width, d)))
             self.params.add(f"{prefix}.down.b", np.zeros(d))
-            self.params.add(f"{prefix}.up.w", np.zeros((d, h)))
-            self.params.add(f"{prefix}.up.b", np.zeros(h))
+            self.params.add(f"{prefix}.up.w", np.zeros((d, width)))
+            self.params.add(f"{prefix}.up.b", np.zeros(width))
 
         for l in sorted(self.plan.l_layers):
-            bottleneck(f"l_adapter.{l}", self.config.l_bottleneck)
+            bottleneck(f"l_adapter.{l}", h, self.config.l_bottleneck)
         for l in sorted(self.plan.t_layers):
-            bottleneck(f"t_adapter.{l}", self.config.t_bottleneck)
-        if self.plan.invertible:
-            half, cdim = h // 2, self.config.inv_coupling_dim
+            bottleneck(f"t_adapter.{l}", h, self.config.t_bottleneck)
+        if self.plan.invertible:  # each coupling step is a bottleneck on half the width
             for k in range(self.config.inv_steps):
-                self.params.add(f"inv.{k}.down.w", rng.normal(0.0, 1e-3, size=(half, cdim)))
-                self.params.add(f"inv.{k}.down.b", np.zeros(cdim))
-                self.params.add(f"inv.{k}.up.w", np.zeros((cdim, half)))
-                self.params.add(f"inv.{k}.up.b", np.zeros(half))
+                bottleneck(f"inv.{k}", h // 2, self.config.inv_coupling_dim)
 
     # -- hooks called by the encoder forward pass --------------------------
     def _coupler(self, k: int, z: Tensor) -> Tensor:

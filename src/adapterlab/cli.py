@@ -47,6 +47,26 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return key.split("."), value
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+_STR = ("a string", lambda v: isinstance(v, str))
+# top-level config scalars -> (what the value must be, test), checked by
+# ``_get`` where they are read; config sections are read by ``_config``
+_SCALARS = {
+    **dict.fromkeys(("vocab", "corpus", "data", "backbone", "model", "layers",
+                     "train_language", "eval_language"), _STR),
+    **dict.fromkeys(("vocab_size", "n_pairs"), ("an integer >= 1", _is_count)),
+    "max_len": ("null or an integer >= 1", lambda v: v is None or _is_count(v)),
+    "candidates": ("a list of strings",
+                   lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)),
+    "task": ("'retrieval' or 'pair_classification'",
+             lambda v: v in ("retrieval", "pair_classification")),
+}
+_SECTIONS = {"synthetic", "encoder", "train", "adapter", "placement"}
+
+
 def load_run_config(args: argparse.Namespace) -> dict:
     """File config plus dotted overrides; overrides win."""
     config: dict = {}
@@ -69,6 +89,9 @@ def load_run_config(args: argparse.Namespace) -> dict:
             if not isinstance(node, dict):
                 raise CliError(f"override {item!r} descends through a non-object")
         node[path[-1]] = value
+    unknown = sorted(config.keys() - _SCALARS.keys() - _SECTIONS)
+    if unknown:
+        raise CliError(f"unknown config key(s) {unknown}")
     return config
 
 
@@ -97,18 +120,46 @@ def _config(cls, config: dict, key: str, base: dict | None = None):
         raise CliError(f"config key {key!r}: {e}") from e
 
 
+def _get(config: dict, key: str, default=None):
+    """Top-level scalar ``key`` checked against its rule in ``_SCALARS``, or
+    ``default`` when the config does not set it."""
+    if key not in config:
+        return default
+    rule, test = _SCALARS[key]
+    if not test(config[key]):
+        raise CliError(f"config key {key!r} must be {rule}, got {config[key]!r}")
+    return config[key]
+
+
 def _require(config: dict, key: str) -> str:
-    value = config.get(key)
-    if not value:
+    if not config.get(key):
         raise CliError(f"config key {key!r} is required")
-    return value
+    return _get(config, key)
+
+
+def _synthetic(config: dict) -> synth.SyntheticSpec:
+    return _config(synth.SyntheticSpec, config, "synthetic")
+
+
+def _cloze_examples(config: dict, vocab: Vocabulary, seed: int, **kwargs) -> list:
+    """Cloze probes drawn, by default, from the held-out seed of ``seed``."""
+    return synth.cloze_examples(_get(config, "data"), _synthetic(config),
+                                synth.held_out_seed(seed), vocab,
+                                tuple(_get(config, "candidates", ["max", "min"])), **kwargs)
+
+
+def _refuse(config: dict, keys, reason: str) -> None:
+    """A config key the run would ignore is an error."""
+    ignored = sorted(set(keys) & config.keys())
+    if ignored:
+        raise CliError(f"config key(s) {ignored} do not apply: {reason}")
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tokenizer_train(args, config, seed, out: Path) -> dict:
-    texts = synth.nl_texts(config, seed)
-    vocab = train_bpe(texts, config.get("vocab_size", 2048))
+    texts = synth.nl_texts(_get(config, "corpus"), _synthetic(config), seed)
+    vocab = train_bpe(texts, _get(config, "vocab_size", 2048))
     vocab.save(out / "vocab.txt")
     return {"vocab_size": vocab.size, "n_documents": len(texts),
             "n_merges": len(vocab.merges), "vocab_path": str(out / "vocab.txt")}
@@ -118,7 +169,10 @@ def cmd_pretrain(args, config, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(config, "vocab"))
     train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     enc_cfg = _config(EncoderConfig, config, "encoder")
-    texts = synth.nl_texts(config, seed)
+    if config.get("encoder", {}).get("vocab_size", vocab.size) != vocab.size:
+        raise CliError(f"config key 'encoder.vocab_size' is {enc_cfg.vocab_size}, but "
+                       f"the vocabulary has {vocab.size} tokens")
+    texts = synth.nl_texts(_get(config, "corpus"), _synthetic(config), seed)
     encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
     report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
     save_model(out / "backbone.ckpt", "backbone", encoder)
@@ -133,11 +187,8 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
     train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(_require(config, "backbone"))
     plan = adapter_cfg = None
-    if manifest.get("placement"):  # a config key the run would ignore is an error
-        ignored = sorted({"placement", "adapter"} & config.keys())
-        if ignored:
-            raise CliError(f"config key(s) {ignored} do not apply: the backbone "
-                           "checkpoint already has adapters")
+    if manifest.get("placement"):
+        _refuse(config, ("placement", "adapter"), "the backbone already has adapters")
     else:
         plan = (_config(PlacementPlan, config, "placement", {})
                 if config.get("placement") else
@@ -145,7 +196,7 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
         adapter_cfg = _config(AdapterConfig, config, "adapter")
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = synth.code_records(config, seed)
+    records = synth.code_records(_get(config, "corpus"), _synthetic(config), seed)
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
     language = records[0].language if records else "unknown"
@@ -160,13 +211,11 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
 def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(config, "vocab"))
     train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
-    task_kind = config.get("task", "retrieval")
+    task_kind = _get(config, "task", "retrieval")
     manifest, state = load_checkpoint(_require(config, "model"))
     plan, adapter_cfg = manifest_plan(manifest), None
-    if plan.t_layers:  # a config key the run would ignore is an error
-        if "adapter" in config:
-            raise CliError("config key 'adapter' does not apply: the model "
-                           "checkpoint already has task adapters")
+    if plan.t_layers:
+        _refuse(config, ("adapter",), "the model already has task adapters")
     else:
         # widen the plan with all-layer T-adapters
         layers = range(1, manifest_config(manifest).num_layers + 1)
@@ -175,14 +224,14 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
                               manifest_adapter_config(manifest).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = synth.retrieval_records(config, seed)
+    # one split rule for both task kinds: pairs never cross the class split
+    records = synth.retrieval_records(_get(config, "data"), _synthetic(config), seed)
+    train_data, val_data = training.class_split(records, seed)
     if task_kind == "pair_classification":
-        pairs = synth.pairs_from_retrieval(records, config.get("n_pairs", 400),
-                                           seed=seed)
-        train_data = pairs[:int(0.9 * len(pairs))]
-        val_data = pairs[int(0.9 * len(pairs)):]
-    else:
-        train_data, val_data = training.class_split(records, seed)
+        n_pairs = _get(config, "n_pairs", 400)
+        n_train = int(0.9 * n_pairs)
+        train_data = synth.pairs_from_retrieval(train_data, n_train, seed=seed)
+        val_data = synth.pairs_from_retrieval(val_data, n_pairs - n_train, seed=seed)
     report = training.train_task_adapter(encoder, train_data, val_data, vocab,
                                          train_cfg, task_kind)
     save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
@@ -198,7 +247,7 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
 def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(config, "vocab"))
     encoder = build_model(*load_checkpoint(_require(config, "model")))
-    examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed))
+    examples = _cloze_examples(config, vocab, seed)
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
     return {"accuracy": result.accuracy, "n_examples": result.n}
@@ -207,26 +256,24 @@ def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
 def cmd_eval_clone(args, config, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(config, "vocab"))
     encoder = build_model(*load_checkpoint(_require(config, "model")))
-    task_kind = config.get("task", "retrieval")
-    records = synth.retrieval_records(config, synth.held_out_seed(seed))
+    task_kind, max_len = _get(config, "task", "retrieval"), _get(config, "max_len")
+    records = synth.retrieval_records(_get(config, "data"), _synthetic(config),
+                                      synth.held_out_seed(seed))
     if task_kind == "retrieval":
-        res = tasks.embed_corpus(encoder, records, vocab, config.get("max_len"))
+        res = tasks.embed_corpus(encoder, records, vocab, max_len)
         ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
         return {"task": task_kind, "map_at_r": ev.map_at_r,
                 "n_items": len(records), "n_truncated": res.n_truncated}
-    if task_kind == "pair_classification":
-        if "head.pair.w" not in encoder.params:
-            raise CliError("model checkpoint has no pair-classification head")
-        pairs = synth.pairs_from_retrieval(records, config.get("n_pairs", 200),
-                                           seed=seed)
-        scores = tasks.eval_pairs(encoder, pairs, vocab,
-                                  max_len=config.get("max_len"))
-        return {"task": task_kind, "n_pairs": len(pairs), **scores}
-    raise CliError(f"unknown task kind {task_kind!r}")
+    if "head.pair.w" not in encoder.params:
+        raise CliError("model checkpoint has no pair-classification head")
+    pairs = synth.pairs_from_retrieval(records, _get(config, "n_pairs", 200), seed=seed)
+    scores = tasks.eval_pairs(encoder, pairs, vocab, max_len=max_len)
+    return {"task": task_kind, "n_pairs": len(pairs), **scores}
 
 
 def cmd_budget(args, config, seed, out: Path) -> dict:
     if args.paper_scale:
+        _refuse(config, ("encoder", "adapter"), "--paper-scale fixes every size")
         report = paper_scale_report()
     else:
         report = build_report(_config(EncoderConfig, config, "encoder"),
@@ -248,7 +295,7 @@ def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan = manifest_plan(manifest)
     L = manifest_config(manifest).num_layers
-    layers = config.get("layers", f"0..{L}")
+    layers = _get(config, "layers", f"0..{L}")
     try:
         lo, hi = (int(p) for p in str(layers).split(".."))
     except ValueError:
@@ -256,9 +303,10 @@ def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
     if not 0 <= lo <= hi <= L:
         raise CliError(f"layer range {lo}..{hi} outside [0, {L}]")
 
-    examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed))
+    examples = _cloze_examples(config, vocab, seed)
     if args.retrain_per_layer:
-        texts = [r.code for r in synth.code_records(config, seed)]
+        texts = [r.code for r in synth.code_records(_get(config, "corpus"),
+                                                    _synthetic(config), seed)]
         train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
     rows = []
     for i in range(lo, hi + 1):
@@ -284,16 +332,15 @@ def cmd_zero_shot(args, config, seed, out: Path) -> dict:
     manifest, state = load_checkpoint(_require(config, "model"))
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    trained_on = config.get("train_language") or manifest.get("language")
+    trained_on = _get(config, "train_language") or manifest.get("language")
     if not trained_on:
         raise CliError("training language unknown; set config key 'train_language'")
-    unseen = config.get("eval_language")
+    unseen = _get(config, "eval_language")
     if not unseen:
         raise CliError("--eval-language (or config key 'eval_language') is required")
     scores = {}
     for language in (trained_on, unseen):
-        examples = synth.cloze_examples(config, vocab, synth.held_out_seed(seed),
-                                        language=language)
+        examples = _cloze_examples(config, vocab, seed, language=language)
         scores[language] = tasks.eval_cloze(encoder, examples, vocab.mask_id).accuracy
     return {"train_language": trained_on, "eval_language": unseen,
             "cloze_accuracy": scores,

@@ -89,6 +89,9 @@ def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
             except json.JSONDecodeError as e:
                 errors.append((lineno, f"invalid JSON: {e.msg}"))
                 continue
+            if not isinstance(obj, dict):
+                errors.append((lineno, "not a JSON object"))
+                continue
             missing = [f for f in required if f not in obj]
             if missing:
                 errors.append((lineno, f"missing fields: {', '.join(missing)}"))

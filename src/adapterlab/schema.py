@@ -27,6 +27,7 @@ _TYPES = {
     "bool": ("true or false", lambda v: isinstance(v, bool), None),
     "int": ("an integer", _is_int, None),
     "float": ("a finite number", _is_number, float),
+    "str": ("a string", lambda v: isinstance(v, str), None),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v), None),
     "frozenset[int]": ("a list of integers",
                        lambda v: isinstance(v, list) and all(map(_is_int, v)), frozenset),

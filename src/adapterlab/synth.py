@@ -11,6 +11,7 @@ single vocabulary tokens.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .corpus import (ClozeRecord, CorpusError, CorpusRecord, PairRecord,
                      RetrievalRecord, load_jsonl)
+from .schema import JsonConfig, check
 from .tokenizer import Vocabulary
 
 _NL_WORDS = (
@@ -190,6 +192,8 @@ def pairs_from_retrieval(items: list[RetrievalRecord], n_pairs: int,
     for it in items:
         by_class.setdefault(it.label, []).append(it)
     labels = sorted(by_class)
+    if n_pairs and (len(labels) < 2 or min(map(len, by_class.values())) < 2):
+        raise CorpusError("clone pairs need two or more classes of two or more items")
     pairs = []
     for i in range(n_pairs):
         positive = i % 2 == 0
@@ -209,6 +213,29 @@ def pairs_from_retrieval(items: list[RetrievalRecord], n_pairs: int,
 # -- data sources of a run config: a dataset path when one is set, else the
 # generators above, sized and seeded by the config's "synthetic" object ------
 
+@dataclasses.dataclass(frozen=True)
+class SyntheticSpec(JsonConfig):
+    """The ``synthetic`` object of a run config. A null ``seed`` is the
+    subcommand's seed; a null ``n`` is 600 training programs or 200 probe
+    programs."""
+    seed: int | None = None
+    n: int | None = None
+    language: str = "alpha"
+    n_sentences: int = 4000
+    n_classes: int = 20
+    per_class: int = 20
+
+    def __post_init__(self):
+        check(self, "null or >= 0", lambda v: v is None or v >= 0, "seed")
+        check(self, "null or >= 1", lambda v: v is None or v >= 1, "n")
+        check(self, ">= 1", lambda v: v >= 1, "n_sentences", "n_classes", "per_class")
+        check(self, f"one of {sorted(_LANG_STYLES)}", lambda v: v in _LANG_STYLES,
+              "language")
+
+    def seed_or(self, seed: int) -> int:
+        return seed if self.seed is None else self.seed
+
+
 def held_out_seed(seed: int) -> int:
     """Synthetic-data seed of the evaluation subcommands. The training
     subcommands generate from the run seed itself, so by default an
@@ -216,51 +243,42 @@ def held_out_seed(seed: int) -> int:
     return seed + 2 ** 31
 
 
-def nl_texts(config: dict, seed: int) -> list[str]:
+def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     """NL pretraining corpus: a text file (one document per line) or synthetic."""
-    path = config.get("corpus")
     if path:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         texts = [ln for ln in lines if ln.strip()]
         if not texts:
             raise CorpusError(f"corpus file {path} has no non-empty lines")
         return texts
-    spec = config.get("synthetic", {})
-    return synth_nl_corpus(spec.get("n_sentences", 4000), seed=spec.get("seed", seed))
+    return synth_nl_corpus(spec.n_sentences, seed=spec.seed_or(seed))
 
 
-def code_records(config: dict, seed: int) -> list[CorpusRecord]:
+def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[CorpusRecord]:
     """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
-    path = config.get("corpus")
     if path:
         return load_jsonl(path, "unlabeled")[0]
-    spec = config.get("synthetic", {})
-    return synth_code_records(spec.get("language", "alpha"), spec.get("n", 600),
-                              seed=spec.get("seed", seed))
+    return synth_code_records(spec.language, spec.n or 600, seed=spec.seed_or(seed))
 
 
-def retrieval_records(config: dict, seed: int) -> list[RetrievalRecord]:
+def retrieval_records(path: str | None, spec: SyntheticSpec,
+                      seed: int) -> list[RetrievalRecord]:
     """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
-    path = config.get("data")
     if path:
         return load_jsonl(path, "retrieval")[0]
-    spec = config.get("synthetic", {})
-    return synth_clone_classes(spec.get("n_classes", 20), spec.get("per_class", 20),
-                               seed=spec.get("seed", seed),
-                               language=spec.get("language", "alpha"))
+    return synth_clone_classes(spec.n_classes, spec.per_class,
+                               seed=spec.seed_or(seed), language=spec.language)
 
 
-def cloze_examples(config: dict, vocab: Vocabulary, seed: int,
+def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Vocabulary,
+                   candidates: tuple[str, ...] = ("max", "min"),
                    language: str | None = None) -> list[ClozeRecord]:
     """Cloze probes: cloze JSON-lines, or built from synthetic programs
     (in ``language`` when given)."""
-    path = config.get("data")
     if path:
         return load_jsonl(path, "cloze")[0]
-    spec = config.get("synthetic", {})
-    records = synth_code_records(language or spec.get("language", "alpha"),
-                                 spec.get("n", 200), seed=spec.get("seed", seed))
-    candidates = tuple(config.get("candidates", ("max", "min")))
+    records = synth_code_records(language or spec.language, spec.n or 200,
+                                 seed=spec.seed_or(seed))
     examples = build_cloze_examples(records, vocab, candidates)
     if not examples:
         raise CorpusError("no cloze probes could be built from the corpus")

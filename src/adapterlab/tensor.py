@@ -5,11 +5,12 @@ arithmetic, ReLU/GELU, masked softmax, layer norm, embedding lookup, dropout and
 cross-entropy, all on numpy arrays. Tensors are immutable once produced by
 an op; backward walks the recorded tape for a single scalar loss.
 
-The tape records only what a gradient needs: an op whose inputs all have
-``requires_grad=False`` (frozen parameters, constants, anything computed
-only from them) builds a constant, each backward closure computes only the
-parent gradients that are needed, and inside ``no_grad()`` nothing is
-recorded at all.
+The tape records only what a gradient needs, by one rule in ``_make``:
+each op declares one gradient function per parent; an op whose inputs all
+have ``requires_grad=False`` (frozen parameters, constants, anything
+computed only from them) builds a constant, a recorded node runs only the
+gradient functions of the parents that require a gradient, and inside
+``no_grad()`` nothing is recorded at all.
 """
 
 from __future__ import annotations
@@ -89,157 +90,103 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data, parents, backward) -> Tensor:
+def _make(data, parents, grads) -> Tensor:
+    """The one tape rule. ``grads[i]`` maps the upstream gradient to parent
+    ``i``'s gradient; it runs only when that parent requires a gradient, and
+    the node's ``_backward`` returns ``None`` for every other parent."""
     if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+    parents = tuple(parents)
+
+    def backward(g):
+        return tuple(grad(g) if p.requires_grad else None
+                     for p, grad in zip(parents, grads))
+
+    return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
 
 # -- primitive ops ---------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _make(out, (a, b), backward)
+    return _make(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                           lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _make(out, (a, b), backward)
+    return _make(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                           lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return _make(out, (a, b), backward)
+    return _make(a.data * b.data, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape),
+                                           lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-
-    def backward(g):
-        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data ** 2), b.shape)
-                if b.requires_grad else None)
-
-    return _make(out, (a, b), backward)
+    return _make(a.data / b.data, (a, b),
+                 (lambda g: _unbroadcast(g / b.data, a.shape),
+                  lambda g: _unbroadcast(-g * a.data / (b.data ** 2), b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    out = a.data @ b.data
-
-    def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward)
+    return _make(a.data @ b.data, (a, b),
+                 (lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                  lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
 
 
 def power(a: Tensor, p: float) -> Tensor:
-    out = a.data ** p
-
-    def backward(g):
-        return (g * p * a.data ** (p - 1),)
-
-    return _make(out, (a,), backward)
+    return _make(a.data ** p, (a,), (lambda g: g * p * a.data ** (p - 1),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), (lambda g: g * out,))
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), backward)
+    return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / out,)
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), (lambda g: g * 0.5 / out,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return (g * (a.data > 0.0),)
-
-    return _make(out, (a,), backward)
+    return _make(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf) GELU."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out = x * cdf
 
-    def backward(g):
+    def grad(g):
         pdf = np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
-        return (g * (cdf + x * pdf),)
+        return g * (cdf + x * pdf)
 
-    return _make(out, (a,), backward)
+    return _make(x * cdf, (a,), (grad,))
 
 
 def absolute(a: Tensor) -> Tensor:
-    out = np.abs(a.data)
-
-    def backward(g):
-        return (g * np.sign(a.data),)
-
-    return _make(out, (a,), backward)
+    return _make(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
+    def grad(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return np.broadcast_to(g, a.shape).copy()
 
-    return _make(out, (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), (grad,))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -248,46 +195,34 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _make(out, (a,), backward)
+    return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    out = a.data.transpose(axes)
     inv = np.argsort(axes)
-
-    def backward(g):
-        return (g.transpose(inv),)
-
-    return _make(out, (a,), backward)
+    return _make(a.data.transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def tslice(a: Tensor, key) -> Tensor:
-    out = a.data[key]
-
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        return (full,)
+        return full
 
-    return _make(out, (a,), backward)
+    return _make(a.data[key], (a,), (grad,))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % out.ndim)
+    edges = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def backward(g):
-        return tuple(part if t.requires_grad else None
-                     for t, part in zip(tensors, np.split(g, splits, axis=axis)))
+    def part(lo: int, hi: int):
+        key = lead + (slice(lo, hi),)
+        return lambda g: g[key]
 
-    return _make(out, tuple(tensors), backward)
+    return _make(out, tensors, [part(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 def masked_softmax(scores: Tensor, key_mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -303,12 +238,8 @@ def masked_softmax(scores: Tensor, key_mask: np.ndarray, axis: int = -1) -> Tens
     shifted = scores.data - neg.max(axis=axis, keepdims=True)
     e = np.exp(shifted) * mask
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (scores,), backward)
+    return _make(out, (scores,),
+                 (lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True)),))
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -319,35 +250,27 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * weight.data + bias.data
-    n = x.shape[-1]
+    axes = tuple(range(out.ndim - 1))
 
-    def backward(g):
-        dx = gw = gb = None
-        if x.requires_grad:
-            gxhat = g * weight.data
-            dx = inv * (gxhat
-                        - gxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        axes = tuple(range(g.ndim - 1))
-        if weight.requires_grad:
-            gw = (g * xhat).sum(axis=axes)
-        if bias.requires_grad:
-            gb = g.sum(axis=axes)
-        return dx, gw, gb
+    def dx(g):
+        gxhat = g * weight.data
+        return inv * (gxhat
+                      - gxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
 
-    return _make(out, (x, weight, bias), backward)
+    return _make(out, (x, weight, bias), (dx, lambda g: (g * xhat).sum(axis=axes),
+                                          lambda g: g.sum(axis=axes)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
-    out = table.data[ids]
 
-    def backward(g):
+    def grad(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
-        return (gt,)
+        return gt
 
-    return _make(out, (table,), backward)
+    return _make(table.data[ids], (table,), (grad,))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -357,11 +280,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-
-    def backward(g):
-        return (g * keep,)
-
-    return _make(x.data * keep, (x,), backward)
+    return _make(x.data * keep, (x,), (lambda g: g * keep,))
 
 
 IGNORE_INDEX = -100
@@ -385,15 +304,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = IGNORE
     picked = logp[valid, flat_labels[valid]]
     out = -picked.mean()
 
-    def backward(g):
+    def dlogits(g):
         probs = np.exp(logp)
         grad = probs.copy()
         grad[valid, flat_labels[valid]] -= 1.0
         grad[~valid] = 0.0
         grad *= g / n_valid
-        return (grad.reshape(logits.shape),)
+        return grad.reshape(logits.shape)
 
-    return _make(out, (logits,), backward)
+    return _make(out, (logits,), (dlogits,))
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -440,7 +359,7 @@ def backward(loss: Tensor) -> None:
         grads = node._backward(node.grad)
         node.grad = None
         for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
+            if g is None:
                 continue
             if parent.grad is None:
                 parent.grad = np.array(g, dtype=parent.data.dtype)

@@ -318,8 +318,8 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
         raise TrainingError(f"unknown task kind {task_kind!r}")
     if encoder.adapters is None:
         raise TrainingError("no adapter stack attached")
-    if not val_data:
-        raise TrainingError("task dataset needs a validation split")
+    if not train_data or not val_data:
+        raise TrainingError("task dataset needs training items and a validation split")
     if task_kind == "pair_classification" and "head.pair.w" not in encoder.params:
         tasks.register_pair_head(encoder.params, encoder.config.hidden_size)
 

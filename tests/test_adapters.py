@@ -161,6 +161,26 @@ def test_param_count_formulas():
     assert got_inv == invertible_param_count(16, cfg.inv_coupling_dim, cfg.inv_steps)
 
 
+def test_invertible_steps_are_half_width_bottlenecks():
+    """Each coupling step is laid out like an L-adapter of in-width h/2: the
+    same names, shapes, draw order and near-identity init, so its count is
+    the bottleneck count."""
+    enc = _fresh(PlacementPlan(frozenset(), frozenset(), invertible=True))
+    d = AdapterConfig().resolved(CFG.hidden_size).inv_coupling_dim
+    half = CFG.hidden_size // 2
+    for k in range(2):
+        prefix = f"inv.{k}."
+        p = {n[len(prefix):]: enc.params[n].data
+             for n in enc.params.names() if n.startswith(prefix)}
+        assert list(p) == ["down.w", "down.b", "up.w", "up.b"]
+        assert [v.shape for v in p.values()] == [(half, d), (d,), (d, half), (half,)]
+        assert not p["up.w"].any() and 0 < np.abs(p["down.w"]).max() < 1e-2
+    assert invertible_param_count(CFG.hidden_size, d, 2) == 2 * bottleneck_param_count(half, d)
+    draws = np.random.default_rng(1)  # attach's seed: one down.w draw per step, in order
+    assert np.array_equal(enc.params["inv.0.down.w"].data, draws.normal(0.0, 1e-3, (half, d)))
+    assert np.array_equal(enc.params["inv.1.down.w"].data, draws.normal(0.0, 1e-3, (half, d)))
+
+
 def test_freeze_modes_partition_names():
     enc = _fresh(PlacementPlan.full(3, t_adapters=True, invertible=True))
     register_pair_head(enc.params, CFG.hidden_size)

@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from adapterlab import synth
+from adapterlab import synth, training
 from adapterlab.cli import dispatch
 
 TINY = [
@@ -394,3 +394,76 @@ def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
         report = json.loads((tmp_path / f"train_report.layer{i}.json").read_text())
         assert report["steps"] == 3 and report["stopping_reason"] == "max steps"
         assert [row["step"] for row in report["loss"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("subcommand, sets, key", [
+    ("tokenizer-train", ["synthetic=5"], "synthetic"),
+    ("tokenizer-train", ['synthetic.n_sentences="abc"'], "n_sentences"),
+    ("tokenizer-train", ["synthetic.n_sentance=5"], "n_sentance"),
+    ("tokenizer-train", ["synthetic.language=gamma"], "language"),
+    ("tokenizer-train", ["vocab_size=abc"], "vocab_size"),
+    ("tokenizer-train", ["vocab_sise=300"], "vocab_sise"),
+    ("train-task-adapter", ["task=pair_classification", "n_pairs=abc"], "n_pairs"),
+    ("train-task-adapter", ["task=pairs"], "task"),
+    ("eval-clone", ["max_len=abc"], "max_len"),
+    ("eval-clone", ["data=5"], "data"),
+    ("eval-cloze", ["candidates=5"], "candidates"),
+    ("pretrain", ["encoder.vocab_size=7"], "encoder.vocab_size"),
+])
+def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
+                                                subcommand, sets, key):
+    """Each ends in one error line naming the key, not in a traceback and not
+    in a run on the defaults."""
+    root, vocab = pipeline
+    model = ["--set", f"model={root / 'la' / 'l_adapter.ckpt'}"]
+    argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", "train.max_steps=1"]
+    if subcommand != "tokenizer-train":
+        argv += ["--set", f"vocab={vocab}"] + (model if subcommand != "pretrain" else [])
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CliError" and err["subcommand"] == subcommand
+    assert key in err["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["encoder.num_layers=2", "adapter.l_bottleneck=4"])
+def test_budget_paper_scale_refuses_size_keys(tmp_path, capsys, key):
+    assert _run(["budget", "--paper-scale", "--out", str(tmp_path), "--set", key]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and key.split(".")[0] in err["message"]
+
+
+def test_pretrain_accepts_the_vocabulary_size(pipeline, tmp_path):
+    root, vocab = pipeline
+    size = json.loads((root / "tok" / "report.json").read_text())["vocab_size"]
+    assert _run(["pretrain", "--out", str(tmp_path), "--seed", "0", "--set", f"vocab={vocab}",
+                 *TINY, "--set", f"encoder.vocab_size={size}", "--set", "train.max_steps=1",
+                 "--set", "synthetic.n_sentences=50"]) == 0
+
+
+def test_pair_task_validation_shares_no_item_with_training(pipeline, tmp_path,
+                                                           monkeypatch):
+    """Pairs are drawn after the per-class split: at the defaults (20 x 20
+    records, 400 pairs) 360 training pairs come from the training records
+    and 40 validation pairs from the held-out ones."""
+    root, vocab = pipeline
+    seen = {}
+    real = training.train_task_adapter
+
+    def spy(encoder, train_data, val_data, *args):
+        seen.update(train=train_data, val=val_data)
+        return real(encoder, train_data, val_data, *args)
+
+    monkeypatch.setattr(training, "train_task_adapter", spy)
+    assert _run(["train-task-adapter", "--out", str(tmp_path), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "task=pair_classification", "--set", "train.max_steps=1",
+                 "--set", "train.eval_every=1"]) == 0
+    assert len(seen["train"]) == 360 and len(seen["val"]) == 40
+    items = [{i for p in seen[part] for i in (p.id_a, p.id_b)} for part in ("train", "val")]
+    assert not items[0] & items[1]
+    assert {p.label for p in seen["val"]} == {0, 1}

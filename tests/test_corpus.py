@@ -38,6 +38,17 @@ def test_load_fails_above_bad_fraction(tmp_path):
         load_jsonl(p, "unlabeled")
 
 
+def test_valid_json_that_is_no_object_is_a_malformed_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": f"r{i}", "language": "a", "code": "x"} for i in range(199)]
+    _write_jsonl(p, rows + ["5"])
+    records, errors = load_jsonl(p, "unlabeled")
+    assert len(records) == 199 and errors == [(200, "not a JSON object")]
+    _write_jsonl(p, rows[:1] + ["5", '["a list"]'])
+    with pytest.raises(CorpusError, match="line 2: not a JSON object"):
+        load_jsonl(p, "unlabeled")
+
+
 def test_load_empty_file_raises(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text("")

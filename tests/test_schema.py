@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adapterlab.adapters import AdapterConfig, PlacementPlan
 from adapterlab.encoder import EncoderConfig
+from adapterlab.synth import SyntheticSpec
 from adapterlab.training import TrainConfig
 
 sizes = st.integers(1, 512)
@@ -32,9 +33,13 @@ adapter_configs = st.builds(AdapterConfig, st.none() | sizes, st.none() | sizes,
                             st.none() | sizes, sizes)
 layer_sets = st.frozensets(st.integers(1, 48))
 plans = st.builds(PlacementPlan, layer_sets, layer_sets, st.booleans())
+synthetic_specs = st.builds(SyntheticSpec, st.none() | st.integers(0, 2 ** 63),
+                            st.none() | sizes, st.sampled_from(["alpha", "beta"]),
+                            sizes, sizes, sizes)
 
 CONFIGS = [(EncoderConfig, encoder_configs), (TrainConfig, train_configs),
-           (AdapterConfig, adapter_configs), (PlacementPlan, plans)]
+           (AdapterConfig, adapter_configs), (PlacementPlan, plans),
+           (SyntheticSpec, synthetic_specs)]
 IDS = [cls.__name__ for cls, _ in CONFIGS]
 
 json_values = st.recursive(
@@ -81,9 +86,9 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     elif how == "add":
         key = data.draw(st.text(max_size=8).filter(lambda k: k not in d))
         d[key] = data.draw(json_values)
-    else:  # no field of any config takes a string or an object
-        d[key] = data.draw(st.text(max_size=4) | st.dictionaries(st.text(max_size=4),
-                                                                 json_values))
+    else:  # no field takes an object, and the one string field a language name
+        d[key] = data.draw(st.text(max_size=4).filter(lambda t: t not in ("alpha", "beta"))
+                           | st.dictionaries(st.text(max_size=4), json_values))
     with pytest.raises(ValueError) as info:
         cls.from_dict(d)
     assert repr(key) in str(info.value)
@@ -103,6 +108,10 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     (AdapterConfig, "l_bottleneck", 0),
     (AdapterConfig, "inv_steps", 0),
     (PlacementPlan, "t_layers", frozenset({0, 2})),
+    (SyntheticSpec, "seed", -1),
+    (SyntheticSpec, "n", 0),
+    (SyntheticSpec, "per_class", 0),
+    (SyntheticSpec, "language", "gamma"),
 ])
 def test_out_of_range_value_is_refused_from_python_and_json(cls, key, value):
     with pytest.raises(ValueError, match=key):

@@ -4,6 +4,7 @@ languages, cloze probe construction, and clone-class structure."""
 import numpy as np
 import pytest
 
+from adapterlab.corpus import CorpusError
 from adapterlab.synth import (build_cloze_examples, pairs_from_retrieval,
                               synth_clone_classes, synth_code_records,
                               synth_nl_corpus)
@@ -97,3 +98,10 @@ def test_pairs_balanced_and_consistent():
     for p in pairs:
         same = by_id[p.id_a].label == by_id[p.id_b].label
         assert same == bool(p.label)
+
+
+@pytest.mark.parametrize("n_classes, per_class", [(1, 5), (4, 1)])
+def test_pairs_need_two_classes_of_two_items(n_classes, per_class):
+    items = synth_clone_classes(n_classes, per_class, seed=0)
+    with pytest.raises(CorpusError, match="two or more classes of two or more items"):
+        pairs_from_retrieval(items, 10, seed=0)

@@ -25,19 +25,94 @@ def _num_grad(f, x, eps=1e-6):
     return g
 
 
-@pytest.mark.parametrize("op,np_f", [
-    (T.exp, np.exp),
-    (T.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
-    (T.relu, lambda x: np.maximum(x, 0)),
-    (T.sqrt, np.sqrt),
-    (T.absolute, np.abs),
-])
-def test_unary_op_gradients(op, np_f):
-    x = np.abs(RNG.normal(size=(3, 4))) + 0.5
-    t = Tensor(x, requires_grad=True)
-    T.backward(T.tsum(op(t)))
-    num = _num_grad(lambda v: np_f(v).sum(), x)
-    assert np.allclose(t.grad, num, atol=1e-6)
+def _away_from_zero(*shape):
+    """Entries at least 0.1 from zero, where |x| and ReLU are smooth."""
+    return RNG.choice([-1.0, 1.0], size=shape) * (np.abs(RNG.normal(size=shape)) + 0.1)
+
+
+def _positive(*shape):
+    return np.abs(RNG.normal(size=shape)) + 0.5
+
+
+MASK = np.ones((2, 1, 1, 4))
+MASK[0, ..., 3:] = 0
+LABELS = np.array([[1, T.IGNORE_INDEX, 4], [0, 2, T.IGNORE_INDEX]])
+
+# name -> (op on tensors, its inputs): every public op, every parent
+GRADIENT_ROWS = {
+    "add": (T.add, [RNG.normal(size=(3, 4)), RNG.normal(size=(4,))]),
+    "sub": (T.sub, [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 1))]),
+    "mul": (T.mul, [RNG.normal(size=(3, 4)), RNG.normal(size=(1, 4))]),
+    "div": (T.div, [RNG.normal(size=(3, 4)), _positive(3, 4)]),
+    "matmul": (T.matmul, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5))]),
+    "power": (lambda a: T.power(a, 2.5), [_positive(3, 4)]),
+    "exp": (T.exp, [RNG.normal(size=(3, 4))]),
+    "log": (T.log, [_positive(3, 4)]),
+    "sqrt": (T.sqrt, [_positive(3, 4)]),
+    "sigmoid": (T.sigmoid, [RNG.normal(size=(3, 4))]),
+    "relu": (T.relu, [_away_from_zero(3, 4)]),
+    "gelu": (T.gelu, [RNG.normal(size=(3, 4))]),
+    "absolute": (T.absolute, [_away_from_zero(3, 4)]),
+    "tsum": (lambda a: T.tsum(a, axis=1), [RNG.normal(size=(3, 4))]),
+    "tsum_keepdims": (lambda a: T.tsum(a, axis=0, keepdims=True), [RNG.normal(size=(3, 4))]),
+    "tmean": (lambda a: T.tmean(a, axis=-1), [RNG.normal(size=(3, 4))]),
+    "reshape": (lambda a: T.reshape(a, (4, 3)), [RNG.normal(size=(3, 4))]),
+    "transpose": (lambda a: T.transpose(a, (1, 2, 0)), [RNG.normal(size=(2, 3, 4))]),
+    "tslice": (lambda a: T.tslice(a, (slice(None), slice(1, 3))), [RNG.normal(size=(3, 4))]),
+    "concat": (lambda *parts: T.concat(parts, axis=1),
+               [RNG.normal(size=(2, n, 3)) for n in (1, 2, 3)]),
+    "masked_softmax": (lambda a: T.masked_softmax(a, MASK), [RNG.normal(size=(2, 1, 3, 4))]),
+    "layer_norm": (T.layer_norm, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=4),
+                                  RNG.normal(size=4)]),
+    "embedding": (lambda table: T.embedding(table, np.array([[1, 1, 4], [0, 2, 1]])),
+                  [RNG.normal(size=(5, 3))]),
+    "dropout": (lambda a: T.dropout(a, 0.3, np.random.default_rng(0), training=True),
+                [RNG.normal(size=(3, 4))]),
+    "cross_entropy": (lambda a: T.cross_entropy(a, LABELS), [RNG.normal(size=(2, 3, 5))]),
+    "l2_normalize": (T.l2_normalize, [RNG.normal(size=(3, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", GRADIENT_ROWS)
+def test_op_gradients_match_central_differences(name):
+    """Each parent's gradient under a random weighted upstream gradient (an
+    all-ones one cannot tell a transpose from its inverse)."""
+    op, inputs = GRADIENT_ROWS[name]
+    tensors = [Tensor(v, requires_grad=True) for v in inputs]
+    out = op(*tensors)
+    weight = np.random.default_rng(1).normal(size=out.shape)
+    T.backward(T.tsum(T.mul(out, Tensor(weight))))
+    for i, t in enumerate(tensors):
+        def loss(v):
+            values = [v if j == i else x for j, x in enumerate(inputs)]
+            return float((op(*map(Tensor, values)).data * weight).sum())
+        assert np.allclose(t.grad, _num_grad(loss, inputs[i]), atol=1e-6), (name, i)
+
+
+def test_make_never_runs_the_gradient_of_a_frozen_parent():
+    """``_make`` alone applies the freeze rule: a frozen parent's gradient
+    function never runs, and the other parents get what they get when
+    every parent trains."""
+    def raises(g):
+        raise AssertionError("the gradient of a frozen parent ran")
+
+    x, y, z = (RNG.normal(size=(2, 3)) for _ in range(3))
+    g = RNG.normal(size=(2, 3))
+    grads = (lambda g: 2.0 * g, lambda g: -g, lambda g: g * z)
+    everything = T._make(x + y + z, tuple(Tensor(v, requires_grad=True) for v in (x, y, z)),
+                         grads)._backward(g)
+    for k in range(3):
+        parents = tuple(Tensor(v, requires_grad=i != k) for i, v in enumerate((x, y, z)))
+        out = T._make(x + y + z, parents, [raises if i == k else f
+                                           for i, f in enumerate(grads)])
+        got = out._backward(g)
+        assert got[k] is None
+        assert all(np.array_equal(got[i], everything[i]) for i in range(3) if i != k)
+        T.backward(T.tsum(out))  # the whole backward pass skips it as well
+        assert parents[k].grad is None and all(parents[i].grad is not None
+                                               for i in range(3) if i != k)
+    frozen = T._make(x, (Tensor(x),), (raises,))
+    assert frozen._backward is None and not frozen.requires_grad
 
 
 def test_gelu_matches_erf_form():
@@ -251,9 +326,12 @@ def test_layer_norm_and_concat_backward_skip_parents_without_grad():
         grads = out._backward(g)
         assert np.array_equal(grads[k], full[k])
         assert all(grads[i] is None for i in range(3) if i != k)
-    parts = [Tensor(RNG.normal(size=(2, 2)), requires_grad=True), Tensor(np.ones((2, 3)))]
-    ga, gb = T.concat(parts, axis=-1)._backward(RNG.normal(size=(2, 5)))
+    parts = [Tensor(RNG.normal(size=(2, 2)), requires_grad=True), Tensor(np.ones((2, 3))),
+             Tensor(RNG.normal(size=(2, 1)), requires_grad=True)]
+    g = RNG.normal(size=(2, 6))
+    ga, gb, gc = T.concat(parts, axis=-1)._backward(g)
     assert ga.shape == (2, 2) and gb is None
+    assert np.array_equal(ga, g[:, :2]) and np.array_equal(gc, g[:, 5:])
 
 
 def test_no_grad_records_nothing_and_restores_state():
