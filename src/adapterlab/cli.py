@@ -3,20 +3,18 @@ backbone training, adapter training, evaluations, budget reports, layer
 sweeps, and zero-shot transfer runs.
 
 Every run reads one JSON config (optional), applies ``--set key.path=value``
-overrides, and writes its artifacts under ``--out``: the effective config,
-a JSON report, and any checkpoints. Exit codes: 0 success, 1 failed
-precondition (with an error JSON on stderr naming the exception class), 2
-usage error. A training run that stops on a bad step still writes its
-``train_report.json``.
+overrides, checks the result once as a ``schema.RunConfig``, and writes its
+artifacts under ``--out``: the effective config, a JSON report, and any
+checkpoints. Exit codes: 0 success, 1 failed precondition (with an error
+JSON on stderr naming the exception class), 2 usage error. A training run
+that stops on a bad step still writes its ``train_report.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from .budget import build_report, paper_scale_report
 from .checkpoint import (build_model, load_checkpoint, manifest_adapter_config,
                          manifest_config, manifest_plan, save_model)
 from .encoder import Encoder, EncoderConfig
+from .schema import RunConfig
 from .tokenizer import Vocabulary, train_bpe
 from .training import TrainConfig
 
@@ -47,28 +46,9 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return key.split("."), value
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-_STR = ("a string", lambda v: isinstance(v, str))
-# top-level config scalars -> (what the value must be, test), checked by
-# ``_get`` where they are read; config sections are read by ``_config``
-_SCALARS = {
-    **dict.fromkeys(("vocab", "corpus", "data", "backbone", "model", "layers",
-                     "train_language", "eval_language"), _STR),
-    **dict.fromkeys(("vocab_size", "n_pairs"), ("an integer >= 1", _is_count)),
-    "max_len": ("null or an integer >= 1", lambda v: v is None or _is_count(v)),
-    "candidates": ("a list of strings",
-                   lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)),
-    "task": ("'retrieval' or 'pair_classification'",
-             lambda v: v in ("retrieval", "pair_classification")),
-}
-_SECTIONS = {"synthetic", "encoder", "train", "adapter", "placement"}
-
-
 def load_run_config(args: argparse.Namespace) -> dict:
-    """File config plus dotted overrides; overrides win."""
+    """File config plus dotted overrides; overrides win, and zero-shot's
+    ``--adapter`` and ``--eval-language`` win over both."""
     config: dict = {}
     if args.config:
         try:
@@ -80,7 +60,6 @@ def load_run_config(args: argparse.Namespace) -> dict:
             raise CliError(f"config file {args.config} is not valid JSON: {e}")
         if not isinstance(config, dict):
             raise CliError(f"config file {args.config} does not hold a JSON object")
-    config = copy.deepcopy(config)
     for item in args.set or []:
         path, value = _parse_override(item)
         node = config
@@ -89,90 +68,61 @@ def load_run_config(args: argparse.Namespace) -> dict:
             if not isinstance(node, dict):
                 raise CliError(f"override {item!r} descends through a non-object")
         node[path[-1]] = value
-    unknown = sorted(config.keys() - _SCALARS.keys() - _SECTIONS)
-    if unknown:
-        raise CliError(f"unknown config key(s) {unknown}")
+    for flag, key in (("adapter", "model"), ("eval_language", "eval_language")):
+        if getattr(args, flag, None):
+            config[key] = getattr(args, flag)
     return config
 
 
-def resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ADAPTERLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"ADAPTERLAB_SEED={env!r} is not an integer")
-    return 0
-
-
-def _config(cls, config: dict, key: str, base: dict | None = None):
-    """``cls.from_dict`` of config section ``key`` laid over ``base``
-    (default: the class's defaults). The one place where a bad config value
-    becomes a ``CliError``, which names the section and the key."""
-    value = config.get(key, {})
+def _config(cls, run: RunConfig, key: str, base: dict | None = None):
+    """``cls.from_dict`` of run-config section ``key`` laid over ``base``
+    (default: the class's defaults); a bad value becomes a ``CliError``
+    naming the section and the key."""
     try:
-        if not isinstance(value, dict):
-            raise ValueError("must be an object")
-        return cls.from_dict({**(cls().to_dict() if base is None else base), **value})
+        return cls.from_dict({**(cls().to_dict() if base is None else base),
+                              **(getattr(run, key) or {})})
     except ValueError as e:
         raise CliError(f"config key {key!r}: {e}") from e
 
 
-def _get(config: dict, key: str, default=None):
-    """Top-level scalar ``key`` checked against its rule in ``_SCALARS``, or
-    ``default`` when the config does not set it."""
-    if key not in config:
-        return default
-    rule, test = _SCALARS[key]
-    if not test(config[key]):
-        raise CliError(f"config key {key!r} must be {rule}, got {config[key]!r}")
-    return config[key]
-
-
-def _require(config: dict, key: str) -> str:
-    if not config.get(key):
+def _require(run: RunConfig, key: str) -> str:
+    if not getattr(run, key):
         raise CliError(f"config key {key!r} is required")
-    return _get(config, key)
+    return getattr(run, key)
 
 
-def _synthetic(config: dict) -> synth.SyntheticSpec:
-    return _config(synth.SyntheticSpec, config, "synthetic")
-
-
-def _cloze_examples(config: dict, vocab: Vocabulary, seed: int, **kwargs) -> list:
+def _cloze_examples(run: RunConfig, vocab: Vocabulary, seed: int, **kwargs) -> list:
     """Cloze probes drawn, by default, from the held-out seed of ``seed``."""
-    return synth.cloze_examples(_get(config, "data"), _synthetic(config),
-                                synth.held_out_seed(seed), vocab,
-                                tuple(_get(config, "candidates", ["max", "min"])), **kwargs)
+    return synth.cloze_examples(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
+                                synth.held_out_seed(seed), vocab, tuple(run.candidates),
+                                **kwargs)
 
 
-def _refuse(config: dict, keys, reason: str) -> None:
+def _refuse(run: RunConfig, keys, reason: str) -> None:
     """A config key the run would ignore is an error."""
-    ignored = sorted(set(keys) & config.keys())
+    ignored = sorted(k for k in keys if getattr(run, k) is not None)
     if ignored:
         raise CliError(f"config key(s) {ignored} do not apply: {reason}")
 
 
 # -- subcommands -----------------------------------------------------------
 
-def cmd_tokenizer_train(args, config, seed, out: Path) -> dict:
-    texts = synth.nl_texts(_get(config, "corpus"), _synthetic(config), seed)
-    vocab = train_bpe(texts, _get(config, "vocab_size", 2048))
+def cmd_tokenizer_train(args, run, seed, out: Path) -> dict:
+    texts = synth.nl_texts(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"), seed)
+    vocab = train_bpe(texts, run.vocab_size)
     vocab.save(out / "vocab.txt")
     return {"vocab_size": vocab.size, "n_documents": len(texts),
             "n_merges": len(vocab.merges), "vocab_path": str(out / "vocab.txt")}
 
 
-def cmd_pretrain(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
-    enc_cfg = _config(EncoderConfig, config, "encoder")
-    if config.get("encoder", {}).get("vocab_size", vocab.size) != vocab.size:
+def cmd_pretrain(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+    enc_cfg = _config(EncoderConfig, run, "encoder")
+    if (run.encoder or {}).get("vocab_size", vocab.size) != vocab.size:
         raise CliError(f"config key 'encoder.vocab_size' is {enc_cfg.vocab_size}, but "
                        f"the vocabulary has {vocab.size} tokens")
-    texts = synth.nl_texts(_get(config, "corpus"), _synthetic(config), seed)
+    texts = synth.nl_texts(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"), seed)
     encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
     report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
     save_model(out / "backbone.ckpt", "backbone", encoder)
@@ -182,21 +132,21 @@ def cmd_pretrain(args, config, seed, out: Path) -> dict:
             "stopping_reason": report.stopping_reason}
 
 
-def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
-    manifest, state = load_checkpoint(_require(config, "backbone"))
+def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+    manifest, state = load_checkpoint(_require(run, "backbone"))
     plan = adapter_cfg = None
     if manifest.get("placement"):
-        _refuse(config, ("placement", "adapter"), "the backbone already has adapters")
+        _refuse(run, ("placement", "adapter"), "the backbone already has adapters")
     else:
-        plan = (_config(PlacementPlan, config, "placement", {})
-                if config.get("placement") else
+        plan = (_config(PlacementPlan, run, "placement", {}) if run.placement else
                 PlacementPlan.full(manifest_config(manifest).num_layers, invertible=True))
-        adapter_cfg = _config(AdapterConfig, config, "adapter")
+        adapter_cfg = _config(AdapterConfig, run, "adapter")
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = synth.code_records(_get(config, "corpus"), _synthetic(config), seed)
+    records = synth.code_records(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"),
+                                 seed)
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
     language = records[0].language if records else "unknown"
@@ -208,27 +158,28 @@ def cmd_train_lang_adapter(args, config, seed, out: Path) -> dict:
             "stopping_reason": report.stopping_reason}
 
 
-def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
-    task_kind = _get(config, "task", "retrieval")
-    manifest, state = load_checkpoint(_require(config, "model"))
+def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+    task_kind = run.task
+    manifest, state = load_checkpoint(_require(run, "model"))
     plan, adapter_cfg = manifest_plan(manifest), None
     if plan.t_layers:
-        _refuse(config, ("adapter",), "the model already has task adapters")
+        _refuse(run, ("adapter",), "the model already has task adapters")
     else:
         # widen the plan with all-layer T-adapters
         layers = range(1, manifest_config(manifest).num_layers + 1)
         plan = dataclasses.replace(plan, t_layers=frozenset(layers))
-        adapter_cfg = _config(AdapterConfig, config, "adapter",
+        adapter_cfg = _config(AdapterConfig, run, "adapter",
                               manifest_adapter_config(manifest).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     # one split rule for both task kinds: pairs never cross the class split
-    records = synth.retrieval_records(_get(config, "data"), _synthetic(config), seed)
+    records = synth.retrieval_records(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
+                                      seed)
     train_data, val_data = training.class_split(records, seed)
     if task_kind == "pair_classification":
-        n_pairs = _get(config, "n_pairs", 400)
+        n_pairs = run.n_pairs or 400
         n_train = int(0.9 * n_pairs)
         train_data = synth.pairs_from_retrieval(train_data, n_train, seed=seed)
         val_data = synth.pairs_from_retrieval(val_data, n_pairs - n_train, seed=seed)
@@ -244,20 +195,20 @@ def cmd_train_task_adapter(args, config, seed, out: Path) -> dict:
             "stopping_reason": report.stopping_reason}
 
 
-def cmd_eval_cloze(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    encoder = build_model(*load_checkpoint(_require(config, "model")))
-    examples = _cloze_examples(config, vocab, seed)
+def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    encoder = build_model(*load_checkpoint(_require(run, "model")))
+    examples = _cloze_examples(run, vocab, seed)
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
     return {"accuracy": result.accuracy, "n_examples": result.n}
 
 
-def cmd_eval_clone(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    encoder = build_model(*load_checkpoint(_require(config, "model")))
-    task_kind, max_len = _get(config, "task", "retrieval"), _get(config, "max_len")
-    records = synth.retrieval_records(_get(config, "data"), _synthetic(config),
+def cmd_eval_clone(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    encoder = build_model(*load_checkpoint(_require(run, "model")))
+    task_kind, max_len = run.task, run.max_len
+    records = synth.retrieval_records(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
                                       synth.held_out_seed(seed))
     if task_kind == "retrieval":
         res = tasks.embed_corpus(encoder, records, vocab, max_len)
@@ -266,18 +217,18 @@ def cmd_eval_clone(args, config, seed, out: Path) -> dict:
                 "n_items": len(records), "n_truncated": res.n_truncated}
     if "head.pair.w" not in encoder.params:
         raise CliError("model checkpoint has no pair-classification head")
-    pairs = synth.pairs_from_retrieval(records, _get(config, "n_pairs", 200), seed=seed)
+    pairs = synth.pairs_from_retrieval(records, run.n_pairs or 200, seed=seed)
     scores = tasks.eval_pairs(encoder, pairs, vocab, max_len=max_len)
     return {"task": task_kind, "n_pairs": len(pairs), **scores}
 
 
-def cmd_budget(args, config, seed, out: Path) -> dict:
+def cmd_budget(args, run, seed, out: Path) -> dict:
     if args.paper_scale:
-        _refuse(config, ("encoder", "adapter"), "--paper-scale fixes every size")
+        _refuse(run, ("encoder", "adapter"), "--paper-scale fixes every size")
         report = paper_scale_report()
     else:
-        report = build_report(_config(EncoderConfig, config, "encoder"),
-                              _config(AdapterConfig, config, "adapter"))
+        report = build_report(_config(EncoderConfig, run, "encoder"),
+                              _config(AdapterConfig, run, "adapter"))
     doc = report.to_dict()
     print(f"{'component':<12}{'parameters':>14}{'MB':>10}{'% of model':>12}")
     for name, count in report.counts.items():
@@ -288,26 +239,22 @@ def cmd_budget(args, config, seed, out: Path) -> dict:
     return doc
 
 
-def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    manifest, state = load_checkpoint(_require(config, "model"))
+def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    manifest, state = load_checkpoint(_require(run, "model"))
     if not manifest.get("placement"):
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan = manifest_plan(manifest)
     L = manifest_config(manifest).num_layers
-    layers = _get(config, "layers", f"0..{L}")
-    try:
-        lo, hi = (int(p) for p in str(layers).split(".."))
-    except ValueError:
-        raise CliError(f"bad layer range {layers!r}; expected LO..HI")
+    lo, hi = map(int, (run.layers or f"0..{L}").split(".."))
     if not 0 <= lo <= hi <= L:
-        raise CliError(f"layer range {lo}..{hi} outside [0, {L}]")
+        raise CliError(f"config key 'layers': range {lo}..{hi} outside [0, {L}]")
 
-    examples = _cloze_examples(config, vocab, seed)
+    examples = _cloze_examples(run, vocab, seed)
     if args.retrain_per_layer:
-        texts = [r.code for r in synth.code_records(_get(config, "corpus"),
-                                                    _synthetic(config), seed)]
-        train_cfg = _config(TrainConfig, config, "train", TrainConfig(seed=seed).to_dict())
+        spec = _config(synth.SyntheticSpec, run, "synthetic")
+        texts = [r.code for r in synth.code_records(run.corpus, spec, seed)]
+        train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
     rows = []
     for i in range(lo, hi + 1):
         plan = full_plan.truncated(i, L)
@@ -323,24 +270,20 @@ def cmd_sweep_layers(args, config, seed, out: Path) -> dict:
             "metric": "cloze_accuracy", "rows": rows}
 
 
-def cmd_zero_shot(args, config, seed, out: Path) -> dict:
-    if args.adapter:
-        config["model"] = args.adapter
-    if args.eval_language:
-        config["eval_language"] = args.eval_language
-    vocab = Vocabulary.load(_require(config, "vocab"))
-    manifest, state = load_checkpoint(_require(config, "model"))
+def cmd_zero_shot(args, run, seed, out: Path) -> dict:
+    vocab = Vocabulary.load(_require(run, "vocab"))
+    manifest, state = load_checkpoint(_require(run, "model"))
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    trained_on = _get(config, "train_language") or manifest.get("language")
+    trained_on = run.train_language or manifest.get("language")
     if not trained_on:
         raise CliError("training language unknown; set config key 'train_language'")
-    unseen = _get(config, "eval_language")
+    unseen = run.eval_language
     if not unseen:
         raise CliError("--eval-language (or config key 'eval_language') is required")
     scores = {}
     for language in (trained_on, unseen):
-        examples = _cloze_examples(config, vocab, seed, language=language)
+        examples = _cloze_examples(run, vocab, seed, language=language)
         scores[language] = tasks.eval_cloze(encoder, examples, vocab.mask_id).accuracy
     return {"train_language": trained_on, "eval_language": unseen,
             "cloze_accuracy": scores,
@@ -371,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config value (JSON-parsed)")
         p.add_argument("--out", default="runs/latest", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="run seed (default: $ADAPTERLAB_SEED, else 0)")
+        p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         if name == "budget":
             p.add_argument("--paper-scale", action="store_true",
                            help="use the 12-layer/768-hidden reference config")
@@ -390,16 +332,19 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_run_config(args)
-        seed = resolve_seed(args)
+        try:
+            run = RunConfig.from_dict({**RunConfig().to_dict(), **load_run_config(args)})
+        except ValueError as e:
+            raise CliError(f"run config: {e}") from e
+        seed = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report = _HANDLERS[args.subcommand](args, config, seed, out)
+        report = _HANDLERS[args.subcommand](args, run, seed, out)
         report["subcommand"] = args.subcommand
         report["seed"] = seed
         (out / "report.json").write_text(json.dumps(report, indent=2))
         (out / "config.json").write_text(json.dumps(
-            {"subcommand": args.subcommand, "seed": seed, "config": config}, indent=2))
+            {"subcommand": args.subcommand, "seed": seed, "config": run.to_dict()}, indent=2))
         print(json.dumps(report, indent=2))
         return 0
     except (CliError, ValueError, RuntimeError, OSError) as e:

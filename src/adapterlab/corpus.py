@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from .schema import checked
+
 
 class CorpusError(ValueError):
     pass
@@ -23,7 +25,6 @@ class CorpusRecord:
     language: str
     code: str
     nl: str | None = None
-    split: str | None = None
 
 
 @dataclasses.dataclass
@@ -64,8 +65,8 @@ _RECORD_TYPES = {
 
 def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
     """Load and validate one JSON object per line: every field of the
-    kind's record type without a default is required, unknown keys are
-    dropped.
+    kind's record type without a default is required, each field present
+    must be of its annotated JSON type, unknown keys are dropped.
 
     Malformed lines are collected with their line numbers; more than
     ``max_bad_fraction`` of them is a hard failure.
@@ -96,7 +97,11 @@ def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
             if missing:
                 errors.append((lineno, f"missing fields: {', '.join(missing)}"))
                 continue
-            records.append(cls(**{f.name: obj[f.name] for f in fields if f.name in obj}))
+            try:
+                records.append(cls(**{f.name: checked(f.name, f.type, obj[f.name])
+                                      for f in fields if f.name in obj}))
+            except ValueError as e:
+                errors.append((lineno, str(e)))
     if n_lines == 0:
         raise CorpusError(f"{path}: empty file")
     if len(errors) / n_lines > max_bad_fraction:

@@ -1,15 +1,18 @@
-"""The base of the config dataclasses: ``to_dict`` and its checked inverse.
+"""The base of the config dataclasses: ``to_dict`` and its checked inverse;
+and the one JSON type table for everything read from outside.
 
 ``from_dict`` takes exactly the keys ``to_dict`` writes, each of its field's
 JSON type; value ranges are each class's ``__post_init__`` (via ``check``),
 so a config built in Python meets the same rule. Both raise ``ValueError``
-naming the key, for run configs and checkpoint manifests alike.
+naming the key, for run configs, checkpoint manifests and (through
+``checked``) dataset records alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 
 
@@ -29,9 +32,24 @@ _TYPES = {
     "float": ("a finite number", _is_number, float),
     "str": ("a string", lambda v: isinstance(v, str), None),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v), None),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), None),
+    "list[int]": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(map(_is_int, v)), None),
+    "list[str]": ("a list of strings", lambda v: isinstance(v, list)
+                  and all(isinstance(w, str) for w in v), None),
     "frozenset[int]": ("a list of integers",
                        lambda v: isinstance(v, list) and all(map(_is_int, v)), frozenset),
+    "dict | None": ("an object or null", lambda v: v is None or isinstance(v, dict), None),
 }
+
+
+def checked(name: str, annotation: str, value):
+    """``value`` as a field ``name`` of type ``annotation`` holds it;
+    ``ValueError`` naming ``name`` if its JSON type is wrong."""
+    rule, test, convert = _TYPES[annotation]
+    if not test(value):
+        raise ValueError(f"key {name!r} must be {rule}, got {value!r}")
+    return convert(value) if convert else value
 
 
 class JsonConfig:
@@ -49,13 +67,7 @@ class JsonConfig:
         if unknown or missing:
             what = "unknown" if unknown else "missing"
             raise ValueError(f"{what} key(s) {', '.join(map(repr, unknown or missing))}")
-        kwargs = {}
-        for f in fields:
-            rule, test, convert = _TYPES[f.type]
-            if not test(d[f.name]):
-                raise ValueError(f"key {f.name!r} must be {rule}, got {d[f.name]!r}")
-            kwargs[f.name] = convert(d[f.name]) if convert else d[f.name]
-        return cls(**kwargs)
+        return cls(**{f.name: checked(f.name, f.type, d[f.name]) for f in fields})
 
 
 def check(obj, rule: str, test, *names: str) -> None:
@@ -64,3 +76,37 @@ def check(obj, rule: str, test, *names: str) -> None:
     for name in names:
         if not test(getattr(obj, name)):
             raise ValueError(f"key {name!r} must be {rule}, got {getattr(obj, name)!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig(JsonConfig):
+    """The top level of a run config. A null path, size or language is the
+    subcommand's default (or a key it requires); each section stays a JSON
+    object, laid over its subcommand's base and checked by its own class
+    when the subcommand reads it. A null ``layers`` is the full range."""
+    vocab: str | None = None
+    corpus: str | None = None
+    data: str | None = None
+    backbone: str | None = None
+    model: str | None = None
+    vocab_size: int = 2048
+    n_pairs: int | None = None
+    max_len: int | None = None
+    candidates: list[str] = dataclasses.field(default_factory=lambda: ["max", "min"])
+    task: str = "retrieval"
+    layers: str | None = None
+    train_language: str | None = None
+    eval_language: str | None = None
+    synthetic: dict | None = None
+    encoder: dict | None = None
+    train: dict | None = None
+    adapter: dict | None = None
+    placement: dict | None = None
+
+    def __post_init__(self):
+        check(self, ">= 1", lambda v: v >= 1, "vocab_size")
+        check(self, "null or >= 1", lambda v: v is None or v >= 1, "n_pairs", "max_len")
+        check(self, "'retrieval' or 'pair_classification'",
+              lambda v: v in ("retrieval", "pair_classification"), "task")
+        check(self, "null or a range LO..HI",
+              lambda v: v is None or re.fullmatch(r"[0-9]+\.\.[0-9]+", v), "layers")

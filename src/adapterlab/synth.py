@@ -113,8 +113,7 @@ def synth_code_records(language: str = "alpha", n: int = 600,
 
 
 def build_cloze_examples(records: list[CorpusRecord], vocab: Vocabulary,
-                         candidates: tuple[str, ...] = ("max", "min"),
-                         limit: int | None = None) -> list[ClozeRecord]:
+                         candidates: tuple[str, ...] = ("max", "min")) -> list[ClozeRecord]:
     """Mask single-token occurrences of the candidate words in tokenized code.
 
     Skips records where a candidate word does not map to one vocabulary
@@ -142,8 +141,6 @@ def build_cloze_examples(records: list[CorpusRecord], vocab: Vocabulary,
                     candidates=list(cand_ids), answer=tok,
                     language=rec.language, has_nl=rec.nl is not None))
                 break  # one probe per record keeps examples independent
-        if limit is not None and len(examples) >= limit:
-            break
     return examples
 
 

@@ -9,6 +9,7 @@ deterministic tie-break by ascending item id. Pair classification feeds
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import tensor as T
 from .corpus import ClozeRecord, PairRecord, RetrievalRecord
 from .encoder import Encoder
 from .tensor import ParameterSet, Tensor
-from .tokenizer import Vocabulary, encode_batch
+from .tokenizer import Vocabulary, encode_batch, pad_batch
 
 
 class TaskError(ValueError):
@@ -41,20 +42,18 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord], mask_id: int,
     for ex in examples:
         if ex.answer not in ex.candidates:
             raise TaskError(f"example {ex.id}: gold answer not in candidates")
-        if ex.tokens.count(mask_id) != 1 or ex.tokens[ex.mask_index] != mask_id:
+        if not all(0 <= c < encoder.config.vocab_size for c in ex.candidates):
+            raise TaskError(f"example {ex.id}: a candidate id is outside the vocabulary")
+        if (ex.tokens.count(mask_id) != 1 or not 0 <= ex.mask_index < len(ex.tokens)
+                or ex.tokens[ex.mask_index] != mask_id):
             raise TaskError(f"example {ex.id}: expected exactly one mask "
                             f"at position {ex.mask_index}")
     predictions = []
     correct = 0
-    pad = 0  # ids are pre-tokenized; pad with 0 and mask it out
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        width = max(len(ex.tokens) for ex in chunk)
-        ids = np.full((len(chunk), width), pad, dtype=np.int64)
-        attn = np.zeros_like(ids)
-        for r, ex in enumerate(chunk):
-            ids[r, :len(ex.tokens)] = ex.tokens
-            attn[r, :len(ex.tokens)] = 1
+        # ids are pre-tokenized; pad with 0 and mask it out
+        ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
         with T.no_grad():
             logits = encoder.mlm_logits(encoder.forward(ids, attn, mode="mlm")).data
         for r, ex in enumerate(chunk):
@@ -84,7 +83,12 @@ def embed_texts(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                 rng: np.random.Generator | None = None) -> Tensor:
     """Unit-norm mean-pooled embeddings [len(texts), h]: encode, run the
     ``embed`` forward pass, pool."""
-    ids, attn = encode_batch(texts, vocab, max_len)
+    return embed_ids(encoder, *encode_batch(texts, vocab, max_len), training, rng)
+
+
+def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """``embed_texts`` of texts already encoded and padded."""
     hidden = encoder.forward(ids, attn, mode="embed", training=training, rng=rng)
     return encoder.sequence_embedding(hidden, attn)
 
@@ -95,10 +99,11 @@ def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
     max_len = max_len or encoder.config.max_positions
     rows, n_truncated = [], 0
     for start in range(0, len(items), batch_size):
-        texts = [it.code for it in items[start:start + batch_size]]
-        n_truncated += sum(len(vocab.encode(t)) > max_len for t in texts)
+        encoded = [vocab.encode(it.code) for it in items[start:start + batch_size]]
+        n_truncated += sum(len(e) > max_len for e in encoded)
         with T.no_grad():
-            rows.append(embed_texts(encoder, texts, vocab, max_len).data)
+            rows.append(embed_ids(encoder, *pad_batch([e[:max_len] for e in encoded],
+                                                      vocab.pad_id)).data)
     return EmbedResult(ids=[it.id for it in items],
                        labels=[it.label for it in items],
                        embeddings=np.concatenate(rows, axis=0),
@@ -124,9 +129,7 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
     if n < 2 or embeddings.shape[0] != n:
         raise TaskError("need >= 2 items with one embedding per label")
     ids = list(range(n)) if ids is None else list(ids)
-    counts: dict = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
+    counts = Counter(labels)
     singletons = sorted(str(lab) for lab, c in counts.items() if c < 2)
     if singletons:
         raise TaskError(f"singleton classes (need >= 2 members): {singletons}")
@@ -171,15 +174,11 @@ def f1_score(tp: int, fp: int, tn: int, fn: int) -> F1Result:
     """Precision/recall/F1 from confusion counts; degenerate cases yield 0."""
     if min(tp, fp, tn, fn) < 0:
         raise TaskError("confusion counts must be nonnegative")
-    degenerate = False
-    if tp + fp == 0 or tp + fn == 0:
-        degenerate = True
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
-    if p + r == 0:
-        degenerate = True
-    return F1Result(precision=p, recall=r, f1=f, degenerate=degenerate)
+    return F1Result(precision=p, recall=r, f1=f,
+                    degenerate=tp + fp == 0 or tp + fn == 0 or p + r == 0)
 
 
 def register_pair_head(params: ParameterSet, hidden_size: int,
@@ -223,17 +222,10 @@ def classify_pair(encoder: Encoder, pair: PairRecord, vocab: Vocabulary,
 
 def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
                max_len: int | None = None) -> dict:
-    tp = fp = tn = fn = 0
-    for pair in pairs:
-        pred = classify_pair(encoder, pair, vocab, max_len) > 0.5
-        if pair.label and pred:
-            tp += 1
-        elif pair.label and not pred:
-            fn += 1
-        elif not pair.label and pred:
-            fp += 1
-        else:
-            tn += 1
+    # (is a clone, predicted a clone) -> count
+    seen = Counter((bool(pair.label), classify_pair(encoder, pair, vocab, max_len) > 0.5)
+                   for pair in pairs)
+    tp, fn, fp, tn = seen[True, True], seen[True, False], seen[False, True], seen[False, False]
     res = f1_score(tp, fp, tn, fn)
     return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
             "precision": res.precision, "recall": res.recall, "f1": res.f1}

@@ -125,24 +125,34 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """``TokenizerError`` names the file, and the line of a bad entry or
+        every missing special token."""
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != VOCAB_HEADER:
-            raise TokenizerError(f"not a vocabulary file (expected header {VOCAB_HEADER!r})")
+            raise TokenizerError(f"{path}: not a vocabulary file "
+                                 f"(expected header {VOCAB_HEADER!r})")
         token_to_id: dict[str, int] = {}
         merges: list[tuple[str, str]] = []
         section = "tokens"
-        for line in lines[1:]:
-            if line == "#merges":
-                section = "merges"
-                continue
-            if not line:
-                continue
-            a, b = line.split("\t")
-            if section == "tokens":
-                token_to_id[_unescape(a)] = int(b)
-            else:
-                merges.append((_unescape(a), _unescape(b)))
+        try:
+            for lineno, line in enumerate(lines[1:], start=2):
+                if line == "#merges":
+                    section = "merges"
+                    continue
+                if not line:
+                    continue
+                a, b = line.split("\t")
+                if section == "tokens":
+                    token_to_id[_unescape(a)] = int(b)
+                else:
+                    merges.append((_unescape(a), _unescape(b)))
+        except ValueError as e:  # no single tab, a bad id or a bad escape
+            raise TokenizerError(f"{path}, line {lineno}: bad {section} entry "
+                                 f"{line!r} ({e})") from e
+        missing = [t for t in SPECIAL_TOKENS if t not in token_to_id]
+        if missing:
+            raise TokenizerError(f"{path}: missing special token(s) {', '.join(missing)}")
         return cls(token_to_id=token_to_id, merges=merges)
 
 
@@ -236,13 +246,17 @@ def apply_mlm_mask(ids: np.ndarray, attention_mask: np.ndarray, vocab: Vocabular
     return MaskedBatch(input_ids=out, attention_mask=attention_mask, labels=labels)
 
 
-def encode_batch(texts: Sequence[str], vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encode, truncate to ``max_len`` and pad; returns (ids, attention_mask)."""
-    encoded = [vocab.encode(t)[:max_len] for t in texts]
+def pad_batch(encoded: Sequence[Sequence[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences to the longest; returns (ids, attention_mask)."""
     width = max(len(e) for e in encoded)
-    ids = np.full((len(encoded), width), vocab.pad_id, dtype=np.int64)
+    ids = np.full((len(encoded), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(encoded), width), dtype=np.int64)
     for r, e in enumerate(encoded):
         ids[r, :len(e)] = e
         mask[r, :len(e)] = 1
     return ids, mask
+
+
+def encode_batch(texts: Sequence[str], vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encode, truncate to ``max_len`` and pad; returns (ids, attention_mask)."""
+    return pad_batch([vocab.encode(t)[:max_len] for t in texts], vocab.pad_id)

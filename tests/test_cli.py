@@ -1,8 +1,8 @@
 """CLI: dispatch, config/override plumbing, exit codes, and a miniature
 end-to-end pipeline through every subcommand."""
 
+import dataclasses
 import json
-import os
 import zipfile
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from adapterlab import synth, training
 from adapterlab.cli import dispatch
+from adapterlab.tokenizer import Vocabulary
 
 TINY = [
     "--set", "encoder.num_layers=2", "--set", "encoder.hidden_size=32",
@@ -110,9 +111,10 @@ def test_config_file_with_override(tmp_path):
 
 
 def test_seed_env_and_flag(tmp_path, monkeypatch):
+    """``--seed`` alone sets the run seed; the environment is not read."""
     monkeypatch.setenv("ADAPTERLAB_SEED", "77")
     assert _run(["budget", "--out", str(tmp_path / "a")]) == 0
-    assert _report(tmp_path / "a")["seed"] == 77
+    assert _report(tmp_path / "a")["seed"] == 0
     assert _run(["budget", "--out", str(tmp_path / "b"), "--seed", "5"]) == 0
     assert _report(tmp_path / "b")["seed"] == 5
 
@@ -184,6 +186,14 @@ def test_sweep_layers_cli(pipeline, tmp_path):
     rep = _report(tmp_path)
     assert [row["i"] for row in rep["rows"]] == [0, 1, 2]
     assert rep["mode"] == "truncate"
+
+
+def test_sweep_layers_null_range_is_the_full_range(pipeline, tmp_path):
+    root, vocab = pipeline
+    assert _run(["sweep-layers", "--out", str(tmp_path), "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "synthetic.n=20", "--set", "layers=null"]) == 0
+    assert [row["i"] for row in _report(tmp_path)["rows"]] == [0, 1, 2]
 
 
 def test_sweep_layers_bad_range(pipeline, tmp_path):
@@ -409,6 +419,8 @@ def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
     ("eval-clone", ["data=5"], "data"),
     ("eval-cloze", ["candidates=5"], "candidates"),
     ("pretrain", ["encoder.vocab_size=7"], "encoder.vocab_size"),
+    ("budget", ["task=pairs"], "task"),
+    ("budget", ["layers=1-2"], "layers"),
 ])
 def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
                                                 subcommand, sets, key):
@@ -467,3 +479,48 @@ def test_pair_task_validation_shares_no_item_with_training(pipeline, tmp_path,
     items = [{i for p in seen[part] for i in (p.id_a, p.id_b)} for part in ("train", "val")]
     assert not items[0] & items[1]
     assert {p.label for p in seen["val"]} == {0, 1}
+
+
+def _one_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("subcommand, kind, field, value", [
+    ("eval-clone", "retrieval", "code", 5),
+    ("eval-cloze", "cloze", "mask_index", "2"),
+])
+def test_wrong_typed_dataset_field_exits_1_naming_it(pipeline, tmp_path, capsys,
+                                                     subcommand, kind, field, value):
+    """A dataset line whose field has the wrong JSON type is a malformed line;
+    above the 1% tolerance the run exits 1 with one error line naming it."""
+    root, vocab = pipeline
+    records = (synth.synth_clone_classes(3, 3, seed=0) if kind == "retrieval" else
+               synth.build_cloze_examples(synth.synth_code_records("alpha", 6, seed=0),
+                                          Vocabulary.load(vocab)))
+    rows = [dataclasses.asdict(r) for r in records]
+    rows[1][field] = value
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert _run([subcommand, "--out", str(tmp_path / "o"), "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", f"data={data}"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CorpusError" and "line 2" in err["message"]
+    assert repr(field) in err["message"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda lines: [ln for ln in lines if not ln.startswith("<mask>\t")], "<mask>"),
+    (lambda lines: lines[:3] + ["no-tab-here"] + lines[3:], "line 4"),
+], ids=["special-token-missing", "line-without-tab"])
+def test_bad_vocabulary_exits_1_naming_it(pipeline, tmp_path, capsys, edit, named):
+    root, vocab = pipeline
+    bad = tmp_path / "vocab.txt"
+    bad.write_text("\n".join(edit(open(vocab, encoding="utf-8").read().splitlines())) + "\n")
+    assert _run(["pretrain", "--out", str(tmp_path / "o"), "--set", f"vocab={bad}", *TINY,
+                 "--set", "train.max_steps=1", "--set", "synthetic.n_sentences=50"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "TokenizerError"
+    assert str(bad) in err["message"] and named in err["message"]

@@ -69,3 +69,41 @@ def test_save_load_round_trip(tmp_path):
     back, _ = load_jsonl(p, "unlabeled")
     assert [r.id for r in back] == [r["id"] for r in rows]
     assert back[1].nl == "doc" and back[0].nl is None
+
+
+GOOD = {
+    "unlabeled": {"id": "r", "language": "alpha", "code": "x = 1 ;"},
+    "cloze": {"id": "c", "tokens": [0, 4, 1], "mask_index": 1, "candidates": [7, 8],
+              "answer": 7, "language": "alpha", "has_nl": False},
+    "retrieval": {"id": "r", "label": "class00", "code": "x = 1 ;", "language": "alpha"},
+    "pair": {"id_a": "a", "id_b": "b", "code_a": "x", "code_b": "y", "label": 1},
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("unlabeled", "code", 5),
+    ("unlabeled", "nl", ["doc"]),
+    ("cloze", "mask_index", "2"),
+    ("cloze", "tokens", [0, "4", 1]),
+    ("cloze", "has_nl", 1),
+    ("retrieval", "label", 3),
+    ("pair", "label", True),
+])
+def test_wrong_typed_field_is_a_malformed_line_naming_it(tmp_path, kind, field, value):
+    """Each present field is checked against its record annotation through
+    the schema's type table: one wrong-typed line in 200 is dropped and
+    reported, and above the 1% tolerance it fails the load."""
+    p = tmp_path / "d.jsonl"
+    _write_jsonl(p, [GOOD[kind]] * 199 + [{**GOOD[kind], field: value}])
+    records, errors = load_jsonl(p, kind)
+    assert len(records) == 199 and [n for n, _ in errors] == [200]
+    assert repr(field) in errors[0][1]
+    _write_jsonl(p, [GOOD[kind], {**GOOD[kind], field: value}])
+    with pytest.raises(CorpusError, match=f"line 2: key '{field}'"):
+        load_jsonl(p, kind)
+
+
+def test_optional_field_may_be_null(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_jsonl(p, [{**GOOD["unlabeled"], "nl": None, "split": None}])
+    assert load_jsonl(p, "unlabeled")[0][0].nl is None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adapterlab.adapters import AdapterConfig, PlacementPlan
 from adapterlab.encoder import EncoderConfig
+from adapterlab.schema import RunConfig
 from adapterlab.synth import SyntheticSpec
 from adapterlab.training import TrainConfig
 
@@ -37,16 +38,32 @@ synthetic_specs = st.builds(SyntheticSpec, st.none() | st.integers(0, 2 ** 63),
                             st.none() | sizes, st.sampled_from(["alpha", "beta"]),
                             sizes, sizes, sizes)
 
+
+def _json(floats):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | floats | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                    inner, max_size=3),
+        max_leaves=6)
+
+
+json_values = _json(st.floats())
+strings = st.none() | st.text(max_size=8)
+sections = st.none() | st.dictionaries(st.text(max_size=4), _json(st.floats(allow_nan=False)),
+                                       max_size=3)
+run_configs = st.builds(
+    RunConfig, vocab=strings, corpus=strings, data=strings, backbone=strings, model=strings,
+    vocab_size=sizes, n_pairs=st.none() | sizes, max_len=st.none() | sizes,
+    candidates=st.lists(st.text(max_size=4), max_size=3),
+    task=st.sampled_from(["retrieval", "pair_classification"]),
+    layers=st.none() | st.builds("{}..{}".format, st.integers(0, 48), st.integers(0, 48)),
+    train_language=strings, eval_language=strings, synthetic=sections, encoder=sections,
+    train=sections, adapter=sections, placement=sections)
+
 CONFIGS = [(EncoderConfig, encoder_configs), (TrainConfig, train_configs),
            (AdapterConfig, adapter_configs), (PlacementPlan, plans),
-           (SyntheticSpec, synthetic_specs)]
+           (SyntheticSpec, synthetic_specs), (RunConfig, run_configs)]
 IDS = [cls.__name__ for cls, _ in CONFIGS]
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
-                                                                inner, max_size=3),
-    max_leaves=6)
 
 
 def _names(cls):
@@ -86,6 +103,8 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     elif how == "add":
         key = data.draw(st.text(max_size=8).filter(lambda k: k not in d))
         d[key] = data.draw(json_values)
+    elif cls is RunConfig:  # its fields take strings, integers, lists and objects
+        d[key] = data.draw(st.booleans() | st.floats())
     else:  # no field takes an object, and the one string field a language name
         d[key] = data.draw(st.text(max_size=4).filter(lambda t: t not in ("alpha", "beta"))
                            | st.dictionaries(st.text(max_size=4), json_values))
@@ -112,6 +131,12 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     (SyntheticSpec, "n", 0),
     (SyntheticSpec, "per_class", 0),
     (SyntheticSpec, "language", "gamma"),
+    (RunConfig, "vocab_size", 0),
+    (RunConfig, "n_pairs", 0),
+    (RunConfig, "max_len", -1),
+    (RunConfig, "task", "pairs"),
+    (RunConfig, "layers", "1-2"),
+    (RunConfig, "layers", "..2"),
 ])
 def test_out_of_range_value_is_refused_from_python_and_json(cls, key, value):
     with pytest.raises(ValueError, match=key):
@@ -133,3 +158,9 @@ def test_from_dict_keeps_json_types_apart():
                                   "learning_rate": 1}).learning_rate == 1.0
     assert PlacementPlan.from_dict({"l_layers": [2, 1, 2], "t_layers": [],
                                     "invertible": True}).l_layers == frozenset({1, 2})
+
+
+def test_run_config_defaults_leave_every_section_and_path_unset():
+    run = RunConfig.from_dict({**RunConfig().to_dict(), "encoder": {"num_layers": 2}})
+    assert run.encoder == {"num_layers": 2} and run.train is None and run.vocab is None
+    assert (run.task, run.candidates, run.layers) == ("retrieval", ["max", "min"], None)

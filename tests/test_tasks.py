@@ -3,6 +3,8 @@ oracles, pair classification, and the in-batch-negative contrastive loss."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from adapterlab import tensor as T
@@ -81,6 +83,55 @@ def test_map_at_r_matches_oracle_random():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+# classes of 2-6 members, a seed for continuous (tie-free) embeddings, a metric
+retrieval_sets = st.tuples(st.lists(st.integers(2, 6), min_size=1, max_size=6),
+                           st.integers(0, 2 ** 32 - 1), st.sampled_from(["cosine", "euclidean"]))
+
+
+def _draw_set(sizes, seed):
+    rng = np.random.default_rng(seed)
+    labels = [c for c, k in enumerate(sizes) for _ in range(k)]
+    return rng.normal(size=(len(labels), 4)), labels, [f"i{j}" for j in range(len(labels))], rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(retrieval_sets, st.data())
+def test_map_at_r_ignores_item_order(case, data):
+    sizes, seed, metric = case
+    emb, labels, ids, _ = _draw_set(sizes, seed)
+    order = data.draw(st.permutations(range(len(labels))))
+    got = map_at_r(emb[order], [labels[j] for j in order], [ids[j] for j in order],
+                   metric=metric).map_at_r
+    want = _map_at_r_oracle(emb, labels, ids, metric=metric)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert map_at_r(emb, labels, ids, metric=metric).map_at_r == pytest.approx(got, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(retrieval_sets, st.data())
+def test_map_at_r_ignores_class_names(case, data):
+    sizes, seed, metric = case
+    emb, labels, ids, _ = _draw_set(sizes, seed)
+    names = data.draw(st.lists(st.text(max_size=3), min_size=len(sizes), max_size=len(sizes),
+                               unique=True))
+    renamed = [names[c] for c in labels]
+    got = map_at_r(emb, renamed, ids, metric=metric).map_at_r
+    assert got == pytest.approx(_map_at_r_oracle(emb, labels, ids, metric=metric), abs=1e-12)
+    assert got == pytest.approx(map_at_r(emb, labels, ids, metric=metric).map_at_r, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(retrieval_sets)
+def test_map_at_r_of_a_perfect_embedding_is_one(case):
+    """Items near their own class axis: every same-class item is nearer than
+    every other one."""
+    sizes, seed, metric = case
+    _, labels, ids, rng = _draw_set(sizes, seed)
+    emb = 10 * np.eye(len(sizes))[labels] + rng.uniform(-0.1, 0.1, (len(labels), len(sizes)))
+    assert map_at_r(emb, labels, ids, metric=metric).map_at_r == 1.0
+    assert _map_at_r_oracle(emb, labels, ids, metric=metric) == 1.0
+
+
 def test_map_at_r_rejects_singletons_and_bad_metric():
     emb = np.eye(3)
     with pytest.raises(TaskError):
@@ -136,6 +187,21 @@ def test_eval_cloze_runs_and_validates(encoder):
         eval_cloze(encoder, [bad2], mask_id=4)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mask_index", 99, "position 99"),
+    ("mask_index", -3, "position -3"),
+    ("candidates", [10, CFG.vocab_size], "outside the vocabulary"),
+])
+def test_eval_cloze_refuses_an_index_outside_the_probe(encoder, field, value, message):
+    """A probe read from a dataset may point past its tokens or the
+    vocabulary (an IndexError before), or count from the end, which in a
+    padded batch is another position."""
+    ex = _cloze_example(encoder, 10, 11)
+    setattr(ex, field, value)
+    with pytest.raises(TaskError, match=message):
+        eval_cloze(encoder, [ex], mask_id=4)
+
+
 def test_eval_cloze_prediction_is_argmax_over_candidates(encoder):
     ex = _cloze_example(encoder, 10, 11)
     res = eval_cloze(encoder, [ex], mask_id=4)
@@ -160,6 +226,26 @@ def test_embed_corpus_counts_truncation(encoder, vocab):
     assert res.embeddings.shape == (2, CFG.hidden_size)
     assert res.n_truncated == 1
     assert np.allclose(np.linalg.norm(res.embeddings, axis=1), 1.0)
+
+
+def test_embed_corpus_encodes_each_item_once(encoder, vocab, monkeypatch):
+    """The truncation count comes from the encoding that is embedded."""
+    items = [RetrievalRecord(id=str(i), label="c", code="a b " * i, language="l")
+             for i in range(1, 21)]
+    want = embed_corpus(encoder, items, vocab, max_len=8)
+    n_long = sum(len(vocab.encode(it.code)) > 8 for it in items)
+    calls = []
+    real = type(vocab).encode
+
+    def counted(self, text, *args, **kwargs):
+        calls.append(text)
+        return real(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(type(vocab), "encode", counted)
+    got = embed_corpus(encoder, items, vocab, max_len=8)
+    assert sorted(calls) == sorted(it.code for it in items)
+    assert got.n_truncated == want.n_truncated == n_long > 0
+    assert (got.embeddings == want.embeddings).all()
 
 
 # -- pair classification ---------------------------------------------------

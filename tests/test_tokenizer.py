@@ -6,7 +6,7 @@ import pytest
 
 from adapterlab.tokenizer import (SPECIAL_TOKENS, MaskedBatch, TokenizerError,
                                   Vocabulary, apply_mlm_mask, encode_batch,
-                                  train_bpe)
+                                  pad_batch, train_bpe)
 
 CORPUS = [
     "the max of 3 and 4 is written max ( 3 , 4 ) .",
@@ -78,6 +78,37 @@ def test_load_rejects_wrong_header(tmp_path):
     p.write_text("not a vocab\n")
     with pytest.raises(TokenizerError):
         Vocabulary.load(p)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda lines: lines[:4] + ["no-tab-here"] + lines[4:], "line 5"),
+    (lambda lines: lines[:4] + ["x\tnot-an-id"] + lines[4:], "line 5"),
+    (lambda lines: lines + ["a\tb\tc"], "bad merges entry 'a\\tb\\tc'"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("<mask>\t")], "<mask>"),
+    (lambda lines: [ln for ln in lines if ln.split("\t")[0] not in ("<s>", "<pad>")],
+     "<s>, <pad>"),
+], ids=["no-tab", "bad-id", "merge-with-two-tabs", "no-mask", "no-bos-or-pad"])
+def test_load_names_the_file_and_the_bad_line_or_token(tmp_path, vocab, edit, named):
+    """A broken vocabulary file fails at load time with a ``TokenizerError``
+    naming the file and the line, or every missing special token."""
+    good = tmp_path / "good.txt"
+    vocab.save(good)
+    lines = edit(good.read_text().splitlines())
+    p = tmp_path / "bad.txt"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TokenizerError) as info:
+        Vocabulary.load(p)
+    assert str(p) in str(info.value) and named in str(info.value)
+
+
+def test_pad_batch_is_the_one_padding_rule(vocab):
+    ids, mask = pad_batch([[5, 6, 7], [8]], pad_id=0)
+    assert ids.tolist() == [[5, 6, 7], [8, 0, 0]]
+    assert mask.tolist() == [[1, 1, 1], [1, 0, 0]]
+    texts = ["a b", CORPUS[0]]
+    got = encode_batch(texts, vocab, max_len=16)
+    want = pad_batch([vocab.encode(t)[:16] for t in texts], vocab.pad_id)
+    assert all((g == w).all() and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 def test_encode_batch_shapes_and_padding(vocab):
