@@ -176,27 +176,22 @@ class AdapterStack:
             return x
         return self.invertible_forward(x)
 
-    def invertible_forward(self, x: Tensor) -> Tensor:
+    def _couple(self, x: Tensor, inverse: bool) -> Tensor:
+        """Step ``k`` shifts half ``k % 2`` of ``x`` by ``_coupler(k, other
+        half)``: added forward, subtracted in reverse step order."""
         half = self.hidden // 2
-        x1 = T.tslice(x, (..., slice(0, half)))
-        x2 = T.tslice(x, (..., slice(half, self.hidden)))
-        for k in range(self.config.inv_steps):
-            if k % 2 == 0:
-                x1 = T.add(x1, self._coupler(k, x2))
-            else:
-                x2 = T.add(x2, self._coupler(k, x1))
-        return T.concat([x1, x2], axis=-1)
+        parts = [T.tslice(x, (..., slice(0, half))), T.tslice(x, (..., slice(half, self.hidden)))]
+        steps = range(self.config.inv_steps)
+        for k in reversed(steps) if inverse else steps:
+            shift = self._coupler(k, parts[1 - k % 2])
+            parts[k % 2] = (T.sub if inverse else T.add)(parts[k % 2], shift)
+        return T.concat(parts, axis=-1)
+
+    def invertible_forward(self, x: Tensor) -> Tensor:
+        return self._couple(x, inverse=False)
 
     def invertible_inverse(self, y: Tensor) -> Tensor:
-        half = self.hidden // 2
-        y1 = T.tslice(y, (..., slice(0, half)))
-        y2 = T.tslice(y, (..., slice(half, self.hidden)))
-        for k in reversed(range(self.config.inv_steps)):
-            if k % 2 == 0:
-                y1 = T.sub(y1, self._coupler(k, y2))
-            else:
-                y2 = T.sub(y2, self._coupler(k, y1))
-        return T.concat([y1, y2], axis=-1)
+        return self._couple(y, inverse=True)
 
     def output_inverse(self, x: Tensor) -> Tensor:
         if not self.plan.invertible:

@@ -95,8 +95,8 @@ class BudgetReport:
         return dataclasses.asdict(self)
 
 
-def memory_megabytes(count: int, bytes_per_param: int = BYTES_PER_PARAM) -> float:
-    return count * bytes_per_param / MEGABYTE
+def memory_megabytes(count: int) -> float:
+    return count * BYTES_PER_PARAM / MEGABYTE
 
 
 def efficiency_ratios() -> dict[str, float]:
@@ -117,8 +117,7 @@ def efficiency_ratios() -> dict[str, float]:
     }
 
 
-def build_report(config: EncoderConfig, adapter_config: AdapterConfig,
-                 bytes_per_param: int = BYTES_PER_PARAM) -> BudgetReport:
+def build_report(config: EncoderConfig, adapter_config: AdapterConfig) -> BudgetReport:
     plan = PlacementPlan.full(config.num_layers, t_adapters=True, invertible=True)
     counts = {
         "backbone": count_component("backbone", config),
@@ -127,15 +126,15 @@ def build_report(config: EncoderConfig, adapter_config: AdapterConfig,
         "pair_head": count_component("pair_head", config),
     }
     counts["modex"] = counts["l_adapters"] + counts["t_adapters"]
-    mb = {k: memory_megabytes(v, bytes_per_param) for k, v in counts.items()}
+    mb = {k: memory_megabytes(v) for k, v in counts.items()}
     full = mb["backbone"]
     pct = {k: 100.0 * v / full for k, v in mb.items()}
     notes = [
-        f"megabyte = 2**20 bytes, {bytes_per_param} bytes/parameter",
+        f"megabyte = 2**20 bytes, {BYTES_PER_PARAM} bytes/parameter",
         "reference full-model memory figures imply slightly more parameters "
         "than the reference count; both are reproduced from their own bases",
     ]
-    return BudgetReport(counts=counts, bytes_per_param=bytes_per_param,
+    return BudgetReport(counts=counts, bytes_per_param=BYTES_PER_PARAM,
                         megabytes=mb, percent_of_model=pct,
                         ratios=efficiency_ratios(), notes=notes)
 

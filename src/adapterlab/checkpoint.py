@@ -2,15 +2,17 @@
 model.
 
 A checkpoint is a zip archive holding ``manifest.json`` plus one raw
-little-endian binary blob per parameter. The manifest records the format
-version, the component kind (backbone / l_adapter / t_adapter / head), the
-relevant configs, and every parameter's shape. ``build_model`` composes an
-encoder, its adapter stack and any pair head from a checkpoint by parameter
-name; ``save_model`` writes one.
+little-endian binary blob per parameter. The manifest, a ``Manifest``,
+records the format version, the component kind (backbone / l_adapter /
+t_adapter), the configs, every parameter's shape and the training language
+and task; ``load_checkpoint`` checks all of it before it reads a blob.
+``build_model`` composes an encoder, its adapter stack and any pair head
+from a checkpoint by parameter name; ``save_model`` writes one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import zipfile
@@ -19,43 +21,56 @@ import numpy as np
 
 from .adapters import AdapterConfig, PlacementPlan, attach
 from .encoder import Encoder, EncoderConfig
+from .schema import JsonConfig, check
 from .tasks import register_pair_head
 
-FORMAT = "adapterlab-ckpt v1"
-KINDS = ("backbone", "l_adapter", "t_adapter", "head")
+FORMAT = "adapterlab-ckpt v2"
+KINDS = ("backbone", "l_adapter", "t_adapter")
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, kind: str, params: dict[str, np.ndarray],
-                    config: dict | None = None, placement: dict | None = None,
-                    adapter_config: dict | None = None,
-                    extra: dict | None = None) -> None:
-    if kind not in KINDS:
-        raise CheckpointError(f"unknown component kind {kind!r}")
-    manifest = {
-        "format": FORMAT,
-        "kind": kind,
-        "dtype": "<f8",
-        "config": config,
-        "placement": placement,
-        "adapter_config": adapter_config,
-        "params": {name: list(np.asarray(v).shape) for name, v in params.items()},
-    }
-    if extra:
-        manifest.update(extra)
+@dataclasses.dataclass(frozen=True)
+class Manifest(JsonConfig):
+    """``manifest.json``; ``params`` maps each parameter name to its shape."""
+    format: str = FORMAT
+    kind: str = "backbone"
+    dtype: str = "<f8"
+    config: EncoderConfig = dataclasses.field(default_factory=EncoderConfig)
+    placement: PlacementPlan | None = None
+    adapter_config: AdapterConfig | None = None
+    params: dict[str, list[int]] = dataclasses.field(default_factory=dict)
+    language: str | None = None
+    task: str | None = None
+
+    def __post_init__(self):
+        check(self, repr(FORMAT), lambda v: v == FORMAT, "format")
+        check(self, f"one of {KINDS}", lambda v: v in KINDS, "kind")
+        check(self, "'<f8'", lambda v: v == "<f8", "dtype")
+        check(self, "shapes of sizes >= 0",
+              lambda v: all(d >= 0 for s in v.values() for d in s), "params")
+
+    @property
+    def plan(self) -> PlacementPlan:
+        """The stored placement; empty for a bare backbone."""
+        return self.placement or PlacementPlan()
+
+
+def save_checkpoint(path, manifest: Manifest, params: dict[str, np.ndarray]) -> None:
+    """Writes ``manifest`` with the shapes of ``params``, and one blob per parameter."""
+    shapes = {name: list(np.shape(value)) for name, value in params.items()}
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
+        zf.writestr("manifest.json", json.dumps(
+            dataclasses.replace(manifest, params=shapes).to_dict(), indent=2))
         for name, value in params.items():
             blob = np.ascontiguousarray(value, dtype="<f8").tobytes()
             zf.writestr(f"params/{name}.bin", blob)
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (manifest, params). The manifest's configs are checked where
-    they are read, by ``manifest_config`` and the other ``manifest_*``."""
+def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
+    """Returns (manifest, params); the whole manifest is checked first."""
     try:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
@@ -64,21 +79,20 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if "manifest.json" not in zf.namelist():
             raise CheckpointError(f"{path}: no manifest.json in the archive")
         try:
-            manifest = json.loads(zf.read("manifest.json"))
+            raw = json.loads(zf.read("manifest.json"))
         except ValueError as e:
             raise CheckpointError(f"{path}: manifest.json is not valid JSON: {e}")
-        if not isinstance(manifest, dict):
+        if not isinstance(raw, dict):
             raise CheckpointError(f"{path}: manifest.json is not an object")
-        if manifest.get("format") != FORMAT:
-            raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
-        shapes = manifest.get("params")
-        if not isinstance(shapes, dict) or not all(
-                isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
-                for s in shapes.values()):
-            raise CheckpointError(f"{path}: manifest key 'params' must map every "
-                                  "parameter name to its shape")
+        if raw.get("format") != FORMAT:  # first: another format has other keys
+            raise CheckpointError(f"{path}: manifest key 'format' must be {FORMAT!r}, "
+                                  f"got {raw.get('format')!r}")
+        try:
+            manifest = Manifest.from_dict(raw)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: manifest {e}") from e
         params = {}
-        for name, shape in shapes.items():
+        for name, shape in manifest.params.items():
             try:
                 blob = zf.read(f"params/{name}.bin")
             except KeyError:
@@ -91,35 +105,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, params
 
 
-def _from_manifest(cls, manifest: dict, key: str):
-    """``cls.from_dict`` of the manifest's ``key``, ``cls()`` when it is empty."""
-    if not manifest.get(key):
-        return cls()
-    try:
-        return cls.from_dict(manifest[key])
-    except ValueError as e:
-        raise CheckpointError(f"manifest key {key!r}: {e}") from e
-
-
-def manifest_config(manifest: dict) -> EncoderConfig:
-    """The encoder config a checkpoint was saved with."""
-    if not manifest.get("config"):
-        raise CheckpointError("checkpoint carries no encoder config")
-    return _from_manifest(EncoderConfig, manifest, "config")
-
-
-def manifest_plan(manifest: dict) -> PlacementPlan:
-    """The placement a checkpoint was saved with; empty for a bare backbone."""
-    return _from_manifest(PlacementPlan, manifest, "placement")
-
-
-def manifest_adapter_config(manifest: dict) -> AdapterConfig:
-    """The adapter sizes a checkpoint was saved with; defaults for a bare
-    backbone."""
-    return _from_manifest(AdapterConfig, manifest, "adapter_config")
-
-
-def build_model(manifest: dict, state: dict[str, np.ndarray],
+def build_model(manifest: Manifest, state: dict[str, np.ndarray],
                 plan: PlacementPlan | None = None,
                 adapter_config: AdapterConfig | None = None,
                 seed: int = 0) -> Encoder:
@@ -131,13 +117,11 @@ def build_model(manifest: dict, state: dict[str, np.ndarray],
     dropped its layer, and every model parameter ``plan`` did not add must
     come from the checkpoint; a breach raises ``CheckpointError``.
     """
-    encoder = Encoder(manifest_config(manifest), seed=0)
-    stored = manifest_plan(manifest)
+    encoder = Encoder(manifest.config, seed=0)
+    stored = manifest.plan
     plan = stored if plan is None else plan
-    if adapter_config is None:
-        adapter_config = manifest_adapter_config(manifest)
     if plan.l_layers or plan.t_layers or plan.invertible:
-        attach(encoder, plan, adapter_config, seed=seed)
+        attach(encoder, plan, adapter_config or manifest.adapter_config, seed=seed)
     if "head.pair.w" in state:
         register_pair_head(encoder.params, encoder.config.hidden_size)
 
@@ -156,12 +140,11 @@ def build_model(manifest: dict, state: dict[str, np.ndarray],
     return encoder
 
 
-def save_model(path, kind: str, encoder: Encoder, extra: dict | None = None) -> None:
+def save_model(path, kind: str, encoder: Encoder, language: str | None = None,
+               task: str | None = None) -> None:
     """Checkpoint of the whole model with the configs ``build_model`` needs."""
     stack = encoder.adapters
-    save_checkpoint(
-        path, kind, encoder.params.state_dict(),
-        config=encoder.config.to_dict(),
-        placement=stack.plan.to_dict() if stack else None,
-        adapter_config=stack.config.to_dict() if stack else None,
-        extra=extra)
+    save_checkpoint(path, Manifest(
+        kind=kind, config=encoder.config, placement=stack.plan if stack else None,
+        adapter_config=stack.config if stack else None, language=language, task=task),
+        encoder.params.state_dict())

@@ -21,8 +21,7 @@ from pathlib import Path
 from . import synth, tasks, training
 from .adapters import AdapterConfig, PlacementPlan
 from .budget import build_report, paper_scale_report
-from .checkpoint import (build_model, load_checkpoint, manifest_adapter_config,
-                         manifest_config, manifest_plan, save_model)
+from .checkpoint import build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
 from .schema import RunConfig
 from .tokenizer import Vocabulary, train_bpe
@@ -74,13 +73,19 @@ def load_run_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _config(cls, run: RunConfig, key: str, base: dict | None = None):
-    """``cls.from_dict`` of run-config section ``key`` laid over ``base``
-    (default: the class's defaults); a bad value becomes a ``CliError``
-    naming the section and the key."""
+_SECTIONS = {"synthetic": synth.SyntheticSpec, "encoder": EncoderConfig,
+             "train": TrainConfig, "adapter": AdapterConfig, "placement": PlacementPlan}
+
+
+def _config(run: RunConfig, key: str, base: dict | None = None):
+    """Run-config section ``key`` laid over ``base`` (default: its class's
+    defaults, none for ``placement``) and read by its class's ``from_dict``;
+    a bad value becomes a ``CliError`` naming the section and the key."""
+    cls = _SECTIONS[key]
+    if base is None:
+        base = {} if key == "placement" else cls().to_dict()
     try:
-        return cls.from_dict({**(cls().to_dict() if base is None else base),
-                              **(getattr(run, key) or {})})
+        return cls.from_dict({**base, **(getattr(run, key) or {})})
     except ValueError as e:
         raise CliError(f"config key {key!r}: {e}") from e
 
@@ -93,9 +98,8 @@ def _require(run: RunConfig, key: str) -> str:
 
 def _cloze_examples(run: RunConfig, vocab: Vocabulary, seed: int, **kwargs) -> list:
     """Cloze probes drawn, by default, from the held-out seed of ``seed``."""
-    return synth.cloze_examples(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
-                                synth.held_out_seed(seed), vocab, tuple(run.candidates),
-                                **kwargs)
+    return synth.cloze_examples(run.data, _config(run, "synthetic"), synth.held_out_seed(seed),
+                                vocab, tuple(run.candidates), **kwargs)
 
 
 def _refuse(run: RunConfig, keys, reason: str) -> None:
@@ -108,7 +112,7 @@ def _refuse(run: RunConfig, keys, reason: str) -> None:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tokenizer_train(args, run, seed, out: Path) -> dict:
-    texts = synth.nl_texts(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"), seed)
+    texts = synth.nl_texts(run.corpus, _config(run, "synthetic"), seed)
     vocab = train_bpe(texts, run.vocab_size)
     vocab.save(out / "vocab.txt")
     return {"vocab_size": vocab.size, "n_documents": len(texts),
@@ -117,12 +121,12 @@ def cmd_tokenizer_train(args, run, seed, out: Path) -> dict:
 
 def cmd_pretrain(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(run, "vocab"))
-    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
-    enc_cfg = _config(EncoderConfig, run, "encoder")
+    train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
+    enc_cfg = _config(run, "encoder")
     if (run.encoder or {}).get("vocab_size", vocab.size) != vocab.size:
         raise CliError(f"config key 'encoder.vocab_size' is {enc_cfg.vocab_size}, but "
                        f"the vocabulary has {vocab.size} tokens")
-    texts = synth.nl_texts(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"), seed)
+    texts = synth.nl_texts(run.corpus, _config(run, "synthetic"), seed)
     encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
     report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
     save_model(out / "backbone.ckpt", "backbone", encoder)
@@ -134,24 +138,22 @@ def cmd_pretrain(args, run, seed, out: Path) -> dict:
 
 def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(run, "vocab"))
-    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+    train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(_require(run, "backbone"))
     plan = adapter_cfg = None
-    if manifest.get("placement"):
+    if manifest.placement:
         _refuse(run, ("placement", "adapter"), "the backbone already has adapters")
     else:
-        plan = (_config(PlacementPlan, run, "placement", {}) if run.placement else
-                PlacementPlan.full(manifest_config(manifest).num_layers, invertible=True))
-        adapter_cfg = _config(AdapterConfig, run, "adapter")
+        plan = (_config(run, "placement") if run.placement else
+                PlacementPlan.full(manifest.config.num_layers, invertible=True))
+        adapter_cfg = _config(run, "adapter")
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
-    records = synth.code_records(run.corpus, _config(synth.SyntheticSpec, run, "synthetic"),
-                                 seed)
+    records = synth.code_records(run.corpus, _config(run, "synthetic"), seed)
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
     language = records[0].language if records else "unknown"
-    save_model(out / "l_adapter.ckpt", "l_adapter", encoder,
-               extra={"language": language})
+    save_model(out / "l_adapter.ckpt", "l_adapter", encoder, language=language)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "l_adapter.ckpt"), "language": language,
             "steps": report.steps, "final_val_loss": report.val_curve[-1],
@@ -160,23 +162,22 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
 
 def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(run, "vocab"))
-    train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+    train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     task_kind = run.task
     manifest, state = load_checkpoint(_require(run, "model"))
-    plan, adapter_cfg = manifest_plan(manifest), None
+    plan, adapter_cfg = manifest.plan, None
     if plan.t_layers:
         _refuse(run, ("adapter",), "the model already has task adapters")
     else:
         # widen the plan with all-layer T-adapters
-        layers = range(1, manifest_config(manifest).num_layers + 1)
+        layers = range(1, manifest.config.num_layers + 1)
         plan = dataclasses.replace(plan, t_layers=frozenset(layers))
-        adapter_cfg = _config(AdapterConfig, run, "adapter",
-                              manifest_adapter_config(manifest).to_dict())
+        adapter_cfg = _config(run, "adapter",
+                              (manifest.adapter_config or AdapterConfig()).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     # one split rule for both task kinds: pairs never cross the class split
-    records = synth.retrieval_records(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
-                                      seed)
+    records = synth.retrieval_records(run.data, _config(run, "synthetic"), seed)
     train_data, val_data = training.class_split(records, seed)
     if task_kind == "pair_classification":
         n_pairs = run.n_pairs or 400
@@ -185,8 +186,7 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
         val_data = synth.pairs_from_retrieval(val_data, n_pairs - n_train, seed=seed)
     report = training.train_task_adapter(encoder, train_data, val_data, vocab,
                                          train_cfg, task_kind)
-    save_model(out / "t_adapter.ckpt", "t_adapter", encoder,
-               extra={"task": task_kind})
+    save_model(out / "t_adapter.ckpt", "t_adapter", encoder, task=task_kind)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "t_adapter.ckpt"), "task": task_kind,
             "steps": report.steps,
@@ -208,7 +208,7 @@ def cmd_eval_clone(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(run, "vocab"))
     encoder = build_model(*load_checkpoint(_require(run, "model")))
     task_kind, max_len = run.task, run.max_len
-    records = synth.retrieval_records(run.data, _config(synth.SyntheticSpec, run, "synthetic"),
+    records = synth.retrieval_records(run.data, _config(run, "synthetic"),
                                       synth.held_out_seed(seed))
     if task_kind == "retrieval":
         res = tasks.embed_corpus(encoder, records, vocab, max_len)
@@ -227,34 +227,30 @@ def cmd_budget(args, run, seed, out: Path) -> dict:
         _refuse(run, ("encoder", "adapter"), "--paper-scale fixes every size")
         report = paper_scale_report()
     else:
-        report = build_report(_config(EncoderConfig, run, "encoder"),
-                              _config(AdapterConfig, run, "adapter"))
-    doc = report.to_dict()
+        report = build_report(_config(run, "encoder"), _config(run, "adapter"))
     print(f"{'component':<12}{'parameters':>14}{'MB':>10}{'% of model':>12}")
     for name, count in report.counts.items():
         print(f"{name:<12}{count:>14,}{report.megabytes[name]:>10.2f}"
               f"{report.percent_of_model[name]:>12.2f}")
     for name, value in report.ratios.items():
         print(f"ratio {name:<28}{value:>8.2f}")
-    return doc
+    return report.to_dict()
 
 
 def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(_require(run, "vocab"))
     manifest, state = load_checkpoint(_require(run, "model"))
-    if not manifest.get("placement"):
+    if not manifest.placement:
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
-    full_plan = manifest_plan(manifest)
-    L = manifest_config(manifest).num_layers
+    full_plan, L = manifest.placement, manifest.config.num_layers
     lo, hi = map(int, (run.layers or f"0..{L}").split(".."))
     if not 0 <= lo <= hi <= L:
         raise CliError(f"config key 'layers': range {lo}..{hi} outside [0, {L}]")
 
     examples = _cloze_examples(run, vocab, seed)
     if args.retrain_per_layer:
-        spec = _config(synth.SyntheticSpec, run, "synthetic")
-        texts = [r.code for r in synth.code_records(run.corpus, spec, seed)]
-        train_cfg = _config(TrainConfig, run, "train", TrainConfig(seed=seed).to_dict())
+        texts = [r.code for r in synth.code_records(run.corpus, _config(run, "synthetic"), seed)]
+        train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     rows = []
     for i in range(lo, hi + 1):
         plan = full_plan.truncated(i, L)
@@ -275,7 +271,7 @@ def cmd_zero_shot(args, run, seed, out: Path) -> dict:
     manifest, state = load_checkpoint(_require(run, "model"))
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    trained_on = run.train_language or manifest.get("language")
+    trained_on = run.train_language or manifest.language
     if not trained_on:
         raise CliError("training language unknown; set config key 'train_language'")
     unseen = run.eval_language
@@ -332,11 +328,16 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        seed = args.seed
+        if seed < 0:
+            raise CliError(f"--seed must be >= 0, got {seed}")
         try:
             run = RunConfig.from_dict({**RunConfig().to_dict(), **load_run_config(args)})
         except ValueError as e:
             raise CliError(f"run config: {e}") from e
-        seed = args.seed
+        for key in _SECTIONS:  # checked over the defaults; handlers lay their own bases
+            if getattr(run, key) is not None:
+                _config(run, key)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = _HANDLERS[args.subcommand](args, run, seed, out)
@@ -350,8 +351,7 @@ def dispatch(argv=None) -> int:
     except (CliError, ValueError, RuntimeError, OSError) as e:
         if getattr(e, "report", None) is not None:  # a training run that stopped
             (out / "train_report.json").write_text(e.report.to_json())
-        error = {"error": type(e).__name__, "message": str(e),
-                 "subcommand": args.subcommand}
+        error = {"error": type(e).__name__, "message": str(e), "subcommand": args.subcommand}
         print(json.dumps(error), file=sys.stderr)
         return 1
 

@@ -63,13 +63,16 @@ _RECORD_TYPES = {
 }
 
 
-def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
+MAX_BAD_FRACTION = 0.01  # of a file's lines that may be malformed
+
+
+def load_jsonl(path, kind: str):
     """Load and validate one JSON object per line: every field of the
     kind's record type without a default is required, each field present
     must be of its annotated JSON type, unknown keys are dropped.
 
     Malformed lines are collected with their line numbers; more than
-    ``max_bad_fraction`` of them is a hard failure.
+    ``MAX_BAD_FRACTION`` of them is a hard failure.
     Returns (records, error_report) where error_report is a list of
     (line_number, message).
     """
@@ -104,7 +107,7 @@ def load_jsonl(path, kind: str, max_bad_fraction: float = 0.01):
                 errors.append((lineno, str(e)))
     if n_lines == 0:
         raise CorpusError(f"{path}: empty file")
-    if len(errors) / n_lines > max_bad_fraction:
+    if len(errors) / n_lines > MAX_BAD_FRACTION:
         detail = "; ".join(f"line {n}: {m}" for n, m in errors[:5])
         raise CorpusError(f"{path}: {len(errors)}/{n_lines} malformed lines ({detail})")
     return records, errors

@@ -2,14 +2,16 @@
 and the one JSON type table for everything read from outside.
 
 ``from_dict`` takes exactly the keys ``to_dict`` writes, each of its field's
-JSON type; value ranges are each class's ``__post_init__`` (via ``check``),
-so a config built in Python meets the same rule. Both raise ``ValueError``
-naming the key, for run configs, checkpoint manifests and (through
-``checked``) dataset records alike.
+JSON type; a field whose type is a config class (or that class ``| None``)
+nests that class's own ``to_dict`` and ``from_dict``. Value ranges are each
+class's ``__post_init__`` (via ``check``), so a config built in Python meets
+the same rule. Both raise ``ValueError`` naming the key, for run configs,
+checkpoint manifests and (through ``checked``) dataset records alike.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import re
@@ -25,6 +27,10 @@ def _is_number(v) -> bool:  # finite, and an int only if a float can hold it
             or isinstance(v, float) and math.isfinite(v))
 
 
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
 # field annotation -> (what the JSON value must be, test, conversion)
 _TYPES = {
     "bool": ("true or false", lambda v: isinstance(v, bool), None),
@@ -33,28 +39,39 @@ _TYPES = {
     "str": ("a string", lambda v: isinstance(v, str), None),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v), None),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), None),
-    "list[int]": ("a list of integers",
-                  lambda v: isinstance(v, list) and all(map(_is_int, v)), None),
+    "list[int]": ("a list of integers", _is_int_list, None),
     "list[str]": ("a list of strings", lambda v: isinstance(v, list)
                   and all(isinstance(w, str) for w in v), None),
-    "frozenset[int]": ("a list of integers",
-                       lambda v: isinstance(v, list) and all(map(_is_int, v)), frozenset),
+    "frozenset[int]": ("a list of integers", _is_int_list, frozenset),
     "dict | None": ("an object or null", lambda v: v is None or isinstance(v, dict), None),
+    "dict[str, list[int]]": ("an object of integer lists", lambda v: isinstance(v, dict)
+                             and all(map(_is_int_list, v.values())), None),
 }
 
 
 def checked(name: str, annotation: str, value):
-    """``value`` as a field ``name`` of type ``annotation`` holds it;
-    ``ValueError`` naming ``name`` if its JSON type is wrong."""
-    rule, test, convert = _TYPES[annotation]
-    if not test(value):
-        raise ValueError(f"key {name!r} must be {rule}, got {value!r}")
-    return convert(value) if convert else value
+    """``value`` as a field ``name`` of type ``annotation`` holds it (a
+    config class's through its ``from_dict``); ``ValueError`` naming ``name``
+    if it is wrong."""
+    if annotation in _TYPES:
+        rule, test, convert = _TYPES[annotation]
+        if not test(value):
+            raise ValueError(f"key {name!r} must be {rule}, got {value!r}")
+        return convert(value) if convert else value
+    nested = next(c for c in JsonConfig.__subclasses__()
+                  if c.__name__ == annotation.removesuffix(" | None"))
+    if value is None and annotation.endswith(" | None"):
+        return None
+    try:
+        return nested.from_dict(value)
+    except ValueError as e:
+        raise ValueError(f"key {name!r}: {e}") from e
 
 
 class JsonConfig:
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: v.to_dict() if isinstance(v, JsonConfig) else copy.deepcopy(v)
+                for f in dataclasses.fields(self) for v in [getattr(self, f.name)]}
 
     @classmethod
     def from_dict(cls, d: dict):

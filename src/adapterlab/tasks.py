@@ -21,6 +21,9 @@ from .tensor import ParameterSet, Tensor
 from .tokenizer import Vocabulary, encode_batch, pad_batch
 
 
+EVAL_BATCH = 16  # examples per forward pass in eval_cloze and embed_corpus
+
+
 class TaskError(ValueError):
     pass
 
@@ -34,8 +37,8 @@ class ClozeResult:
     predictions: list[dict]
 
 
-def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord], mask_id: int,
-               batch_size: int = 16) -> ClozeResult:
+def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
+               mask_id: int) -> ClozeResult:
     """Argmax over candidate logits at the single mask position; no training."""
     if not examples:
         raise TaskError("empty cloze example set")
@@ -50,8 +53,8 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord], mask_id: int,
                             f"at position {ex.mask_index}")
     predictions = []
     correct = 0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start:start + batch_size]
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start:start + EVAL_BATCH]
         # ids are pre-tokenized; pad with 0 and mask it out
         ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
         with T.no_grad():
@@ -94,12 +97,11 @@ def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray, training: boo
 
 
 def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
-                 vocab: Vocabulary, max_len: int | None = None,
-                 batch_size: int = 16) -> EmbedResult:
+                 vocab: Vocabulary, max_len: int | None = None) -> EmbedResult:
     max_len = max_len or encoder.config.max_positions
     rows, n_truncated = [], 0
-    for start in range(0, len(items), batch_size):
-        encoded = [vocab.encode(it.code) for it in items[start:start + batch_size]]
+    for start in range(0, len(items), EVAL_BATCH):
+        encoded = [vocab.encode(it.code) for it in items[start:start + EVAL_BATCH]]
         n_truncated += sum(len(e) > max_len for e in encoded)
         with T.no_grad():
             rows.append(embed_ids(encoder, *pad_batch([e[:max_len] for e in encoded],
@@ -181,9 +183,8 @@ def f1_score(tp: int, fp: int, tn: int, fn: int) -> F1Result:
                     degenerate=tp + fp == 0 or tp + fn == 0 or p + r == 0)
 
 
-def register_pair_head(params: ParameterSet, hidden_size: int,
-                       seed: int = 0) -> None:
-    rng = np.random.default_rng(seed)
+def register_pair_head(params: ParameterSet, hidden_size: int) -> None:
+    rng = np.random.default_rng(0)
     params.add("head.pair.w", rng.normal(0.0, 0.02, size=(4 * hidden_size, 1)))
     params.add("head.pair.b", np.zeros((1,)))
 

@@ -286,15 +286,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 IGNORE_INDEX = -100
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
-    """Mean negative log-likelihood over non-ignored label positions.
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood over label positions not ``IGNORE_INDEX``.
 
     ``logits``: [..., V]; ``labels``: integer array of matching leading shape.
     """
     labels = np.asarray(labels)
     flat_logits = logits.data.reshape(-1, logits.shape[-1])
     flat_labels = labels.reshape(-1)
-    valid = flat_labels != ignore_index
+    valid = flat_labels != IGNORE_INDEX
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("cross_entropy: no valid label positions")
@@ -462,8 +462,10 @@ class GradCheckReport:
         return all(e < self.tolerance for e in self.per_param.values())
 
 
+FD_STEP, FD_TOLERANCE = 1e-5, 1e-4  # central-difference step, relative error bound
+
+
 def finite_difference_check(f: Callable[[], Tensor], params: ParameterSet,
-                            step: float = 1e-5, tolerance: float = 1e-4,
                             max_entries_per_param: int | None = None,
                             rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of ``f()`` with central finite differences.
@@ -471,8 +473,6 @@ def finite_difference_check(f: Callable[[], Tensor], params: ParameterSet,
     ``f`` must be deterministic (dropout off); checked via two evaluations.
     Relative error uses a unit floor: |a - n| / max(|a|, |n|, 1).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     v1, v2 = f().item(), f().item()
     if v1 != v2:
         raise ValueError("f is not deterministic; disable dropout/sampling")
@@ -489,13 +489,13 @@ def finite_difference_check(f: Callable[[], Tensor], params: ParameterSet,
         ga = analytic[name].reshape(-1)
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = f().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = f().item()
             flat[i] = orig
-            num = (up - down) / (2.0 * step)
+            num = (up - down) / (2.0 * FD_STEP)
             err = abs(ga[i] - num) / max(abs(ga[i]), abs(num), 1.0)
             worst = max(worst, err)
         report[name] = worst
-    return GradCheckReport(per_param=report, tolerance=tolerance)
+    return GradCheckReport(per_param=report, tolerance=FD_TOLERANCE)

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .tensor import IGNORE_INDEX
+
 BOS, EOS, PAD, UNK, MASK = "<s>", "</s>", "<pad>", "<unk>", "<mask>"
 SPECIAL_TOKENS = (BOS, EOS, PAD, UNK, MASK)
 
@@ -214,7 +216,7 @@ class MaskedBatch:
     attention_mask: np.ndarray  # [batch, len] {0,1}
     labels: np.ndarray          # [batch, len] int, IGNORE at uncorrupted positions
 
-    IGNORE = -100
+    IGNORE = IGNORE_INDEX  # the label tensor.cross_entropy skips
 
 
 def apply_mlm_mask(ids: np.ndarray, attention_mask: np.ndarray, vocab: Vocabulary,

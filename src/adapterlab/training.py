@@ -155,7 +155,7 @@ def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
     hidden = encoder.forward(batch.input_ids, batch.attention_mask,
                              mode="mlm", training=training, rng=rng)
     logits = encoder.mlm_logits(hidden)
-    return T.cross_entropy(logits, batch.labels, ignore_index=MaskedBatch.IGNORE)
+    return T.cross_entropy(logits, batch.labels)
 
 
 _EVAL_MASK_SEED = 12345

@@ -91,7 +91,6 @@ def test_efficiency_ratios_reproduce_reference():
 
 def test_memory_megabytes():
     assert memory_megabytes(2 ** 20) == 4.0
-    assert memory_megabytes(2 ** 20, bytes_per_param=8) == 8.0
 
 
 def test_paper_scale_memory_columns():

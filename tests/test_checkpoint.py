@@ -1,5 +1,5 @@
-"""Checkpoint container: round-trip fidelity, manifest contents, format
-validation, and the composition rule of ``build_model``."""
+"""Checkpoint container: round-trip fidelity, the manifest checked in full
+at load, format validation, and the composition rule of ``build_model``."""
 
 import json
 import zipfile
@@ -7,11 +7,34 @@ import zipfile
 import numpy as np
 import pytest
 
-from adapterlab.adapters import PlacementPlan, attach
-from adapterlab.checkpoint import (FORMAT, CheckpointError, build_model,
+from adapterlab.adapters import AdapterConfig, PlacementPlan, attach
+from adapterlab.checkpoint import (FORMAT, CheckpointError, Manifest, build_model,
                                    load_checkpoint, save_checkpoint, save_model)
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.tasks import register_pair_head
+
+CFG = EncoderConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
+                    vocab_size=20, max_positions=16, dropout=0.0)
+
+
+def _edited(src, dst, edit):
+    """Copy of checkpoint ``src`` whose manifest went through ``edit``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            data = zin.read(item)
+            if item.filename == "manifest.json":
+                manifest = json.loads(data)
+                edit(manifest)
+                data = json.dumps(manifest)
+            zout.writestr(item, data)
+    return dst
+
+
+def _hand_made(path, manifest, blobs):
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", manifest)
+        for name, blob in blobs.items():
+            zf.writestr(f"params/{name}.bin", blob)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -20,12 +43,10 @@ def test_round_trip_bit_exact(tmp_path):
               "layer.1.ffn.w1": rng.normal(size=(3, 5)),
               "mlm.bias": rng.normal(size=7)}
     p = tmp_path / "m.ckpt"
-    save_checkpoint(p, "backbone", params, config={"hidden_size": 3},
-                    extra={"language": "alpha"})
+    save_checkpoint(p, Manifest(config=CFG, language="alpha"), params)
     manifest, loaded = load_checkpoint(p)
-    assert manifest["kind"] == "backbone"
-    assert manifest["config"] == {"hidden_size": 3}
-    assert manifest["language"] == "alpha"
+    assert manifest == Manifest(config=CFG, language="alpha", params={
+        "emb.tok": [7, 3], "layer.1.ffn.w1": [3, 5], "mlm.bias": [7]})
     assert set(loaded) == set(params)
     for name in params:
         assert (loaded[name] == params[name]).all()
@@ -33,34 +54,51 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_unknown_kind_rejected(tmp_path):
-    with pytest.raises(CheckpointError):
-        save_checkpoint(tmp_path / "x.ckpt", "decoder", {})
+    for kind in ("decoder", "head"):  # "head" was never written
+        with pytest.raises(ValueError, match="'kind'"):
+            Manifest(kind=kind)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, Manifest(), {})
+    with pytest.raises(CheckpointError, match=r"x\.ckpt: manifest key 'kind'.*'decoder'"):
+        load_checkpoint(_edited(p, tmp_path / "x.ckpt", lambda m: m.update(kind="decoder")))
 
 
 def test_wrong_format_rejected(tmp_path):
+    """A file of another format, v1 included, fails naming its format."""
     p = tmp_path / "bad.ckpt"
-    with zipfile.ZipFile(p, "w") as zf:
-        zf.writestr("manifest.json", '{"format": "other v9", "params": {}}')
-    with pytest.raises(CheckpointError):
+    _hand_made(p, '{"format": "other v9", "params": {}}', {})
+    with pytest.raises(CheckpointError, match="'other v9'"):
         load_checkpoint(p)
+
+    def v1(m):  # v1 wrote no language or task key when it was unknown
+        m["format"] = "adapterlab-ckpt v1"
+        del m["language"], m["task"]
+
+    save_checkpoint(tmp_path / "m.ckpt", Manifest(), {})
+    with pytest.raises(CheckpointError, match=r"v1\.ckpt: manifest key 'format'.*'adapterlab-ckpt v1'"):
+        load_checkpoint(_edited(tmp_path / "m.ckpt", tmp_path / "v1.ckpt", v1))
 
 
 def test_placement_and_adapter_config_stored(tmp_path):
+    """The manifest keeps the layout that readers outside the library parse."""
+    enc = Encoder(CFG, seed=0)
+    plan = PlacementPlan(frozenset({2, 1}), frozenset(), invertible=True)
+    attach(enc, plan, AdapterConfig(l_bottleneck=2))
     p = tmp_path / "a.ckpt"
-    save_checkpoint(p, "l_adapter", {"l_adapter.1.down.w": np.zeros((4, 2))},
-                    placement={"l_layers": [1], "t_layers": [], "invertible": True},
-                    adapter_config={"l_bottleneck": 2})
+    save_model(p, "l_adapter", enc, language="alpha")
     manifest, _ = load_checkpoint(p)
-    assert manifest["placement"]["invertible"] is True
-    assert manifest["adapter_config"]["l_bottleneck"] == 2
-
-
-def _hand_made(path, manifest_params, blobs):
-    with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr("manifest.json", json.dumps({"format": FORMAT,
-                                                 "params": manifest_params}))
-        for name, blob in blobs.items():
-            zf.writestr(f"params/{name}.bin", blob)
+    assert manifest.placement == manifest.plan == plan
+    assert manifest.adapter_config == AdapterConfig(2, 1, 2, 2)  # sizes resolved for h=8
+    with zipfile.ZipFile(p) as zf:
+        raw = json.loads(zf.read("manifest.json"))
+    assert raw == {"format": FORMAT, "kind": "l_adapter", "dtype": "<f8",
+                   "config": CFG.to_dict(),
+                   "placement": {"l_layers": [1, 2], "t_layers": [], "invertible": True},
+                   "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1,
+                                      "inv_coupling_dim": 2, "inv_steps": 2},
+                   "params": {n: list(enc.params[n].data.shape) for n in enc.params.names()},
+                   "language": "alpha", "task": None}
+    assert Manifest().plan == PlacementPlan()  # a bare backbone places nothing
 
 
 @pytest.mark.parametrize("blobs", [
@@ -69,7 +107,7 @@ def _hand_made(path, manifest_params, blobs):
 ])
 def test_corrupt_blob_names_file_and_parameter(tmp_path, blobs):
     p = tmp_path / "corrupt.ckpt"
-    _hand_made(p, {"w": [2, 3]}, blobs)
+    _hand_made(p, json.dumps(Manifest(params={"w": [2, 3]}).to_dict()), blobs)
     with pytest.raises(CheckpointError, match=r"corrupt\.ckpt.*parameter w\b"):
         load_checkpoint(p)
 
@@ -87,22 +125,24 @@ def test_not_a_checkpoint_archive_rejected(tmp_path):
 
 # -- composing a model from a checkpoint -----------------------------------
 
-CFG = EncoderConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
-                    vocab_size=20, max_positions=16, dropout=0.0)
-
-
 @pytest.fixture
-def saved(tmp_path):
-    """(manifest, state) of a model with L-adapters, invertible adapter and
-    pair head; random values stand in for trained weights."""
+def saved_path(tmp_path):
+    """Checkpoint of a model with L-adapters, invertible adapter and pair
+    head; random values stand in for trained weights."""
     enc = Encoder(CFG, seed=1)
     attach(enc, PlacementPlan.full(4, invertible=True), seed=2)
     register_pair_head(enc.params, CFG.hidden_size)
     rng = np.random.default_rng(3)
     for name in enc.params.names():
         enc.params[name].data = rng.normal(size=enc.params[name].data.shape)
-    save_model(tmp_path / "m.ckpt", "l_adapter", enc, extra={"language": "alpha"})
-    return load_checkpoint(tmp_path / "m.ckpt")
+    save_model(tmp_path / "m.ckpt", "l_adapter", enc, language="alpha")
+    return tmp_path / "m.ckpt"
+
+
+@pytest.fixture
+def saved(saved_path):
+    """(manifest, state) of ``saved_path``."""
+    return load_checkpoint(saved_path)
 
 
 def test_build_model_restores_every_parameter(saved):
@@ -148,16 +188,24 @@ def test_build_model_widened_plan_adds_fresh_task_adapters(saved):
         assert (enc.params[name].data == value).all()
 
 
+def _manifest_json(drop=(), **edits) -> str:
+    """A valid one-parameter manifest with ``edits`` made and ``drop`` gone."""
+    d = {**Manifest(params={"w": [2, 3]}).to_dict(), **edits}
+    return json.dumps({k: v for k, v in d.items() if k not in drop})
+
+
 @pytest.mark.parametrize("manifest, match", [
     ("{not json", "not valid JSON"),
     ("[1, 2]", "not an object"),
-    (json.dumps({"format": FORMAT}), "'params'"),
-    (json.dumps({"format": FORMAT, "params": {"w": [2, "3"]}}), "'params'"),
+    pytest.param(_manifest_json(drop=("params",)), "'params'", id="params-missing"),
+    pytest.param(_manifest_json(params={"w": [2, "3"]}), "'params'", id="params-not-integers"),
+    pytest.param(_manifest_json(params={"w": [2, -3]}), "'params'", id="params-negative"),
+    pytest.param(_manifest_json(colour=1), "'colour'", id="unknown-key"),
 ])
 def test_malformed_manifest_rejected(tmp_path, manifest, match):
+    """Each fails before any blob is read: the archive holds none."""
     p = tmp_path / "m.ckpt"
-    with zipfile.ZipFile(p, "w") as zf:
-        zf.writestr("manifest.json", manifest)
+    _hand_made(p, manifest, {})
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(p)
 
@@ -168,13 +216,20 @@ def test_malformed_manifest_rejected(tmp_path, manifest, match):
     ("placement", {"l_layers": [1]}, "t_layers"),
     ("placement", {"l_layers": [1], "t_layers": [], "invertible": "yes"}, "invertible"),
     ("adapter_config", {"rank": 2}, "rank"),
+    ("kind", "decoder", "decoder"),
+    ("dtype", "<f4", "<f4"),
+    ("language", ["alpha"], "string or null"),
+    ("language", 5, "string or null"),
+    ("task", 7, "string or null"),
+    ("config", None, "must be an object"),
 ])
-def test_build_model_names_bad_manifest_key(saved, key, value, named):
+def test_build_model_names_bad_manifest_key(saved_path, tmp_path, key, value, named):
     """The manifest's configs go through the same ``from_dict`` checks as a
-    run config; a failure is a CheckpointError naming the manifest key."""
-    manifest, state = saved
-    with pytest.raises(CheckpointError, match=f"manifest key '{key}'.*{named}"):
-        build_model({**manifest, key: value}, state)
+    run config, when the file loads; a failure is a CheckpointError naming
+    the file and the manifest key."""
+    edited = _edited(saved_path, tmp_path / "edited.ckpt", lambda m: m.update({key: value}))
+    with pytest.raises(CheckpointError, match=f"edited\\.ckpt: manifest key '{key}'.*{named}"):
+        build_model(*load_checkpoint(edited))
 
 
 def test_build_model_rejects_blob_of_wrong_shape(saved):

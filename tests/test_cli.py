@@ -119,6 +119,17 @@ def test_seed_env_and_flag(tmp_path, monkeypatch):
     assert _report(tmp_path / "b")["seed"] == 5
 
 
+@pytest.mark.parametrize("subcommand", ["tokenizer-train", "pretrain", "train-lang-adapter",
+                                        "train-task-adapter", "eval-cloze", "eval-clone",
+                                        "budget", "sweep-layers", "zero-shot"])
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, subcommand):
+    """Before any work: the output directory is not even made."""
+    assert _run([subcommand, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CliError" and "--seed" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_artifacts(pipeline):
     root, _ = pipeline
     assert (root / "pre" / "backbone.ckpt").exists()
@@ -328,24 +339,41 @@ def _edited_copy(src, dst, edit):
     return dst
 
 
+def _v1(manifest):
+    """The manifest as format v1 wrote it: no language or task key when unknown."""
+    manifest["format"] = "adapterlab-ckpt v1"
+    del manifest["task"]
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda m: m.update(placement={"l_layers": [1]}), "t_layers"),
     (lambda m: m["config"].update(colour=1), "colour"),
     (lambda m: m["adapter_config"].update(rank=4), "rank"),
     (lambda m: m.pop("params"), "params"),
+    (lambda m: m.update(language=["alpha"]), "language"),
+    (lambda m: m.update(language=5), "language"),
+    (lambda m: m.update(kind="decoder"), "kind"),
+    (lambda m: m.update(dtype="<f4"), "dtype"),
+    (lambda m: m.update(task=7), "task"),
+    (_v1, "format"),
 ], ids=["placement-missing-key", "config-extra-key", "adapter-config-extra-key",
-        "params-missing"])
+        "params-missing", "language-list", "language-int", "kind-decoder", "dtype-f4",
+        "task-int", "format-v1"])
 def test_edited_manifest_exits_1_naming_key(pipeline, tmp_path, capsys, edit, key):
-    """A checkpoint manifest is checked like a run config: each edit ends in a
-    CheckpointError that names the key, not in a traceback."""
+    """A checkpoint manifest is checked in full when it loads: each edit ends
+    in one CheckpointError line naming the file and the key, not in a
+    traceback or a run, on every subcommand that reads a model."""
     root, vocab = pipeline
     ckpt = _edited_copy(root / "la" / "l_adapter.ckpt", tmp_path / "edited.ckpt", edit)
-    rc = _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
-               "--set", f"vocab={vocab}", "--set", f"model={ckpt}",
-               "--set", "synthetic.n=20"])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "CheckpointError" and key in err["message"]
+    for argv in (["eval-cloze", "--set", f"model={ckpt}"],
+                 ["zero-shot", "--adapter", str(ckpt), "--eval-language", "beta"]):
+        rc = _run([*argv, "--out", str(tmp_path / "o"), "--seed", "0",
+                   "--set", f"vocab={vocab}", "--set", "synthetic.n=20"])
+        assert rc == 1
+        err = _one_error_line(capsys)
+        assert err["error"] == "CheckpointError" and err["subcommand"] == argv[0]
+        assert f"{ckpt}: " in err["message"] and repr(key) in err["message"]
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("sets, key", [
@@ -421,11 +449,16 @@ def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
     ("pretrain", ["encoder.vocab_size=7"], "encoder.vocab_size"),
     ("budget", ["task=pairs"], "task"),
     ("budget", ["layers=1-2"], "layers"),
+    ("budget", ['train.max_steps="abc"'], "max_steps"),
+    ("tokenizer-train", ["train.max_steps=abc"], "max_steps"),
+    ("tokenizer-train", ["encoder.num_heads=0"], "num_heads"),
+    ("eval-cloze", ["adapter.l_bottlenek=4"], "l_bottlenek"),
+    ("budget", ['placement={"l_layers": [1]}'], "t_layers"),
 ])
 def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
                                                 subcommand, sets, key):
     """Each ends in one error line naming the key, not in a traceback and not
-    in a run on the defaults."""
+    in a run on the defaults; a section is checked even where it is unused."""
     root, vocab = pipeline
     model = ["--set", f"model={root / 'la' / 'l_adapter.ckpt'}"]
     argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", "train.max_steps=1"]

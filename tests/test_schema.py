@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterlab.adapters import AdapterConfig, PlacementPlan
+from adapterlab.checkpoint import FORMAT, KINDS, Manifest
 from adapterlab.encoder import EncoderConfig
 from adapterlab.schema import RunConfig
 from adapterlab.synth import SyntheticSpec
@@ -60,9 +61,18 @@ run_configs = st.builds(
     train_language=strings, eval_language=strings, synthetic=sections, encoder=sections,
     train=sections, adapter=sections, placement=sections)
 
+manifests = st.builds(
+    Manifest, format=st.just(FORMAT), kind=st.sampled_from(KINDS), dtype=st.just("<f8"),
+    config=encoder_configs, placement=st.none() | plans,
+    adapter_config=st.none() | adapter_configs,
+    params=st.dictionaries(st.text(max_size=8), st.lists(st.integers(0, 64), max_size=3),
+                           max_size=3),
+    language=strings, task=strings)
+
 CONFIGS = [(EncoderConfig, encoder_configs), (TrainConfig, train_configs),
            (AdapterConfig, adapter_configs), (PlacementPlan, plans),
-           (SyntheticSpec, synthetic_specs), (RunConfig, run_configs)]
+           (SyntheticSpec, synthetic_specs), (RunConfig, run_configs),
+           (Manifest, manifests)]
 IDS = [cls.__name__ for cls, _ in CONFIGS]
 
 
@@ -103,7 +113,7 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     elif how == "add":
         key = data.draw(st.text(max_size=8).filter(lambda k: k not in d))
         d[key] = data.draw(json_values)
-    elif cls is RunConfig:  # its fields take strings, integers, lists and objects
+    elif cls in (RunConfig, Manifest):  # their fields take strings, lists and objects
         d[key] = data.draw(st.booleans() | st.floats())
     else:  # no field takes an object, and the one string field a language name
         d[key] = data.draw(st.text(max_size=4).filter(lambda t: t not in ("alpha", "beta"))
@@ -137,6 +147,10 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     (RunConfig, "task", "pairs"),
     (RunConfig, "layers", "1-2"),
     (RunConfig, "layers", "..2"),
+    (Manifest, "format", "adapterlab-ckpt v1"),
+    (Manifest, "kind", "head"),
+    (Manifest, "dtype", "<f4"),
+    (Manifest, "params", {"w": [2, -1]}),
 ])
 def test_out_of_range_value_is_refused_from_python_and_json(cls, key, value):
     with pytest.raises(ValueError, match=key):
@@ -158,6 +172,20 @@ def test_from_dict_keeps_json_types_apart():
                                   "learning_rate": 1}).learning_rate == 1.0
     assert PlacementPlan.from_dict({"l_layers": [2, 1, 2], "t_layers": [],
                                     "invertible": True}).l_layers == frozenset({1, 2})
+
+
+def test_nested_config_is_read_and_written_by_its_own_class():
+    """A field typed with a config class (or that class | None) goes through
+    the class's ``to_dict`` and ``from_dict``; an error names the outer key."""
+    m = Manifest(placement=PlacementPlan(frozenset({2, 1})))
+    assert m.to_dict()["placement"] == {"l_layers": [1, 2], "t_layers": [], "invertible": False}
+    assert m.to_dict()["config"] == EncoderConfig().to_dict()
+    assert Manifest.from_dict(m.to_dict()) == m
+    with pytest.raises(ValueError, match=r"^key 'placement': missing key\(s\) 't_layers', 'invertible'$"):
+        Manifest.from_dict({**m.to_dict(), "placement": {"l_layers": [1]}})
+    with pytest.raises(ValueError, match=r"^key 'config': must be an object"):
+        Manifest.from_dict({**m.to_dict(), "config": None})  # not optional
+    assert Manifest.from_dict({**m.to_dict(), "placement": None}).plan == PlacementPlan()
 
 
 def test_run_config_defaults_leave_every_section_and_path_unset():

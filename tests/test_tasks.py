@@ -252,7 +252,7 @@ def test_embed_corpus_encodes_each_item_once(encoder, vocab, monkeypatch):
 
 def test_pair_head_and_eval(encoder, vocab):
     if "head.pair.w" not in encoder.params:
-        register_pair_head(encoder.params, CFG.hidden_size, seed=0)
+        register_pair_head(encoder.params, CFG.hidden_size)
     pair = PairRecord(id_a="a", id_b="b", code_a="a b c", code_b="a b c", label=1)
     p = classify_pair(encoder, pair, vocab)
     assert 0.0 < p < 1.0
