@@ -113,7 +113,7 @@ def invertible_param_count(hidden: int, coupling_dim: int, steps: int) -> int:
 
 def bottleneck_forward(x: Tensor, down_w: Tensor, down_b: Tensor,
                        up_w: Tensor, up_b: Tensor) -> Tensor:
-    return T.add(T.matmul(T.relu(T.add(T.matmul(x, down_w), down_b)), up_w), up_b)
+    return T.linear(T.relu(T.linear(x, down_w, down_b)), up_w, up_b)
 
 
 def language_adapter_forward(h_l: Tensor, r_l: Tensor, down_w: Tensor,

@@ -186,7 +186,8 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
         val_data = synth.pairs_from_retrieval(val_data, n_pairs - n_train, seed=seed)
     report = training.train_task_adapter(encoder, train_data, val_data, vocab,
                                          train_cfg, task_kind)
-    save_model(out / "t_adapter.ckpt", "t_adapter", encoder, task=task_kind)
+    save_model(out / "t_adapter.ckpt", "t_adapter", encoder, language=manifest.language,
+               task=task_kind)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "t_adapter.ckpt"), "task": task_kind,
             "steps": report.steps,
@@ -267,6 +268,7 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
 
 
 def cmd_zero_shot(args, run, seed, out: Path) -> dict:
+    _refuse(run, ("data",), "zero-shot draws one probe set per language")
     vocab = Vocabulary.load(_require(run, "vocab"))
     manifest, state = load_checkpoint(_require(run, "model"))
     encoder = build_model(manifest, state)

@@ -46,10 +46,6 @@ PAPER_SCALE_CONFIG = EncoderConfig(
 )
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), b)
-
-
 class Encoder:
     """The frozen backbone MLM ("N-PTLM" role); adapters are attached on top."""
 
@@ -97,7 +93,7 @@ class Encoder:
         zeros("mlm.bias", (V,))
 
     # -- forward -----------------------------------------------------------
-    def _attention(self, x: Tensor, attention_mask: np.ndarray, l: int,
+    def _attention(self, x: Tensor, mask_bias: np.ndarray, l: int,
                    training: bool, rng) -> Tensor:
         c = self.config
         p = self.params
@@ -107,22 +103,25 @@ class Encoder:
         def heads(t):
             return T.transpose(T.reshape(t, (B, L, nh, dh)), (0, 2, 1, 3))
 
-        q = heads(_linear(x, p[f"layer.{l}.attn.q.w"], p[f"layer.{l}.attn.q.b"]))
-        k = heads(_linear(x, p[f"layer.{l}.attn.k.w"], p[f"layer.{l}.attn.k.b"]))
-        v = heads(_linear(x, p[f"layer.{l}.attn.v.w"], p[f"layer.{l}.attn.v.b"]))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                       T.Tensor(1.0 / math.sqrt(dh)))
-        key_mask = attention_mask[:, None, None, :]
-        probs = T.masked_softmax(scores, key_mask)
-        probs = T.dropout(probs, c.dropout, rng, training)
+        q = heads(T.linear(x, p[f"layer.{l}.attn.q.w"], p[f"layer.{l}.attn.q.b"]))
+        k = heads(T.linear(x, p[f"layer.{l}.attn.k.w"], p[f"layer.{l}.attn.k.b"]))
+        v = heads(T.linear(x, p[f"layer.{l}.attn.v.w"], p[f"layer.{l}.attn.v.b"]))
+        probs = T.attention_probs(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), mask_bias,
+                                  1.0 / math.sqrt(dh), c.dropout, rng, training)
         ctx = T.matmul(probs, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, L, h))
-        return _linear(ctx, p[f"layer.{l}.attn.o.w"], p[f"layer.{l}.attn.o.b"])
+        return T.linear(ctx, p[f"layer.{l}.attn.o.w"], p[f"layer.{l}.attn.o.b"])
 
     def forward(self, ids: np.ndarray, attention_mask: np.ndarray,
                 mode: str = "mlm", training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Hidden states [batch, len, h]; ``mode`` is {"mlm", "embed"}."""
+                rng: np.random.Generator | None = None, rows: tuple | None = None) -> Tensor:
+        """Hidden states [batch, len, h]; ``mode`` is {"mlm", "embed"}.
+
+        ``rows``, a (batch indices, position indices) pair of distinct
+        positions, asks for only those states, [len(rows[0]), h]: the last
+        layer runs attention over every position, then its per-position
+        work on those rows alone. Dropout draws the same masks either way.
+        """
         if mode not in ("mlm", "embed"):
             raise ValueError(f"unknown mode {mode!r}")
         ids = np.asarray(ids)
@@ -135,6 +134,7 @@ class Encoder:
             raise ValueError("token id out of vocabulary range")
         if attention_mask.shape != ids.shape:
             raise ValueError("attention mask shape must match ids")
+        mask_bias = T.key_mask_bias(attention_mask)[:, None, None, :]
 
         positions = np.arange(ids.shape[1])
         x = T.add(T.embedding(p["emb.tok"], ids),
@@ -145,14 +145,17 @@ class Encoder:
         x = T.dropout(x, c.dropout, rng, training)
 
         for l in range(1, c.num_layers + 1):
-            attn = self._attention(x, attention_mask, l, training, rng)
+            attn = self._attention(x, mask_bias, l, training, rng)
             attn = T.dropout(attn, c.dropout, rng, training)
+            drawn_as = None
+            if rows is not None and l == c.num_layers:
+                drawn_as = (x.shape, rows)
+                x, attn = T.tslice(x, rows), T.tslice(attn, rows)
             h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"],
                               p[f"layer.{l}.ln1.b"], c.ln_eps)
-            f = _linear(T.gelu(_linear(h1, p[f"layer.{l}.ffn.w1"],
-                                       p[f"layer.{l}.ffn.b1"])),
-                        p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
-            f = T.dropout(f, c.dropout, rng, training)
+            f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
+                         p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
+            f = T.dropout(f, c.dropout, rng, training, drawn_as)
             if self.adapters is not None:
                 f = self.adapters.layer_slot(l, h1, f)
             x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"],
@@ -162,18 +165,18 @@ class Encoder:
         return x
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
-        """[batch, len, V] logits through the tied output projection.
+        """[..., V] logits of hidden states [..., h] through the tied output
+        projection.
 
         When an invertible adapter is attached, its inverse runs immediately
         before the tied projection.
         """
         p = self.params
-        x = _linear(hidden, p["mlm.dense.w"], p["mlm.dense.b"])
-        x = T.gelu(x)
+        x = T.linear_gelu(hidden, p["mlm.dense.w"], p["mlm.dense.b"])
         x = T.layer_norm(x, p["mlm.ln.w"], p["mlm.ln.b"], self.config.ln_eps)
         if self.adapters is not None:
             x = self.adapters.output_inverse(x)
-        return T.add(T.matmul(x, T.transpose(p["emb.tok"], (1, 0))), p["mlm.bias"])
+        return T.linear(x, T.transpose(p["emb.tok"], (1, 0)), p["mlm.bias"])
 
     def sequence_embedding(self, hidden: Tensor, attention_mask: np.ndarray) -> Tensor:
         """Mean of non-pad position vectors, L2-normalized; [batch, h]."""

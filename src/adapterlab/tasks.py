@@ -57,10 +57,10 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
         chunk = examples[start:start + EVAL_BATCH]
         # ids are pre-tokenized; pad with 0 and mask it out
         ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
+        rows = (np.arange(len(chunk)), np.array([ex.mask_index for ex in chunk]))
         with T.no_grad():
-            logits = encoder.mlm_logits(encoder.forward(ids, attn, mode="mlm")).data
-        for r, ex in enumerate(chunk):
-            row = logits[r, ex.mask_index]
+            logits = encoder.mlm_logits(encoder.forward(ids, attn, mode="mlm", rows=rows)).data
+        for ex, row in zip(chunk, logits):
             cand = np.asarray(ex.candidates)
             pred = int(cand[np.argmax(row[cand])])
             ok = pred == ex.answer
@@ -196,7 +196,7 @@ def pair_features(e_a: Tensor, e_b: Tensor) -> Tensor:
 
 def pair_logits(params: ParameterSet, e_a: Tensor, e_b: Tensor) -> Tensor:
     feats = pair_features(e_a, e_b)
-    return T.add(T.matmul(feats, params["head.pair.w"]), params["head.pair.b"])
+    return T.linear(feats, params["head.pair.w"], params["head.pair.b"])
 
 
 def pair_batch_logits(encoder: Encoder, pairs: Sequence[PairRecord],

@@ -1,9 +1,10 @@
 """Dense arrays with reverse-mode automatic differentiation.
 
 Just enough machinery for a small transformer encoder: matmul, elementwise
-arithmetic, ReLU/GELU, masked softmax, layer norm, embedding lookup, dropout and
-cross-entropy, all on numpy arrays. Tensors are immutable once produced by
-an op; backward walks the recorded tape for a single scalar loss.
+arithmetic, ReLU, layer norm, embedding lookup, dropout and cross-entropy,
+plus three fused ops for its hot path (``linear``, ``linear_gelu`` and
+``attention_probs``), all on numpy arrays. Tensors are immutable once
+produced by an op; backward walks the recorded tape for a single scalar loss.
 
 The tape records only what a gradient needs, by one rule in ``_make``:
 each op declares one gradient function per parent; an op whose inputs all
@@ -90,15 +91,19 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data, parents, grads) -> Tensor:
+def _make(data, parents, grads, pre=None) -> Tensor:
     """The one tape rule. ``grads[i]`` maps the upstream gradient to parent
     ``i``'s gradient; it runs only when that parent requires a gradient, and
-    the node's ``_backward`` returns ``None`` for every other parent."""
+    the node's ``_backward`` returns ``None`` for every other parent. A fused
+    op's ``pre`` maps the upstream gradient once, before every ``grads[i]``
+    reads it."""
     if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data)
     parents = tuple(parents)
 
     def backward(g):
+        if pre is not None:
+            g = pre(g)
         return tuple(grad(g) if p.requires_grad else None
                      for p, grad in zip(parents, grads))
 
@@ -163,18 +168,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf) GELU."""
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
-    def grad(g):
-        pdf = np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
-        return g * (cdf + x * pdf)
-
-    return _make(x * cdf, (a,), (grad,))
-
-
 def absolute(a: Tensor) -> Tensor:
     return _make(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),))
 
@@ -225,23 +218,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(out, tensors, [part(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
-def masked_softmax(scores: Tensor, key_mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax with exactly zero probability at masked (0) key positions.
-
-    ``key_mask`` is a constant {0,1} array broadcastable to ``scores``.
-    Every softmax row must contain at least one unmasked key.
-    """
-    mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), scores.shape)
-    if not mask.any(axis=axis).all():
-        raise ValueError("masked_softmax: some row has no unmasked key")
-    neg = np.where(mask, scores.data, -np.inf)
-    shifted = scores.data - neg.max(axis=axis, keepdims=True)
-    e = np.exp(shifted) * mask
-    out = e / e.sum(axis=axis, keepdims=True)
-    return _make(out, (scores,),
-                 (lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True)),))
-
-
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then affine rescale."""
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -273,14 +249,95 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), (grad,))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
-        return x
+def _keep(shape, rate: float, rng: np.random.Generator | None, index=...) -> np.ndarray:
+    """Inverted-dropout multipliers drawn at ``shape``, then ``[index]``."""
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate)[index] / (1.0 - rate)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool,
+            drawn_as: tuple | None = None) -> Tensor:
+    """Inverted dropout; identity when not training or rate == 0.
+
+    ``drawn_as=(shape, index)`` says ``x`` holds ``full[index]`` of a tensor
+    of ``shape``: the mask is drawn at ``shape`` and then indexed, so ``rng``
+    advances, and each entry is kept or dropped, as for the full tensor.
+    """
+    if not training or rate <= 0.0:
+        return x
+    shape, index = drawn_as or (x.shape, ...)
+    keep = _keep(shape, rate, rng, index)
     return _make(x.data * keep, (x,), (lambda g: g * keep,))
+
+
+# -- fused ops -------------------------------------------------------------
+
+def _linear_grads(x: Tensor, w: Tensor, b: Tensor) -> tuple:
+    """Gradients of ``x @ w + b`` for a 2-D ``w`` and 1-D ``b``; ``w``'s is
+    one 2-D GEMM over the flattened leading dimensions of ``x``."""
+    return (lambda g: g @ w.data.T,
+            lambda g: x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+            lambda g: _unbroadcast(g, b.shape))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` in one node, the bias added in place."""
+    out = x.data @ w.data
+    out += b.data
+    return _make(out, (x, w, b), _linear_grads(x, w, b))
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Exact (erf) GELU of ``linear(x, w, b)`` in one node; its derivative is
+    computed once per backward, for all three parents."""
+    z = x.data @ w.data
+    z += b.data
+    cdf = erf(z / np.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+
+    def dz(g):
+        d = np.exp(-0.5 * z ** 2) / np.sqrt(2.0 * np.pi)
+        d *= z
+        d += cdf
+        return g * d
+
+    return _make(z * cdf, (x, w, b), _linear_grads(x, w, b), pre=dz)
+
+
+def key_mask_bias(key_mask: np.ndarray) -> np.ndarray:
+    """The additive mask of ``attention_probs``: 0 where the {0,1}
+    ``key_mask`` keeps a key (last axis), -inf where it masks one. Every row
+    must keep at least one key."""
+    key_mask = np.asarray(key_mask)
+    if not key_mask.any(axis=-1).all():
+        raise ValueError("attention mask: some row has no unmasked key")
+    return np.where(key_mask != 0, 0.0, -np.inf)
+
+
+def attention_probs(scores: Tensor, mask_bias: np.ndarray, scale: float, rate: float = 0.0,
+                    rng: np.random.Generator | None = None,
+                    training: bool = False) -> Tensor:
+    """``dropout(softmax(scale * scores + mask_bias))`` over the last axis in
+    one node. ``mask_bias`` (from ``key_mask_bias``) broadcasts to
+    ``scores``; masked keys get exactly zero probability."""
+    z = scores.data * scale
+    z += mask_bias
+    z -= z.max(axis=-1, keepdims=True)
+    probs = np.exp(z, out=z)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _keep(probs.shape, rate, rng) if training and rate > 0.0 else None
+    out = probs if keep is None else probs * keep
+
+    def dscores(g):
+        if keep is not None:
+            g = g * keep
+        ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        ds *= scale
+        return ds
+
+    return _make(out, (scores,), (dscores,))
 
 
 IGNORE_INDEX = -100

@@ -152,10 +152,12 @@ def class_split(records: Sequence[RetrievalRecord], seed: int
 
 def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
              rng: np.random.Generator | None = None) -> T.Tensor:
+    """Cross-entropy over the masked positions, which alone run the last
+    layer's per-position work and the MLM head."""
+    rows = np.nonzero(batch.labels != MaskedBatch.IGNORE)
     hidden = encoder.forward(batch.input_ids, batch.attention_mask,
-                             mode="mlm", training=training, rng=rng)
-    logits = encoder.mlm_logits(hidden)
-    return T.cross_entropy(logits, batch.labels)
+                             mode="mlm", training=training, rng=rng, rows=rows)
+    return T.cross_entropy(encoder.mlm_logits(hidden), batch.labels[rows])
 
 
 _EVAL_MASK_SEED = 12345

@@ -227,6 +227,34 @@ def test_zero_shot_cli(pipeline, tmp_path):
     assert set(rep["cloze_accuracy"]) == {"alpha", "beta"}
 
 
+def test_zero_shot_refuses_a_probe_file(pipeline, tmp_path, capsys):
+    """One probe file cannot hold both languages' probes: the same probes
+    were scored twice and read as a transfer gap of 0."""
+    root, vocab = pipeline
+    probes = tmp_path / "probes.jsonl"
+    examples = synth.cloze_examples(None, synth.SyntheticSpec(n=20), 1, Vocabulary.load(vocab))
+    probes.write_text("".join(json.dumps(dataclasses.asdict(ex)) + "\n" for ex in examples))
+    assert _run(["zero-shot", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--adapter", str(root / "la" / "l_adapter.ckpt"), "--eval-language", "beta",
+                 "--set", f"vocab={vocab}", "--set", f"data={probes}"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CliError" and "'data'" in err["message"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_task_checkpoint_keeps_the_language_for_zero_shot(pipeline, tmp_path):
+    root, vocab = pipeline
+    assert _run(["train-task-adapter", "--out", str(tmp_path / "ta"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "train.max_steps=1", "--set", "synthetic.n_classes=5",
+                 "--set", "synthetic.per_class=5"]) == 0
+    assert _run(["zero-shot", "--out", str(tmp_path / "zs"), "--seed", "0",
+                 "--adapter", str(tmp_path / "ta" / "t_adapter.ckpt"),
+                 "--eval-language", "beta", "--set", f"vocab={vocab}",
+                 "--set", "synthetic.n=20"]) == 0
+    assert _report(tmp_path / "zs")["train_language"] == "alpha"
+
+
 def test_pair_task_adapter_then_eval_clone_cli(pipeline, tmp_path):
     root, vocab = pipeline
     small = ["--set", "synthetic.n_classes=5", "--set", "synthetic.per_class=5"]

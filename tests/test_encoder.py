@@ -122,3 +122,49 @@ def test_paper_scale_config_shape():
     assert PAPER_SCALE_CONFIG.num_layers == 12
     assert PAPER_SCALE_CONFIG.hidden_size == 768
     assert PAPER_SCALE_CONFIG.vocab_size == 50265
+
+
+@pytest.fixture(scope="module")
+def adapted():
+    """Every kind of per-position work in the last layer and the head: an
+    L-adapter slot, a T-adapter slot and the invertible adapter's inverse."""
+    from adapterlab.adapters import PlacementPlan, attach
+    enc = Encoder(CFG, seed=1)
+    attach(enc, PlacementPlan.full(CFG.num_layers, t_adapters=True), seed=2)
+    rng = np.random.default_rng(3)
+    for name, t in enc.params.items():
+        if name.endswith("up.w"):  # leave the near-identity initialisation
+            t.data = rng.normal(0.0, 0.1, t.shape)
+    return enc
+
+
+def _rows_batch():
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, CFG.vocab_size, size=(4, 9))
+    attn = np.ones_like(ids)
+    attn[1, 6:] = 0
+    attn[3, 2:] = 0
+    rows = (np.array([0, 0, 1, 2, 3]), np.array([0, 8, 5, 3, 1]))
+    return ids, attn, rows
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_forward_rows_equals_the_gathered_full_forward(adapted, training):
+    """Equal-seeded rngs give equal states on the rows, and leave both rngs
+    at the same point: the row path draws every dropout mask as before."""
+    ids, attn, rows = _rows_batch()
+    rng_full, rng_rows = np.random.default_rng(5), np.random.default_rng(5)
+    full = adapted.forward(ids, attn, training=training, rng=rng_full)
+    part = adapted.forward(ids, attn, training=training, rng=rng_rows, rows=rows)
+    assert part.shape == (len(rows[0]), CFG.hidden_size)
+    assert np.abs(part.data - full.data[rows]).max() < 1e-12
+    head_full = adapted.mlm_logits(full).data[rows]
+    assert np.abs(adapted.mlm_logits(part).data - head_full).max() < 1e-12
+    assert rng_full.random() == rng_rows.random()
+
+
+def test_forward_refuses_an_all_pad_row(encoder):
+    ids, attn = _batch(np.random.default_rng(6))
+    attn[1] = 0
+    with pytest.raises(ValueError, match="no unmasked key"):
+        encoder.forward(ids, attn)

@@ -10,11 +10,11 @@ from scipy.special import logsumexp
 from adapterlab import tensor as T
 from adapterlab.corpus import ClozeRecord, PairRecord, RetrievalRecord
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.tasks import (TaskError, classify_pair, embed_corpus,
+from adapterlab.tasks import (EVAL_BATCH, TaskError, classify_pair, embed_corpus,
                               eval_cloze, eval_pairs, f1_score,
                               in_batch_negative_loss, map_at_r,
                               register_pair_head)
-from adapterlab.tokenizer import train_bpe
+from adapterlab.tokenizer import pad_batch, train_bpe
 
 CFG = EncoderConfig(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32,
                     vocab_size=60, max_positions=24, dropout=0.0)
@@ -210,6 +210,29 @@ def test_eval_cloze_prediction_is_argmax_over_candidates(encoder):
     row = encoder.mlm_logits(hidden).data[0, 2]
     want = 10 if row[10] >= row[11] else 11
     assert res.predictions[0]["prediction"] == want
+
+
+def test_eval_cloze_predictions_match_the_full_head(encoder):
+    """Probes of several lengths in one padded batch: one head row per
+    probe predicts what the head over every position predicts."""
+    rng = np.random.default_rng(8)
+    examples = []
+    for i in range(EVAL_BATCH + 3):
+        tokens = rng.integers(5, CFG.vocab_size, size=3 + i % 7).tolist()
+        at = int(rng.integers(len(tokens)))
+        tokens[at] = 4
+        cands = rng.choice(np.arange(5, CFG.vocab_size), size=3, replace=False).tolist()
+        examples.append(ClozeRecord(id=str(i), tokens=tokens, mask_index=at,
+                                    candidates=cands, answer=cands[0], language="alpha"))
+    got = [p["prediction"] for p in eval_cloze(encoder, examples, mask_id=4).predictions]
+    want = []
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start:start + EVAL_BATCH]
+        ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
+        logits = encoder.mlm_logits(encoder.forward(ids, attn)).data
+        want += [ex.candidates[int(np.argmax(logits[r, ex.mask_index, ex.candidates]))]
+                 for r, ex in enumerate(chunk)]
+    assert got == want
 
 
 # -- retrieval embedding ---------------------------------------------------

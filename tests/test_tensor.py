@@ -36,9 +36,11 @@ def _positive(*shape):
 
 MASK = np.ones((2, 1, 1, 4))
 MASK[0, ..., 3:] = 0
+MASK_BIAS = T.key_mask_bias(MASK)
 LABELS = np.array([[1, T.IGNORE_INDEX, 4], [0, 2, T.IGNORE_INDEX]])
 
-# name -> (op on tensors, its inputs): every public op, every parent
+# name -> (op on tensors, its inputs): every public op, every parent; the
+# dropout rows draw from a fresh fixed-seed rng on every call
 GRADIENT_ROWS = {
     "add": (T.add, [RNG.normal(size=(3, 4)), RNG.normal(size=(4,))]),
     "sub": (T.sub, [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 1))]),
@@ -51,7 +53,6 @@ GRADIENT_ROWS = {
     "sqrt": (T.sqrt, [_positive(3, 4)]),
     "sigmoid": (T.sigmoid, [RNG.normal(size=(3, 4))]),
     "relu": (T.relu, [_away_from_zero(3, 4)]),
-    "gelu": (T.gelu, [RNG.normal(size=(3, 4))]),
     "absolute": (T.absolute, [_away_from_zero(3, 4)]),
     "tsum": (lambda a: T.tsum(a, axis=1), [RNG.normal(size=(3, 4))]),
     "tsum_keepdims": (lambda a: T.tsum(a, axis=0, keepdims=True), [RNG.normal(size=(3, 4))]),
@@ -61,7 +62,16 @@ GRADIENT_ROWS = {
     "tslice": (lambda a: T.tslice(a, (slice(None), slice(1, 3))), [RNG.normal(size=(3, 4))]),
     "concat": (lambda *parts: T.concat(parts, axis=1),
                [RNG.normal(size=(2, n, 3)) for n in (1, 2, 3)]),
-    "masked_softmax": (lambda a: T.masked_softmax(a, MASK), [RNG.normal(size=(2, 1, 3, 4))]),
+    "linear": (T.linear, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
+                          RNG.normal(size=5)]),
+    "linear_gelu": (T.linear_gelu, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
+                                    RNG.normal(size=5)]),
+    "attention_probs": (lambda a: T.attention_probs(a, MASK_BIAS, 0.7),
+                        [RNG.normal(size=(2, 1, 3, 4))]),
+    "attention_probs_dropout": (
+        lambda a: T.attention_probs(a, MASK_BIAS, 0.7, 0.3, np.random.default_rng(0),
+                                    training=True),
+        [RNG.normal(size=(2, 2, 3, 4))]),
     "layer_norm": (T.layer_norm, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=4),
                                   RNG.normal(size=4)]),
     "embedding": (lambda table: T.embedding(table, np.array([[1, 1, 4], [0, 2, 1]])),
@@ -73,13 +83,27 @@ GRADIENT_ROWS = {
 }
 
 
+def _read_only_upstream(root):
+    """Hand every node's gradient function a read-only upstream gradient, as
+    ``add`` hands one array to both its parents: a closure that writes into
+    its ``g`` raises."""
+    for t in _tape(root):
+        if t._backward is not None:
+            def backward(g, inner=t._backward):
+                g = np.array(g)
+                g.setflags(write=False)
+                return inner(g)
+            t._backward = backward
+
+
 @pytest.mark.parametrize("name", GRADIENT_ROWS)
 def test_op_gradients_match_central_differences(name):
     """Each parent's gradient under a random weighted upstream gradient (an
-    all-ones one cannot tell a transpose from its inverse)."""
+    all-ones one cannot tell a transpose from its inverse), read-only."""
     op, inputs = GRADIENT_ROWS[name]
     tensors = [Tensor(v, requires_grad=True) for v in inputs]
     out = op(*tensors)
+    _read_only_upstream(out)
     weight = np.random.default_rng(1).normal(size=out.shape)
     T.backward(T.tsum(T.mul(out, Tensor(weight))))
     for i, t in enumerate(tensors):
@@ -118,9 +142,16 @@ def test_make_never_runs_the_gradient_of_a_frozen_parent():
 def test_gelu_matches_erf_form():
     from scipy.special import erf
     x = RNG.normal(size=(5,))
-    got = T.gelu(Tensor(x)).data
+    got = T.linear_gelu(Tensor(x[:, None]), Tensor(np.eye(1)), Tensor(np.zeros(1))).data[:, 0]
     want = 0.5 * x * (1 + erf(x / np.sqrt(2)))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_linear_is_matmul_plus_bias_and_leaves_its_inputs_alone():
+    x, w, b = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)
+    copies = [v.copy() for v in (x, w, b)]
+    assert np.array_equal(T.linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+    assert all(np.array_equal(v, c) for v, c in zip((x, w, b), copies))
 
 
 def test_matmul_gradient():
@@ -152,9 +183,39 @@ def test_masked_softmax_zeroes_padded_keys_exactly():
     x = Tensor(RNG.normal(size=(2, 1, 3, 5)))
     mask = np.ones((2, 1, 1, 5))
     mask[0, ..., 3:] = 0
-    p = T.masked_softmax(x, mask).data
+    p = T.attention_probs(x, T.key_mask_bias(mask), 1.0).data
     assert (p[0, ..., 3:] == 0.0).all()
     assert np.allclose(p.sum(axis=-1), 1.0)
+    # a masked key far above every kept one still gets exactly zero
+    x.data[0, ..., 4] = 1e3
+    p = T.attention_probs(x, T.key_mask_bias(mask), 2.0).data
+    assert (p[0, ..., 3:] == 0.0).all() and np.allclose(p.sum(axis=-1), 1.0)
+
+
+def test_attention_mask_with_an_all_masked_row_raises():
+    mask = np.ones((2, 5))
+    mask[1] = 0
+    with pytest.raises(ValueError, match="no unmasked key"):
+        T.key_mask_bias(mask)
+
+
+def test_attention_dropout_draws_as_plain_dropout():
+    """Same rng, same mask: the fused op's dropout keeps the random stream."""
+    scores = Tensor(RNG.normal(size=(2, 2, 3, 4)))
+    fused = T.attention_probs(scores, MASK_BIAS, 0.5, 0.3, np.random.default_rng(4), True)
+    plain = T.dropout(T.attention_probs(scores, MASK_BIAS, 0.5), 0.3,
+                      np.random.default_rng(4), True)
+    assert np.array_equal(fused.data, plain.data)
+
+
+def test_dropout_drawn_at_full_shape_equals_the_gathered_full_dropout():
+    x = RNG.normal(size=(3, 5, 4))
+    rows = (np.array([0, 0, 2]), np.array([1, 4, 0]))
+    full_rng, rows_rng = np.random.default_rng(6), np.random.default_rng(6)
+    full = T.dropout(Tensor(x), 0.4, full_rng, True).data[rows]
+    part = T.dropout(Tensor(x[rows]), 0.4, rows_rng, True, drawn_as=(x.shape, rows)).data
+    assert np.array_equal(full, part)
+    assert full_rng.random() == rows_rng.random()
 
 
 def test_layer_norm_gradient():
@@ -356,9 +417,9 @@ def test_backward_frees_intermediate_grads_and_keeps_leaf_grads():
     w = ps.add("w", RNG.normal(size=(3, 4)))
     b = ps.add("b", RNG.normal(size=4))
     x = Tensor(RNG.normal(size=(2, 3)))
-    loss = T.tsum(T.gelu(T.add(T.matmul(x, w), b)))
+    loss = T.tsum(T.relu(T.linear_gelu(x, w, b)))
     T.backward(loss)
     nodes = [t for t in _tape(loss) if t._backward is not None]
-    assert len(nodes) == 4
+    assert len(nodes) == 3
     assert all(t.grad is None for t in nodes)
     assert w.grad is not None and b.grad is not None and x.grad is None

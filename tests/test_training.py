@@ -328,3 +328,28 @@ def test_class_split_holds_out_two_per_class():
     assert {r.label for r in train} == {"class00", "class01", "class02", "tiny"}
     with pytest.raises(TrainingError, match="too small"):
         training.class_split(tiny, seed=7)
+
+
+@pytest.mark.parametrize("training_mode", [False, True], ids=["eval", "training"])
+def test_mlm_loss_equals_the_full_head_loss_and_gradients(corpus_and_vocab, training_mode):
+    """The masked-rows loss against the MLM head over every position, with
+    every parameter (backbone and adapters) trainable."""
+    from adapterlab.tokenizer import apply_mlm_mask, encode_batch
+    texts, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    attach(enc, PlacementPlan.full(CFG.num_layers), seed=3)
+    ids, attn = encode_batch(texts[:6], vocab, 24)
+    batch = apply_mlm_mask(ids, attn, vocab, 0.3, seed=1)
+
+    def full_head_loss(rng):
+        hidden = enc.forward(batch.input_ids, batch.attention_mask, training=training_mode,
+                             rng=rng)
+        return T.cross_entropy(enc.mlm_logits(hidden), batch.labels)
+
+    got = training.mlm_loss(enc, batch, training=training_mode, rng=np.random.default_rng(2))
+    want = full_head_loss(np.random.default_rng(2))
+    assert abs(got.item() - want.item()) < 1e-12
+    got_grads, want_grads = T.gradients(got, enc.params), T.gradients(want, enc.params)
+    assert set(got_grads) == set(want_grads) == set(enc.params.names())
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() < 1e-12, name
