@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -30,6 +31,11 @@ KINDS = ("backbone", "l_adapter", "t_adapter")
 
 class CheckpointError(ValueError):
     pass
+
+
+# what reading a member with a broken byte raises: a failed CRC-32 check, or
+# a deflate stream that does not decode
+_DAMAGED = (zipfile.BadZipFile, zlib.error)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +88,8 @@ def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
             raw = json.loads(zf.read("manifest.json"))
         except ValueError as e:
             raise CheckpointError(f"{path}: manifest.json is not valid JSON: {e}")
+        except _DAMAGED as e:
+            raise CheckpointError(f"{path}: manifest.json is corrupt: {e}") from e
         if not isinstance(raw, dict):
             raise CheckpointError(f"{path}: manifest.json is not an object")
         if raw.get("format") != FORMAT:  # first: another format has other keys
@@ -97,6 +105,8 @@ def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
                 blob = zf.read(f"params/{name}.bin")
             except KeyError:
                 raise CheckpointError(f"{path}: no blob for parameter {name}")
+            except _DAMAGED as e:
+                raise CheckpointError(f"{path}: blob of parameter {name} is corrupt: {e}") from e
             if len(blob) != math.prod(shape) * 8:
                 raise CheckpointError(
                     f"{path}: blob of parameter {name} holds {len(blob)} bytes, "

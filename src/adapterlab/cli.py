@@ -23,7 +23,7 @@ from .adapters import AdapterConfig, PlacementPlan
 from .budget import build_report, paper_scale_report
 from .checkpoint import build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
-from .schema import RunConfig
+from .schema import RunConfig, read_text
 from .tokenizer import Vocabulary, train_bpe
 from .training import TrainConfig
 
@@ -51,8 +51,7 @@ def load_run_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
+            config = json.loads(read_text(args.config, CliError))
         except FileNotFoundError:
             raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as e:
@@ -99,7 +98,7 @@ def _require(run: RunConfig, key: str) -> str:
 def _cloze_examples(run: RunConfig, vocab: Vocabulary, seed: int, **kwargs) -> list:
     """Cloze probes drawn, by default, from the held-out seed of ``seed``."""
     return synth.cloze_examples(run.data, _config(run, "synthetic"), synth.held_out_seed(seed),
-                                vocab, tuple(run.candidates), **kwargs)
+                                vocab, **kwargs)
 
 
 def _refuse(run: RunConfig, keys, reason: str) -> None:

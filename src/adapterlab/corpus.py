@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .schema import checked
+from .schema import checked, read_text
 
 
 class CorpusError(ValueError):
@@ -83,28 +83,27 @@ def load_jsonl(path, kind: str):
     required = [f.name for f in fields if f.default is dataclasses.MISSING]
     records, errors = [], []
     n_lines = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            n_lines += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                errors.append((lineno, f"invalid JSON: {e.msg}"))
-                continue
-            if not isinstance(obj, dict):
-                errors.append((lineno, "not a JSON object"))
-                continue
-            missing = [f for f in required if f not in obj]
-            if missing:
-                errors.append((lineno, f"missing fields: {', '.join(missing)}"))
-                continue
-            try:
-                records.append(cls(**{f.name: checked(f.name, f.type, obj[f.name])
-                                      for f in fields if f.name in obj}))
-            except ValueError as e:
-                errors.append((lineno, str(e)))
+    for lineno, line in enumerate(read_text(path, CorpusError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        n_lines += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            errors.append((lineno, f"invalid JSON: {e.msg}"))
+            continue
+        if not isinstance(obj, dict):
+            errors.append((lineno, "not a JSON object"))
+            continue
+        missing = [f for f in required if f not in obj]
+        if missing:
+            errors.append((lineno, f"missing fields: {', '.join(missing)}"))
+            continue
+        try:
+            records.append(cls(**{f.name: checked(f.name, f.type, obj[f.name])
+                                  for f in fields if f.name in obj}))
+        except ValueError as e:
+            errors.append((lineno, str(e)))
     if n_lines == 0:
         raise CorpusError(f"{path}: empty file")
     if len(errors) / n_lines > MAX_BAD_FRACTION:

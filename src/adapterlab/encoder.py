@@ -93,8 +93,7 @@ class Encoder:
         zeros("mlm.bias", (V,))
 
     # -- forward -----------------------------------------------------------
-    def _attention(self, x: Tensor, mask_bias: np.ndarray, l: int,
-                   training: bool, rng) -> Tensor:
+    def _attention(self, x: Tensor, mask_bias: np.ndarray, l: int, rng) -> Tensor:
         c = self.config
         p = self.params
         B, L, h = x.shape
@@ -107,7 +106,7 @@ class Encoder:
         k = heads(T.linear(x, p[f"layer.{l}.attn.k.w"], p[f"layer.{l}.attn.k.b"]))
         v = heads(T.linear(x, p[f"layer.{l}.attn.v.w"], p[f"layer.{l}.attn.v.b"]))
         probs = T.attention_probs(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), mask_bias,
-                                  1.0 / math.sqrt(dh), c.dropout, rng, training)
+                                  1.0 / math.sqrt(dh), c.dropout, rng)
         ctx = T.matmul(probs, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, L, h))
         return T.linear(ctx, p[f"layer.{l}.attn.o.w"], p[f"layer.{l}.attn.o.b"])
@@ -115,7 +114,8 @@ class Encoder:
     def forward(self, ids: np.ndarray, attention_mask: np.ndarray,
                 mode: str = "mlm", training: bool = False,
                 rng: np.random.Generator | None = None, rows: tuple | None = None) -> Tensor:
-        """Hidden states [batch, len, h]; ``mode`` is {"mlm", "embed"}.
+        """Hidden states [batch, len, h]; ``mode`` is {"mlm", "embed"}; dropout
+        runs only with ``training``, which needs ``rng``.
 
         ``rows``, a (batch indices, position indices) pair of distinct
         positions, asks for only those states, [len(rows[0]), h]: the last
@@ -124,6 +124,9 @@ class Encoder:
         """
         if mode not in ("mlm", "embed"):
             raise ValueError(f"unknown mode {mode!r}")
+        if training and rng is None:
+            raise ValueError("training=True needs an rng for dropout")
+        rng = rng if training else None
         ids = np.asarray(ids)
         attention_mask = np.asarray(attention_mask)
         c, p = self.config, self.params
@@ -142,11 +145,11 @@ class Encoder:
         x = T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"], c.ln_eps)
         if self.adapters is not None:
             x = self.adapters.embed_forward(x)
-        x = T.dropout(x, c.dropout, rng, training)
+        x = T.dropout(x, c.dropout, rng)
 
         for l in range(1, c.num_layers + 1):
-            attn = self._attention(x, mask_bias, l, training, rng)
-            attn = T.dropout(attn, c.dropout, rng, training)
+            attn = self._attention(x, mask_bias, l, rng)
+            attn = T.dropout(attn, c.dropout, rng)
             drawn_as = None
             if rows is not None and l == c.num_layers:
                 drawn_as = (x.shape, rows)
@@ -155,7 +158,7 @@ class Encoder:
                               p[f"layer.{l}.ln1.b"], c.ln_eps)
             f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
                          p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
-            f = T.dropout(f, c.dropout, rng, training, drawn_as)
+            f = T.dropout(f, c.dropout, rng, drawn_as)
             if self.adapters is not None:
                 f = self.adapters.layer_slot(l, h1, f)
             x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"],

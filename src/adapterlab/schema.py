@@ -87,6 +87,16 @@ class JsonConfig:
         return cls(**{f.name: checked(f.name, f.type, d[f.name]) for f in fields})
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """The text of the UTF-8 file ``path``; if it is not UTF-8, ``error``
+    names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def check(obj, rule: str, test, *names: str) -> None:
     """``ValueError`` naming the first field of ``names`` whose value fails
     ``test``; ``rule`` says what the value must be."""
@@ -109,7 +119,6 @@ class RunConfig(JsonConfig):
     vocab_size: int = 2048
     n_pairs: int | None = None
     max_len: int | None = None
-    candidates: list[str] = dataclasses.field(default_factory=lambda: ["max", "min"])
     task: str = "retrieval"
     layers: str | None = None
     train_language: str | None = None

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import (ClozeRecord, CorpusError, CorpusRecord, PairRecord,
                      RetrievalRecord, load_jsonl)
-from .schema import JsonConfig, check
+from .schema import JsonConfig, check, read_text
 from .tokenizer import Vocabulary
 
 _NL_WORDS = (
@@ -112,8 +111,11 @@ def synth_code_records(language: str = "alpha", n: int = 600,
     return records
 
 
+CLOZE_CANDIDATES = ("max", "min")  # the cue words a synthetic probe masks
+
+
 def build_cloze_examples(records: list[CorpusRecord], vocab: Vocabulary,
-                         candidates: tuple[str, ...] = ("max", "min")) -> list[ClozeRecord]:
+                         candidates: tuple[str, ...] = CLOZE_CANDIDATES) -> list[ClozeRecord]:
     """Mask single-token occurrences of the candidate words in tokenized code.
 
     Skips records where a candidate word does not map to one vocabulary
@@ -243,7 +245,7 @@ def held_out_seed(seed: int) -> int:
 def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     """NL pretraining corpus: a text file (one document per line) or synthetic."""
     if path:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, CorpusError).splitlines()
         texts = [ln for ln in lines if ln.strip()]
         if not texts:
             raise CorpusError(f"corpus file {path} has no non-empty lines")
@@ -268,7 +270,6 @@ def retrieval_records(path: str | None, spec: SyntheticSpec,
 
 
 def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Vocabulary,
-                   candidates: tuple[str, ...] = ("max", "min"),
                    language: str | None = None) -> list[ClozeRecord]:
     """Cloze probes: cloze JSON-lines, or built from synthetic programs
     (in ``language`` when given)."""
@@ -276,7 +277,7 @@ def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Voca
         return load_jsonl(path, "cloze")[0]
     records = synth_code_records(language or spec.language, spec.n or 200,
                                  seed=spec.seed_or(seed))
-    examples = build_cloze_examples(records, vocab, candidates)
+    examples = build_cloze_examples(records, vocab)
     if not examples:
         raise CorpusError("no cloze probes could be built from the corpus")
     return examples

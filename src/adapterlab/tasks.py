@@ -82,17 +82,16 @@ class EmbedResult:
 
 
 def embed_texts(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
-                max_len: int, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                max_len: int, rng: np.random.Generator | None = None) -> Tensor:
     """Unit-norm mean-pooled embeddings [len(texts), h]: encode, run the
-    ``embed`` forward pass, pool."""
-    return embed_ids(encoder, *encode_batch(texts, vocab, max_len), training, rng)
+    ``embed`` forward pass (with dropout when ``rng`` is given), pool."""
+    return embed_ids(encoder, *encode_batch(texts, vocab, max_len), rng)
 
 
-def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray, training: bool = False,
+def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray,
               rng: np.random.Generator | None = None) -> Tensor:
     """``embed_texts`` of texts already encoded and padded."""
-    hidden = encoder.forward(ids, attn, mode="embed", training=training, rng=rng)
+    hidden = encoder.forward(ids, attn, mode="embed", training=rng is not None, rng=rng)
     return encoder.sequence_embedding(hidden, attn)
 
 
@@ -200,13 +199,13 @@ def pair_logits(params: ParameterSet, e_a: Tensor, e_b: Tensor) -> Tensor:
 
 
 def pair_batch_logits(encoder: Encoder, pairs: Sequence[PairRecord],
-                      vocab: Vocabulary, max_len: int, training: bool = False,
+                      vocab: Vocabulary, max_len: int,
                       rng: np.random.Generator | None = None) -> Tensor:
     """Clone logits [len(pairs), 1]. One embedding batch holds every ``a``
     side, then every ``b`` side."""
     k = len(pairs)
     emb = embed_texts(encoder, [p.code_a for p in pairs] + [p.code_b for p in pairs],
-                      vocab, max_len, training=training, rng=rng)
+                      vocab, max_len, rng=rng)
     e_a = T.tslice(emb, (slice(0, k), slice(None)))
     e_b = T.tslice(emb, (slice(k, 2 * k), slice(None)))
     return pair_logits(encoder.params, e_a, e_b)

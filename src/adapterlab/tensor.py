@@ -249,22 +249,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), (grad,))
 
 
-def _keep(shape, rate: float, rng: np.random.Generator | None, index=...) -> np.ndarray:
+def _keep(shape, rate: float, rng: np.random.Generator, index=...) -> np.ndarray:
     """Inverted-dropout multipliers drawn at ``shape``, then ``[index]``."""
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     return (rng.random(shape) >= rate)[index] / (1.0 - rate)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool,
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
             drawn_as: tuple | None = None) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
+    """Inverted dropout; the identity when ``rng`` is None or rate <= 0.
 
     ``drawn_as=(shape, index)`` says ``x`` holds ``full[index]`` of a tensor
     of ``shape``: the mask is drawn at ``shape`` and then indexed, so ``rng``
     advances, and each entry is kept or dropped, as for the full tensor.
     """
-    if not training or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return x
     shape, index = drawn_as or (x.shape, ...)
     keep = _keep(shape, rate, rng, index)
@@ -317,17 +315,16 @@ def key_mask_bias(key_mask: np.ndarray) -> np.ndarray:
 
 
 def attention_probs(scores: Tensor, mask_bias: np.ndarray, scale: float, rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    training: bool = False) -> Tensor:
-    """``dropout(softmax(scale * scores + mask_bias))`` over the last axis in
-    one node. ``mask_bias`` (from ``key_mask_bias``) broadcasts to
-    ``scores``; masked keys get exactly zero probability."""
+                    rng: np.random.Generator | None = None) -> Tensor:
+    """``dropout(softmax(scale * scores + mask_bias), rate, rng)`` over the
+    last axis in one node. ``mask_bias`` (from ``key_mask_bias``) broadcasts
+    to ``scores``; masked keys get exactly zero probability."""
     z = scores.data * scale
     z += mask_bias
     z -= z.max(axis=-1, keepdims=True)
     probs = np.exp(z, out=z)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _keep(probs.shape, rate, rng) if training and rate > 0.0 else None
+    keep = _keep(probs.shape, rate, rng) if rng is not None and rate > 0.0 else None
     out = probs if keep is None else probs * keep
 
     def dscores(g):
@@ -372,9 +369,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _make(out, (logits,), (dlogits,))
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Unit-normalize over the last axis."""
-    norm = sqrt(add(tsum(power(x, 2.0), axis=-1, keepdims=True), _as_tensor(eps)))
+def l2_normalize(x: Tensor) -> Tensor:
+    """Unit-normalize over the last axis (a zero row stays finite)."""
+    norm = sqrt(add(tsum(power(x, 2.0), axis=-1, keepdims=True), _as_tensor(1e-12)))
     return div(x, norm)
 
 
@@ -428,15 +425,16 @@ def backward(loss: Tensor) -> None:
 
 class ParameterSet:
     """Ordered map of hierarchical names to parameter tensors. A parameter
-    is trainable exactly when its tensor has ``requires_grad``."""
+    is trainable exactly when its tensor has ``requires_grad``, as every
+    new one is until ``set_trainable`` says otherwise."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(value, dtype=DEFAULT_DTYPE), requires_grad=trainable)
+        t = Tensor(np.asarray(value, dtype=DEFAULT_DTYPE), requires_grad=True)
         self._params[name] = t
         return t
 

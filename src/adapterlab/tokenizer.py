@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .schema import read_text
 from .tensor import IGNORE_INDEX
 
 BOS, EOS, PAD, UNK, MASK = "<s>", "</s>", "<pad>", "<unk>", "<mask>"
@@ -129,8 +130,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """``TokenizerError`` names the file, and the line of a bad entry or
         every missing special token."""
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_text(path, TokenizerError).splitlines()
         if not lines or lines[0] != VOCAB_HEADER:
             raise TokenizerError(f"{path}: not a vocabulary file "
                                  f"(expected header {VOCAB_HEADER!r})")

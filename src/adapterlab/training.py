@@ -39,9 +39,6 @@ class TrainConfig(JsonConfig):
     learning_rate: float = 1e-4
     batch_size: int = 8
     max_steps: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 3
     eval_every: int = 50
     early_stop: bool = False
@@ -53,11 +50,10 @@ class TrainConfig(JsonConfig):
     items_per_class: int = 4
 
     def __post_init__(self):
-        check(self, "> 0", lambda v: v > 0, "learning_rate", "adam_eps", "temperature")
+        check(self, "> 0", lambda v: v > 0, "learning_rate", "temperature")
         check(self, ">= 1", lambda v: v >= 1, "batch_size", "patience", "eval_every",
               "max_len", "classes_per_batch", "items_per_class")
         check(self, ">= 0", lambda v: v >= 0, "max_steps", "seed")
-        check(self, "in [0, 1)", lambda v: 0 <= v < 1, "beta1", "beta2")
         check(self, "in [0, 1]", lambda v: 0 <= v <= 1, "mask_rate")
 
 
@@ -87,6 +83,9 @@ class TrainReport:
         }, indent=2)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the usual Adam defaults
+
+
 class AdamState:
     def __init__(self):
         self.step = 0
@@ -112,11 +111,11 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
         p = params[name]
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1 - cfg.beta1) * (g - m)
-        v += (1 - cfg.beta2) * (g * g - v)
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        p.data = p.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m += (1 - ADAM_BETA1) * (g - m)
+        v += (1 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        p.data = p.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _index_split(n: int, seed: int) -> tuple[list[int], list[int]]:
@@ -150,13 +149,13 @@ def class_split(records: Sequence[RetrievalRecord], seed: int
     return train, val
 
 
-def mlm_loss(encoder: Encoder, batch: MaskedBatch, training: bool = False,
+def mlm_loss(encoder: Encoder, batch: MaskedBatch,
              rng: np.random.Generator | None = None) -> T.Tensor:
     """Cross-entropy over the masked positions, which alone run the last
-    layer's per-position work and the MLM head."""
+    layer's per-position work and the MLM head; ``rng`` turns dropout on."""
     rows = np.nonzero(batch.labels != MaskedBatch.IGNORE)
-    hidden = encoder.forward(batch.input_ids, batch.attention_mask,
-                             mode="mlm", training=training, rng=rng, rows=rows)
+    hidden = encoder.forward(batch.input_ids, batch.attention_mask, mode="mlm",
+                             training=rng is not None, rng=rng, rows=rows)
     return T.cross_entropy(encoder.mlm_logits(hidden), batch.labels[rows])
 
 
@@ -266,7 +265,7 @@ def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
         batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate, seed=rng)
         if (batch.labels == MaskedBatch.IGNORE).all():
             return None
-        return mlm_loss(encoder, batch, training=True, rng=rng)
+        return mlm_loss(encoder, batch, rng=rng)
 
     return _fit(encoder, cfg, mode, TrainReport(val_metric_name="mlm_loss"),
                 batch_loss, lambda: eval_mlm_loss(encoder, val_texts, vocab, cfg),
@@ -330,8 +329,7 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
             idx = _class_batches([r.label for r in train_data], rng,
                                  cfg.classes_per_batch, cfg.items_per_class)
             items: list[RetrievalRecord] = [train_data[i] for i in idx]
-            emb = tasks.embed_texts(encoder, [r.code for r in items], vocab,
-                                    cfg.max_len, training=True, rng=rng)
+            emb = tasks.embed_texts(encoder, [r.code for r in items], vocab, cfg.max_len, rng)
             return tasks.in_batch_negative_loss(emb, [r.label for r in items],
                                                 cfg.temperature)[0]
 
@@ -342,8 +340,7 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
         def batch_loss(rng: np.random.Generator) -> T.Tensor:
             pick = rng.integers(0, len(train_data), size=cfg.batch_size)
             pairs: list[PairRecord] = [train_data[i] for i in pick]
-            logit = tasks.pair_batch_logits(encoder, pairs, vocab, cfg.max_len,
-                                            training=True, rng=rng)
+            logit = tasks.pair_batch_logits(encoder, pairs, vocab, cfg.max_len, rng=rng)
             y = T.Tensor(np.array([[float(p.label)] for p in pairs]))
             # stable BCE-with-logits: softplus(z) - y*z
             softplus = T.add(T.relu(logit),

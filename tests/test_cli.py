@@ -3,6 +3,7 @@ end-to-end pipeline through every subcommand."""
 
 import dataclasses
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -289,6 +290,40 @@ def test_checkpoint_missing_blob_exits_1_naming_it(pipeline, tmp_path, capsys):
     assert "l_adapter.1.down.w" in err["message"]
 
 
+@pytest.mark.parametrize("member, method, named", [
+    ("params/layer.1.attn.q.b.bin", zipfile.ZIP_STORED, "parameter layer.1.attn.q.b"),
+    ("params/layer.1.attn.q.b.bin", zipfile.ZIP_DEFLATED, "parameter layer.1.attn.q.b"),
+    ("manifest.json", zipfile.ZIP_DEFLATED, "manifest.json"),
+], ids=["stored-blob", "deflated-blob", "deflated-manifest"])
+def test_checkpoint_corrupt_member_exits_1_naming_it(pipeline, tmp_path, capsys,
+                                                    member, method, named):
+    """One broken byte inside a member fails its CRC-32 check (stored) or its
+    deflate stream (here a reserved block type); either ends in one error
+    line naming the file and the member."""
+    root, vocab = pipeline
+    broken = tmp_path / "broken.ckpt"
+    with zipfile.ZipFile(root / "la" / "l_adapter.ckpt") as src, \
+            zipfile.ZipFile(broken, "w", method) as dst:
+        for item in src.infolist():
+            dst.writestr(item.filename, src.read(item))
+    with zipfile.ZipFile(broken) as zf:
+        info = zf.getinfo(member)
+    data = bytearray(broken.read_bytes())
+    head = info.header_offset
+    start = head + 30 + sum(struct.unpack("<HH", data[head + 26:head + 30]))
+    if method == zipfile.ZIP_STORED:
+        data[start + info.compress_size // 2] ^= 0xFF
+    else:
+        data[start] |= 0b110  # block type 3, which deflate reserves
+    broken.write_bytes(bytes(data))
+    assert _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={broken}",
+                 "--set", "synthetic.n=20"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CheckpointError"
+    assert str(broken) in err["message"] and named in err["message"]
+
+
 def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
                                                     monkeypatch):
     """With no data path and no synthetic.seed, the evaluation subcommands
@@ -473,7 +508,7 @@ def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
     ("train-task-adapter", ["task=pairs"], "task"),
     ("eval-clone", ["max_len=abc"], "max_len"),
     ("eval-clone", ["data=5"], "data"),
-    ("eval-cloze", ["candidates=5"], "candidates"),
+    ("eval-cloze", ['candidates=["max", "min"]'], "candidates"),  # an unknown key
     ("pretrain", ["encoder.vocab_size=7"], "encoder.vocab_size"),
     ("budget", ["task=pairs"], "task"),
     ("budget", ["layers=1-2"], "layers"),
@@ -575,13 +610,37 @@ def test_wrong_typed_dataset_field_exits_1_naming_it(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("edit, named", [
     (lambda lines: [ln for ln in lines if not ln.startswith("<mask>\t")], "<mask>"),
     (lambda lines: lines[:3] + ["no-tab-here"] + lines[3:], "line 4"),
-], ids=["special-token-missing", "line-without-tab"])
+    (lambda lines: ["\udcff\udcfe" + lines[0]] + lines[1:], "not UTF-8"),  # bytes ff fe
+], ids=["special-token-missing", "line-without-tab", "not-utf-8"])
 def test_bad_vocabulary_exits_1_naming_it(pipeline, tmp_path, capsys, edit, named):
     root, vocab = pipeline
     bad = tmp_path / "vocab.txt"
-    bad.write_text("\n".join(edit(open(vocab, encoding="utf-8").read().splitlines())) + "\n")
+    lines = edit(open(vocab, encoding="utf-8").read().splitlines())
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     assert _run(["pretrain", "--out", str(tmp_path / "o"), "--set", f"vocab={bad}", *TINY,
                  "--set", "train.max_steps=1", "--set", "synthetic.n_sentences=50"]) == 1
     err = _one_error_line(capsys)
     assert err["error"] == "TokenizerError"
     assert str(bad) in err["message"] and named in err["message"]
+
+
+@pytest.mark.parametrize("subcommand, argv, error", [
+    ("eval-cloze", ["--set", "vocab={bad}", "--set", "model={root}/la/l_adapter.ckpt"],
+     "TokenizerError"),
+    ("tokenizer-train", ["--set", "corpus={bad}"], "CorpusError"),
+    ("train-lang-adapter", ["--set", "vocab={vocab}", "--set", "backbone={root}/pre/backbone.ckpt",
+                            "--set", "corpus={bad}"], "CorpusError"),
+    ("budget", ["--config", "{bad}"], "CliError"),
+], ids=["vocabulary", "nl-corpus", "code-corpus", "config"])
+def test_non_utf8_input_file_exits_1_naming_it(pipeline, tmp_path, capsys, subcommand,
+                                               argv, error):
+    """A UTF-16 file (it starts with the bytes ff fe) is no UTF-8 text: one
+    error line names the file, whichever reader meets it."""
+    root, vocab = pipeline
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes("\ufeffx = max ( a , b ) ;\n".encode("utf-16-le"))
+    argv = [a.format(bad=bad, root=root, vocab=vocab) for a in argv]
+    assert _run([subcommand, "--out", str(tmp_path / "o"), "--seed", "0", *argv]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == error
+    assert str(bad) in err["message"] and "not UTF-8" in err["message"]

@@ -1,6 +1,7 @@
 """Dataset ingestion: JSON-lines validation."""
 
 import json
+import re
 
 import pytest
 
@@ -53,6 +54,13 @@ def test_load_empty_file_raises(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text("")
     with pytest.raises(CorpusError):
+        load_jsonl(p, "unlabeled")
+
+
+def test_non_utf8_file_raises_naming_it(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes('{"id": "r0", "language": "a", "code": "x"}\n'.encode("utf-16"))
+    with pytest.raises(CorpusError, match=re.escape(f"{p}: not UTF-8 text")):
         load_jsonl(p, "unlabeled")
 
 

@@ -118,6 +118,16 @@ def test_dropout_only_in_training(encoder):
     assert not np.allclose(c, d)
 
 
+@pytest.mark.parametrize("dropout", [0.1, 0.0])
+def test_training_forward_without_an_rng_raises(dropout):
+    """Dropout follows the rng below ``forward``, so ``training=True`` with
+    no rng would silently run none; it is refused, whatever the rate."""
+    enc = Encoder(EncoderConfig(**{**CFG.to_dict(), "dropout": dropout}), seed=0)
+    ids, attn = _batch(np.random.default_rng(5))
+    with pytest.raises(ValueError, match="rng"):
+        enc.forward(ids, attn, training=True)
+
+
 def test_paper_scale_config_shape():
     assert PAPER_SCALE_CONFIG.num_layers == 12
     assert PAPER_SCALE_CONFIG.hidden_size == 768

@@ -28,9 +28,9 @@ encoder_configs = st.builds(
     dropout=unit, ln_eps=positive)
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, batch_size=sizes, max_steps=st.integers(0, 10 ** 6),
-    beta1=unit, beta2=unit, adam_eps=positive, patience=sizes, eval_every=sizes,
-    early_stop=st.booleans(), seed=st.integers(0, 2 ** 63), mask_rate=st.floats(0.0, 1.0),
-    max_len=sizes, temperature=positive, classes_per_batch=sizes, items_per_class=sizes)
+    patience=sizes, eval_every=sizes, early_stop=st.booleans(), seed=st.integers(0, 2 ** 63),
+    mask_rate=st.floats(0.0, 1.0), max_len=sizes, temperature=positive,
+    classes_per_batch=sizes, items_per_class=sizes)
 adapter_configs = st.builds(AdapterConfig, st.none() | sizes, st.none() | sizes,
                             st.none() | sizes, sizes)
 layer_sets = st.frozensets(st.integers(1, 48))
@@ -55,7 +55,6 @@ sections = st.none() | st.dictionaries(st.text(max_size=4), _json(st.floats(allo
 run_configs = st.builds(
     RunConfig, vocab=strings, corpus=strings, data=strings, backbone=strings, model=strings,
     vocab_size=sizes, n_pairs=st.none() | sizes, max_len=st.none() | sizes,
-    candidates=st.lists(st.text(max_size=4), max_size=3),
     task=st.sampled_from(["retrieval", "pair_classification"]),
     layers=st.none() | st.builds("{}..{}".format, st.integers(0, 48), st.integers(0, 48)),
     train_language=strings, eval_language=strings, synthetic=sections, encoder=sections,
@@ -131,7 +130,7 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     (TrainConfig, "eval_every", 0),
     (TrainConfig, "max_steps", -1),
     (TrainConfig, "learning_rate", -1e-3),
-    (TrainConfig, "beta2", 1.0),
+    (TrainConfig, "batch_size", 0),
     (TrainConfig, "mask_rate", 1.5),
     (TrainConfig, "temperature", 0.0),
     (AdapterConfig, "l_bottleneck", 0),
@@ -191,4 +190,4 @@ def test_nested_config_is_read_and_written_by_its_own_class():
 def test_run_config_defaults_leave_every_section_and_path_unset():
     run = RunConfig.from_dict({**RunConfig().to_dict(), "encoder": {"num_layers": 2}})
     assert run.encoder == {"num_layers": 2} and run.train is None and run.vocab is None
-    assert (run.task, run.candidates, run.layers) == ("retrieval", ["max", "min"], None)
+    assert (run.task, run.layers) == ("retrieval", None)

@@ -69,14 +69,13 @@ GRADIENT_ROWS = {
     "attention_probs": (lambda a: T.attention_probs(a, MASK_BIAS, 0.7),
                         [RNG.normal(size=(2, 1, 3, 4))]),
     "attention_probs_dropout": (
-        lambda a: T.attention_probs(a, MASK_BIAS, 0.7, 0.3, np.random.default_rng(0),
-                                    training=True),
+        lambda a: T.attention_probs(a, MASK_BIAS, 0.7, 0.3, np.random.default_rng(0)),
         [RNG.normal(size=(2, 2, 3, 4))]),
     "layer_norm": (T.layer_norm, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=4),
                                   RNG.normal(size=4)]),
     "embedding": (lambda table: T.embedding(table, np.array([[1, 1, 4], [0, 2, 1]])),
                   [RNG.normal(size=(5, 3))]),
-    "dropout": (lambda a: T.dropout(a, 0.3, np.random.default_rng(0), training=True),
+    "dropout": (lambda a: T.dropout(a, 0.3, np.random.default_rng(0)),
                 [RNG.normal(size=(3, 4))]),
     "cross_entropy": (lambda a: T.cross_entropy(a, LABELS), [RNG.normal(size=(2, 3, 5))]),
     "l2_normalize": (T.l2_normalize, [RNG.normal(size=(3, 4))]),
@@ -202,9 +201,8 @@ def test_attention_mask_with_an_all_masked_row_raises():
 def test_attention_dropout_draws_as_plain_dropout():
     """Same rng, same mask: the fused op's dropout keeps the random stream."""
     scores = Tensor(RNG.normal(size=(2, 2, 3, 4)))
-    fused = T.attention_probs(scores, MASK_BIAS, 0.5, 0.3, np.random.default_rng(4), True)
-    plain = T.dropout(T.attention_probs(scores, MASK_BIAS, 0.5), 0.3,
-                      np.random.default_rng(4), True)
+    fused = T.attention_probs(scores, MASK_BIAS, 0.5, 0.3, np.random.default_rng(4))
+    plain = T.dropout(T.attention_probs(scores, MASK_BIAS, 0.5), 0.3, np.random.default_rng(4))
     assert np.array_equal(fused.data, plain.data)
 
 
@@ -212,8 +210,8 @@ def test_dropout_drawn_at_full_shape_equals_the_gathered_full_dropout():
     x = RNG.normal(size=(3, 5, 4))
     rows = (np.array([0, 0, 2]), np.array([1, 4, 0]))
     full_rng, rows_rng = np.random.default_rng(6), np.random.default_rng(6)
-    full = T.dropout(Tensor(x), 0.4, full_rng, True).data[rows]
-    part = T.dropout(Tensor(x[rows]), 0.4, rows_rng, True, drawn_as=(x.shape, rows)).data
+    full = T.dropout(Tensor(x), 0.4, full_rng).data[rows]
+    part = T.dropout(Tensor(x[rows]), 0.4, rows_rng, drawn_as=(x.shape, rows)).data
     assert np.array_equal(full, part)
     assert full_rng.random() == rows_rng.random()
 
@@ -259,11 +257,11 @@ def test_cross_entropy_all_ignored_raises():
 def test_dropout_inverted_scaling_and_eval_identity():
     x = Tensor(np.ones((1000,)))
     rng = np.random.default_rng(0)
-    out = T.dropout(x, 0.5, rng, training=True).data
+    out = T.dropout(x, 0.5, rng).data
     kept = out[out != 0]
     assert np.allclose(kept, 2.0)
     assert abs((out != 0).mean() - 0.5) < 0.1
-    assert T.dropout(x, 0.5, rng, training=False) is x
+    assert T.dropout(x, 0.5, None) is x and T.dropout(x, 0.0, rng) is x
 
 
 def test_l2_normalize_unit_rows():
@@ -281,7 +279,8 @@ def test_backward_requires_scalar():
 def test_parameter_set_basics():
     ps = ParameterSet()
     ps.add("a.w", np.ones((2, 2)))
-    ps.add("a.b", np.zeros(2), trainable=False)
+    ps.add("a.b", np.zeros(2))
+    ps.set_trainable("a.b", False)
     with pytest.raises(ValueError):
         ps.add("a.w", np.ones(1))
     assert ps.trainable_names() == ["a.w"]
@@ -298,8 +297,10 @@ def test_parameter_set_basics():
 def test_trainable_flag_is_requires_grad():
     ps = ParameterSet()
     w = ps.add("w", np.ones(2))
-    f = ps.add("f", np.ones(2), trainable=False)
-    assert w.requires_grad and not f.requires_grad
+    f = ps.add("f", np.ones(2))
+    assert w.requires_grad and f.requires_grad  # every new parameter trains
+    ps.set_trainable("f", False)
+    assert not f.requires_grad
     ps.set_trainable("w", False)
     ps.set_trainable("f", True)
     assert not w.requires_grad and f.requires_grad
@@ -309,7 +310,8 @@ def test_trainable_flag_is_requires_grad():
 def test_gradients_only_trainable():
     ps = ParameterSet()
     w = ps.add("w", np.ones((2,)))
-    f = ps.add("frozen", np.ones((2,)), trainable=False)
+    f = ps.add("frozen", np.ones((2,)))
+    ps.set_trainable("frozen", False)
     loss = T.tsum(T.mul(T.add(w, f), T.Tensor(np.array([1.0, 2.0]))))
     grads = gradients(loss, ps)
     assert set(grads) == {"w"}

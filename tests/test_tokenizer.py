@@ -87,7 +87,8 @@ def test_load_rejects_wrong_header(tmp_path):
     (lambda lines: [ln for ln in lines if not ln.startswith("<mask>\t")], "<mask>"),
     (lambda lines: [ln for ln in lines if ln.split("\t")[0] not in ("<s>", "<pad>")],
      "<s>, <pad>"),
-], ids=["no-tab", "bad-id", "merge-with-two-tabs", "no-mask", "no-bos-or-pad"])
+    (lambda lines: ["\udcff\udcfe" + lines[0]] + lines[1:], "not UTF-8"),  # bytes ff fe
+], ids=["no-tab", "bad-id", "merge-with-two-tabs", "no-mask", "no-bos-or-pad", "not-utf-8"])
 def test_load_names_the_file_and_the_bad_line_or_token(tmp_path, vocab, edit, named):
     """A broken vocabulary file fails at load time with a ``TokenizerError``
     naming the file and the line, or every missing special token."""
@@ -95,7 +96,7 @@ def test_load_names_the_file_and_the_bad_line_or_token(tmp_path, vocab, edit, na
     vocab.save(good)
     lines = edit(good.read_text().splitlines())
     p = tmp_path / "bad.txt"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(TokenizerError) as info:
         Vocabulary.load(p)
     assert str(p) in str(info.value) and named in str(info.value)

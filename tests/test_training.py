@@ -10,10 +10,11 @@ import pytest
 from adapterlab import tasks, training
 from adapterlab import tensor as T
 from adapterlab.adapters import PlacementPlan, attach, checksum
+from adapterlab.corpus import PairRecord
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.synth import synth_clone_classes, synth_code_records, synth_nl_corpus
 from adapterlab.tensor import ParameterSet
-from adapterlab.tokenizer import train_bpe
+from adapterlab.tokenizer import apply_mlm_mask, encode_batch, train_bpe
 from adapterlab.training import (AdamState, TrainConfig, TrainingError,
                                  adam_step, eval_mlm_loss, pretrain_mlm,
                                  train_language_adapter, train_task_adapter)
@@ -49,11 +50,11 @@ def test_adam_step_matches_reference():
     state = AdamState()
     adam_step(ps, {"w": g}, state, cfg)
     # closed form for the first step: update = lr * sign-ish expression
-    m = (1 - cfg.beta1) * g
-    v = (1 - cfg.beta2) * g * g
-    m_hat = m / (1 - cfg.beta1)
-    v_hat = v / (1 - cfg.beta2)
-    want = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m = (1 - training.ADAM_BETA1) * g
+    v = (1 - training.ADAM_BETA2) * g * g
+    m_hat = m / (1 - training.ADAM_BETA1)
+    v_hat = v / (1 - training.ADAM_BETA2)
+    want = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
     assert np.allclose(ps["w"].data, want, atol=1e-12)
     assert state.step == 1
 
@@ -334,7 +335,6 @@ def test_class_split_holds_out_two_per_class():
 def test_mlm_loss_equals_the_full_head_loss_and_gradients(corpus_and_vocab, training_mode):
     """The masked-rows loss against the MLM head over every position, with
     every parameter (backbone and adapters) trainable."""
-    from adapterlab.tokenizer import apply_mlm_mask, encode_batch
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
     attach(enc, PlacementPlan.full(CFG.num_layers), seed=3)
@@ -346,10 +346,26 @@ def test_mlm_loss_equals_the_full_head_loss_and_gradients(corpus_and_vocab, trai
                              rng=rng)
         return T.cross_entropy(enc.mlm_logits(hidden), batch.labels)
 
-    got = training.mlm_loss(enc, batch, training=training_mode, rng=np.random.default_rng(2))
+    got = training.mlm_loss(enc, batch, np.random.default_rng(2) if training_mode else None)
     want = full_head_loss(np.random.default_rng(2))
     assert abs(got.item() - want.item()) < 1e-12
     got_grads, want_grads = T.gradients(got, enc.params), T.gradients(want, enc.params)
     assert set(got_grads) == set(want_grads) == set(enc.params.names())
     for name, g in want_grads.items():
         assert np.abs(got_grads[name] - g).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("call", ["embed_texts", "pair_batch_logits", "mlm_loss"])
+def test_dropout_follows_the_rng(corpus_and_vocab, call):
+    """Without an rng a helper runs no dropout, so two calls agree; two
+    different rngs draw different masks."""
+    texts, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    tasks.register_pair_head(enc.params, CFG.hidden_size)
+    batch = apply_mlm_mask(*encode_batch(texts[:4], vocab, 24), vocab, 0.3, seed=1)
+    pairs = [PairRecord("a", "b", texts[0], texts[1], 1), PairRecord("c", "d", texts[2], texts[3], 0)]
+    run = {"embed_texts": lambda rng: tasks.embed_texts(enc, texts[:4], vocab, 24, rng),
+           "pair_batch_logits": lambda rng: tasks.pair_batch_logits(enc, pairs, vocab, 24, rng),
+           "mlm_loss": lambda rng: training.mlm_loss(enc, batch, rng)}[call]
+    assert np.array_equal(run(None).data, run(None).data)
+    assert not np.allclose(run(np.random.default_rng(1)).data, run(np.random.default_rng(2)).data)
