@@ -12,18 +12,25 @@ have ``requires_grad=False`` (frozen parameters, constants, anything
 computed only from them) builds a constant, a recorded node runs only the
 gradient functions of the parents that require a gradient, and inside
 ``no_grad()`` nothing is recorded at all.
+
+Float data is float64 (``DEFAULT_DTYPE``, the dtype of every parameter)
+except inside ``compute_dtype(dtype)``, where every tensor built from float
+data, op outputs and constants alike, holds ``dtype``; no op promotes an
+operand of that dtype back to float64.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
+_compute_dtype = DEFAULT_DTYPE
 
 
 class NumericError(RuntimeError):
@@ -34,7 +41,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=DEFAULT_DTYPE if np.asarray(data).dtype.kind == "f" else None)
+        data = np.asarray(data)
+        self.data = data.astype(_compute_dtype, copy=False) if data.dtype.kind == "f" else data
         if self.data.dtype.kind not in "fiu":
             raise TypeError(f"unsupported dtype {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
@@ -64,7 +72,7 @@ class Tensor:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=_compute_dtype))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,6 +97,17 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+@contextlib.contextmanager
+def compute_dtype(dtype):
+    """Hold float data in ``dtype`` inside the block (float64 outside it)."""
+    global _compute_dtype
+    previous, _compute_dtype = _compute_dtype, np.dtype(dtype).type
+    try:
+        yield
+    finally:
+        _compute_dtype = previous
 
 
 def _make(data, parents, grads, pre=None) -> Tensor:
@@ -249,9 +268,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), (grad,))
 
 
-def _keep(shape, rate: float, rng: np.random.Generator, index=...) -> np.ndarray:
-    """Inverted-dropout multipliers drawn at ``shape``, then ``[index]``."""
-    return (rng.random(shape) >= rate)[index] / (1.0 - rate)
+def _keep(shape, rate: float, rng: np.random.Generator, dtype, index=...) -> np.ndarray:
+    """Inverted-dropout multipliers drawn at ``shape``, then ``[index]``, in
+    ``dtype``; the uniforms are float64 draws whatever ``dtype`` is."""
+    return np.multiply((rng.random(shape) >= rate)[index], 1.0 / (1.0 - rate), dtype=dtype)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
@@ -265,7 +285,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     if rng is None or rate <= 0.0:
         return x
     shape, index = drawn_as or (x.shape, ...)
-    keep = _keep(shape, rate, rng, index)
+    keep = _keep(shape, rate, rng, x.data.dtype, index)
     return _make(x.data * keep, (x,), (lambda g: g * keep,))
 
 
@@ -291,12 +311,12 @@ def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     computed once per backward, for all three parents."""
     z = x.data @ w.data
     z += b.data
-    cdf = erf(z / np.sqrt(2.0))
+    cdf = erf(z / math.sqrt(2.0))  # Python floats: a NumPy scalar would promote float32
     cdf += 1.0
     cdf *= 0.5
 
     def dz(g):
-        d = np.exp(-0.5 * z ** 2) / np.sqrt(2.0 * np.pi)
+        d = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
         d *= z
         d += cdf
         return g * d
@@ -324,7 +344,7 @@ def attention_probs(scores: Tensor, mask_bias: np.ndarray, scale: float, rate: f
     z -= z.max(axis=-1, keepdims=True)
     probs = np.exp(z, out=z)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _keep(probs.shape, rate, rng) if rng is not None and rate > 0.0 else None
+    keep = _keep(probs.shape, rate, rng, probs.dtype) if rng is not None and rate > 0.0 else None
     out = probs if keep is None else probs * keep
 
     def dscores(g):
@@ -434,7 +454,8 @@ class ParameterSet:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(value, dtype=DEFAULT_DTYPE), requires_grad=True)
+        t = Tensor(0.0, requires_grad=True)
+        t.data = np.asarray(value, dtype=DEFAULT_DTYPE)  # whatever the compute dtype
         self._params[name] = t
         return t
 

@@ -3,12 +3,18 @@ T-adapter training on task data. The three share one loop (``_fit``) and
 differ only in their batch loss and validation metric. Adam with bias
 correction, inverted dropout, early stopping on a validation metric.
 
+Each step is mixed precision: the forward and backward passes run in
+float32 over float32 copies of the weights, and Adam updates the float64
+master weights with the float64 gradients. Validation, and every call made
+outside a step, stays float64.
+
 All randomness flows from TrainConfig.seed through one generator, so a fixed
 seed and data order reproduce checkpoints bit-exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -180,29 +186,53 @@ def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
     return float(np.mean(losses))
 
 
+STEP_DTYPE = np.float32  # the dtype a training step computes in
+
+
+@contextlib.contextmanager
+def _step_weights(params: ParameterSet, frozen: dict[str, np.ndarray]):
+    """Every parameter holds its ``STEP_DTYPE`` copy inside the block: the
+    frozen ones the copies in ``frozen``, the trainable ones a fresh cast of
+    their masters. The float64 masters come back however the block ends."""
+    masters = {name: t.data for name, t in params.items()}
+    try:
+        for name, t in params.items():
+            t.data = frozen[name] if name in frozen else t.data.astype(STEP_DTYPE)
+        with T.compute_dtype(STEP_DTYPE):
+            yield
+    finally:
+        for name, t in params.items():
+            t.data = masters[name]
+
+
 def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainReport,
          batch_loss: Callable[[np.random.Generator], T.Tensor | None],
          validate: Callable[[], float], higher_is_better: bool) -> TrainReport:
     """The one training loop of every trainer. Freezes per ``mode``, then
     takes ``cfg.max_steps`` Adam steps on ``batch_loss(rng)``; a batch with
-    nothing to learn returns None and is counted, not stepped. ``validate()``
-    runs at step 0, every ``cfg.eval_every`` steps and at the last step.
-    With ``cfg.early_stop``, ``cfg.patience`` validations in a row that do
-    not beat the best so far (step 0 included) stop the run.
+    nothing to learn returns None and is counted, not stepped. The loss and
+    its gradients are computed in ``STEP_DTYPE`` (see ``_step_weights``),
+    the update in float64. ``validate()`` runs in float64 at step 0, every
+    ``cfg.eval_every`` steps and at the last step. With ``cfg.early_stop``,
+    ``cfg.patience`` validations in a row that do not beat the best so far
+    (step 0 included) stop the run.
 
     A step that cannot be taken (a non-finite forward pass, loss or
     gradient) stops the run before any weight changes and raises
     ``TrainingError`` carrying the closed report.
     """
-    apply_freeze(encoder.params, mode)
+    params = encoder.params
+    apply_freeze(params, mode)
+    frozen = {name: t.data.astype(STEP_DTYPE) for name, t in params.items()
+              if not t.requires_grad}
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
-    start_time = time.time()
+    start_time = time.perf_counter()
 
     def abort(step: int, reason: str, detail: str | None = None) -> TrainingError:
         report.stopping_reason = reason
         report.steps = step
-        report.seconds = time.time() - start_time
+        report.seconds = time.perf_counter() - start_time
         err = TrainingError(f"{detail or reason} at step {step}")
         err.report = report
         return err
@@ -218,20 +248,23 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
 
     best, bad_evals = evaluate(0), 0
     for step in range(1, cfg.max_steps + 1):
-        try:
-            loss = batch_loss(rng)
-        except T.NumericError as e:
-            raise abort(step, "non-finite forward pass", str(e)) from e
+        with _step_weights(params, frozen):
+            try:
+                loss = batch_loss(rng)
+            except T.NumericError as e:
+                raise abort(step, "non-finite forward pass", str(e)) from e
+            if loss is not None:
+                if not np.isfinite(loss.item()):
+                    raise abort(step, "non-finite loss")
+                grads = T.gradients(loss, params)
         if loss is None:
             report.skipped_batches += 1
         else:
-            if not np.isfinite(loss.item()):
-                raise abort(step, "non-finite loss")
             report.loss_steps.append(step)
             report.loss_curve.append(loss.item())
-            grads = T.gradients(loss, encoder.params)
+            grads = {name: g.astype(np.float64) for name, g in grads.items()}
             try:
-                adam_step(encoder.params, grads, state, cfg)
+                adam_step(params, grads, state, cfg)
             except TrainingError as e:
                 raise abort(step, "non-finite gradient", str(e)) from e
         report.steps = step
@@ -247,7 +280,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
                     break
     if not report.stopping_reason:
         report.stopping_reason = "max steps"
-    report.seconds = time.time() - start_time
+    report.seconds = time.perf_counter() - start_time
     return report
 
 

@@ -112,6 +112,64 @@ def test_op_gradients_match_central_differences(name):
         assert np.allclose(t.grad, _num_grad(loss, inputs[i]), atol=1e-6), (name, i)
 
 
+@pytest.mark.parametrize("name", GRADIENT_ROWS)
+def test_float32_operands_stay_float32(name, monkeypatch):
+    """Under ``compute_dtype(float32)`` an op on float32 operands builds no
+    float64 array for its output, and its gradient function returns float32
+    gradients: nothing promotes a step back to float64."""
+    op, inputs = GRADIENT_ROWS[name]
+    with T.compute_dtype(np.float32):
+        tensors = [Tensor(v, requires_grad=True) for v in inputs]
+        arrived, init = [], Tensor.__init__
+
+        def recording(self, data, *args, **kwargs):
+            arrived.append(np.asarray(data).dtype)
+            init(self, data, *args, **kwargs)
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        out = op(*tensors)
+        returned = []
+        for t in _tape(out):
+            if t._backward is not None:
+                def backward(g, inner=t._backward):
+                    grads = inner(g)
+                    returned.extend(x.dtype for x in grads if x is not None)
+                    return grads
+                t._backward = backward
+        T.backward(T.tsum(out))
+    assert all(t.data.dtype == np.float32 for t in tensors)
+    assert set(arrived) == {np.dtype(np.float32)} and out.data.dtype == np.float32
+    assert len(returned) >= len(tensors) and set(returned) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_keep_draws_float64_uniforms_and_returns_the_requested_dtype(dtype):
+    """The dropout multipliers come in ``dtype`` from the same float64
+    draws; the float64 ones are ``mask / (1 - rate)`` bit for bit."""
+    mask = np.random.default_rng(4).random((5, 6)) >= 0.3
+    keep = T._keep((5, 6), 0.3, np.random.default_rng(4), dtype, (slice(1, 4),))
+    assert keep.dtype == dtype
+    assert np.array_equal(keep, (mask / (1.0 - 0.3))[1:4].astype(dtype))
+
+
+def test_compute_dtype_scopes_float_data_and_restores_it():
+    """Inside the block float data (constants, op outputs) holds the compute
+    dtype, integer data keeps its own and parameters stay float64; the
+    previous dtype comes back on exit, by an exception too."""
+    ps = ParameterSet()
+    with T.compute_dtype(np.float32):
+        assert Tensor(1.0).data.dtype == np.float32
+        assert T.tmean(Tensor(np.ones(3))).data.dtype == np.float32
+        assert Tensor(np.arange(3)).data.dtype == np.arange(3).dtype
+        assert ps.add("w", np.ones(2)).data.dtype == np.float64
+        with pytest.raises(KeyError):
+            with T.compute_dtype(np.float64):
+                assert Tensor(1.0).data.dtype == np.float64
+                raise KeyError("inside")
+        assert Tensor(np.ones(2, np.float64)).data.dtype == np.float32
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float64
+    assert T.tmean(Tensor(np.ones(3))).data.dtype == np.float64
+
+
 def test_make_never_runs_the_gradient_of_a_frozen_parent():
     """``_make`` alone applies the freeze rule: a frozen parent's gradient
     function never runs, and the other parents get what they get when

@@ -12,7 +12,8 @@ from adapterlab import tensor as T
 from adapterlab.adapters import PlacementPlan, attach, checksum
 from adapterlab.corpus import PairRecord
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.synth import synth_clone_classes, synth_code_records, synth_nl_corpus
+from adapterlab.synth import (pairs_from_retrieval, synth_clone_classes, synth_code_records,
+                              synth_nl_corpus)
 from adapterlab.tensor import ParameterSet
 from adapterlab.tokenizer import apply_mlm_mask, encode_batch, train_bpe
 from adapterlab.training import (AdamState, TrainConfig, TrainingError,
@@ -176,6 +177,90 @@ def test_skipped_batch_is_counted_and_still_validated(corpus_and_vocab, monkeypa
     assert doc["skipped_batches"] == 2
     assert [row["step"] for row in doc["loss"]] == [1, 3, 4, 5]
     assert [row["loss"] for row in doc["loss"]] == report.loss_curve
+
+
+def _trainer(kind, corpus_and_vocab):
+    """(encoder, run) for one short run of a trainer: ``pretrain``, the
+    L-adapter MLM loop ``lang``, or a ``retrieval`` or ``pair`` T-adapter."""
+    texts, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=2, eval_every=2, max_len=32, seed=0,
+                      batch_size=4, classes_per_batch=3, items_per_class=2)
+    if kind == "pretrain":
+        return enc, lambda: pretrain_mlm(enc, texts, vocab, cfg)
+    attach(enc, PlacementPlan.full(CFG.num_layers, t_adapters=True), seed=3)
+    if kind == "lang":
+        code = [r.code for r in synth_code_records("alpha", 40, seed=1)]
+        return enc, lambda: train_language_adapter(enc, code, vocab, cfg)
+    items = synth_clone_classes(5, 6, seed=0)
+    if kind == "pair":
+        tasks.register_pair_head(enc.params, CFG.hidden_size)
+        items = pairs_from_retrieval(items, 24, seed=0)
+    task = "retrieval" if kind == "retrieval" else "pair_classification"
+    return enc, lambda: train_task_adapter(enc, items[:20], items[20:], vocab, cfg, task)
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "lang", "retrieval", "pair"])
+def test_trainer_steps_in_float32_over_float64_masters(corpus_and_vocab, monkeypatch, kind):
+    """Every tape node of every step, and every gradient its backward
+    returns, is float32; Adam gets float64 gradients; after the run every
+    parameter is float64 and the frozen ones hold their bytes from before
+    it."""
+    enc, run = _trainer(kind, corpus_and_vocab)
+    before = {name: t.data.tobytes() for name, t in enc.params.items()}
+    clean, seen, steps = T.gradients, set(), []
+
+    def audited(loss, params):
+        stack, visited = [loss], set()
+        while stack:
+            t = stack.pop()
+            if id(t) not in visited:
+                visited.add(id(t))
+                seen.add(t.data.dtype)
+                if t._backward is not None:
+                    def backward(g, inner=t._backward):
+                        grads = inner(g)
+                        seen.update(x.dtype for x in grads if x is not None)
+                        return grads
+                    t._backward = backward
+                stack.extend(t._parents)
+        grads = clean(loss, params)
+        seen.update(g.dtype for g in grads.values())
+        steps.append(len(visited))
+        return grads
+    clean_adam, adam_dtypes = training.adam_step, set()
+
+    def recorded_adam(params, grads, *args):
+        adam_dtypes.update(g.dtype for g in grads.values())
+        return clean_adam(params, grads, *args)
+    monkeypatch.setattr(T, "gradients", audited)
+    monkeypatch.setattr(training, "adam_step", recorded_adam)
+    run()
+    assert len(steps) == 2 and seen == {np.dtype(np.float32)}
+    assert adam_dtypes == {np.dtype(np.float64)}
+    assert all(t.data.dtype == np.float64 for _, t in enc.params.items())
+    frozen = [name for name in enc.params if not enc.params.is_trainable(name)]
+    assert (kind == "pretrain") != bool(frozen)
+    assert all(enc.params[name].data.tobytes() == before[name] for name in frozen)
+    assert any(enc.params[name].data.tobytes() != before[name]
+               for name in enc.params.trainable_names())
+
+
+@pytest.mark.parametrize("kind, weight", [("pretrain", "mlm.bias"),
+                                          ("lang", "l_adapter.1.up.b"),
+                                          ("retrieval", "t_adapter.1.up.b"),
+                                          ("pair", "head.pair.b")])
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_weight_that_overflows_float32_stops_the_run(corpus_and_vocab, kind, weight):
+    """A trainable weight of 1e39 is finite in float64 and inf in float32:
+    the first step fails, and every parameter keeps its float64 bytes."""
+    enc, run = _trainer(kind, corpus_and_vocab)
+    enc.params[weight].data[0] = 1e39
+    before = {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()}
+    with pytest.raises(TrainingError, match="at step 1") as info:
+        run()
+    assert info.value.report.steps == 1 and info.value.report.loss_curve == []
+    assert {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()} == before
 
 
 def test_pretrain_reduces_val_loss(corpus_and_vocab):
