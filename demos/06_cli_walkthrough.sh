@@ -31,11 +31,29 @@ adapterlab eval-clone --out $R/clone --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
   --set synthetic.n_classes=6 --set synthetic.per_class=5
 
+# a retrieval dataset file: one JSON object per line; keys the record type
+# does not know (here "source") are dropped, and the first bad line exits 1
+: > $R/clone.jsonl
+for c in max min sum; do
+  for m in 1 2 3; do
+    printf '{"id": "%s-%s", "label": "%s", "code": "x = %s ( a , %s ) ;", "language": "alpha", "source": "demo"}\n' \
+      $c $m $c $c $m >> $R/clone.jsonl
+  done
+done
+adapterlab eval-clone --out $R/clone-file --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
+  --set data=$R/clone.jsonl
+
 adapterlab budget --paper-scale --out $R/budget
 
 adapterlab sweep-layers --out $R/sweep --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
   --set synthetic.n=30
+
+# each placement retrained from the backbone with fresh L-adapters
+adapterlab sweep-layers --retrain-per-layer --out $R/sweep-retrain --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set synthetic.n=30 --set train.max_steps=2
 
 adapterlab zero-shot --out $R/zs --seed 0 \
   --adapter $R/la/l_adapter.ckpt --eval-language beta \

@@ -30,8 +30,10 @@ class FreezeMode(enum.Enum):
     TRAIN_T_ADAPTER = "train_t_adapter"
 
 
+BACKBONE_PREFIXES = ("emb.", "layer.", "mlm.")
+
 _MODE_PREFIXES = {
-    FreezeMode.PRETRAIN_BACKBONE: ("emb.", "layer.", "mlm."),
+    FreezeMode.PRETRAIN_BACKBONE: BACKBONE_PREFIXES,
     FreezeMode.TRAIN_L_ADAPTER: ("l_adapter.", "inv."),
     FreezeMode.TRAIN_T_ADAPTER: ("t_adapter.", "head."),
 }
@@ -165,25 +167,26 @@ class AdapterStack:
             for k in range(self.config.inv_steps):
                 bottleneck(f"inv.{k}", h // 2, self.config.inv_coupling_dim)
 
-    # -- hooks called by the encoder forward pass --------------------------
-    def _coupler(self, k: int, z: Tensor) -> Tensor:
-        p = self.params
-        return bottleneck_forward(z, p[f"inv.{k}.down.w"], p[f"inv.{k}.down.b"],
-                                  p[f"inv.{k}.up.w"], p[f"inv.{k}.up.b"])
+    def _weights(self, prefix: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """The down and up projections of the bottleneck at ``prefix``."""
+        return tuple(self.params[f"{prefix}.{part}"]
+                     for part in ("down.w", "down.b", "up.w", "up.b"))
 
+    # -- hooks called by the encoder forward pass --------------------------
     def embed_forward(self, x: Tensor) -> Tensor:
         if not self.plan.invertible:
             return x
         return self.invertible_forward(x)
 
     def _couple(self, x: Tensor, inverse: bool) -> Tensor:
-        """Step ``k`` shifts half ``k % 2`` of ``x`` by ``_coupler(k, other
-        half)``: added forward, subtracted in reverse step order."""
+        """Step ``k`` shifts half ``k % 2`` of ``x`` by the bottleneck
+        ``inv.k`` of the other half: added forward, subtracted in reverse
+        step order."""
         half = self.hidden // 2
         parts = [T.tslice(x, (..., slice(0, half))), T.tslice(x, (..., slice(half, self.hidden)))]
         steps = range(self.config.inv_steps)
         for k in reversed(steps) if inverse else steps:
-            shift = self._coupler(k, parts[1 - k % 2])
+            shift = bottleneck_forward(parts[1 - k % 2], *self._weights(f"inv.{k}"))
             parts[k % 2] = (T.sub if inverse else T.add)(parts[k % 2], shift)
         return T.concat(parts, axis=-1)
 
@@ -199,19 +202,13 @@ class AdapterStack:
         return self.invertible_inverse(x)
 
     def layer_slot(self, l: int, h_l: Tensor, r_l: Tensor) -> Tensor:
-        p = self.params
-        out = r_l
-        la_out = None
-        if l in self.plan.l_layers:
-            la_out = language_adapter_forward(
-                h_l, r_l, p[f"l_adapter.{l}.down.w"], p[f"l_adapter.{l}.down.b"],
-                p[f"l_adapter.{l}.up.w"], p[f"l_adapter.{l}.up.b"])
-            out = la_out
-        if l in self.plan.t_layers:
-            base = la_out if la_out is not None else h_l
-            out = task_adapter_forward(
-                base, r_l, p[f"t_adapter.{l}.down.w"], p[f"t_adapter.{l}.down.b"],
-                p[f"t_adapter.{l}.up.w"], p[f"t_adapter.{l}.up.b"])
+        """The L-adapter on ``h_l``, then the T-adapter on its output (on
+        ``h_l`` where no L-adapter is placed); ``r_l`` where neither is."""
+        out, base = r_l, h_l
+        for kind, layers in (("l_adapter", self.plan.l_layers),
+                             ("t_adapter", self.plan.t_layers)):
+            if l in layers:
+                out = base = language_adapter_forward(base, r_l, *self._weights(f"{kind}.{l}"))
         return out
 
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import synth, tasks, training
-from .adapters import AdapterConfig, PlacementPlan
+from .adapters import BACKBONE_PREFIXES, AdapterConfig, PlacementPlan
 from .budget import build_report, paper_scale_report
 from .checkpoint import build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
@@ -248,13 +248,20 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
         raise CliError(f"config key 'layers': range {lo}..{hi} outside [0, {L}]")
 
     examples = _cloze_examples(run, vocab, seed)
+    start = manifest
     if args.retrain_per_layer:
         texts = [r.code for r in synth.code_records(run.corpus, _config(run, "synthetic"), seed)]
         train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
+        # each placement starts from the backbone alone, with fresh adapters
+        # sized by the manifest's adapter config, as train-lang-adapter does
+        # on a bare backbone; task adapters are no part of it
+        start = dataclasses.replace(manifest, placement=None)
+        state = {n: v for n, v in state.items() if n.startswith(BACKBONE_PREFIXES)}
+        full_plan = dataclasses.replace(full_plan, t_layers=frozenset())
     rows = []
     for i in range(lo, hi + 1):
         plan = full_plan.truncated(i, L)
-        encoder = build_model(manifest, state, plan, seed=seed)
+        encoder = build_model(start, state, plan, seed=seed)
         if args.retrain_per_layer and i > 0:
             report = training.train_language_adapter(encoder, texts, vocab, train_cfg)
             (out / f"train_report.layer{i}.json").write_text(report.to_json())
@@ -317,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="use the 12-layer/768-hidden reference config")
         if name == "sweep-layers":
             p.add_argument("--retrain-per-layer", action="store_true",
-                           help="retrain the adapter for each placement "
-                                "instead of truncating one trained stack")
+                           help="train fresh adapters on the checkpoint's backbone "
+                                "for each placement instead of truncating its "
+                                "trained stack")
         if name == "zero-shot":
             p.add_argument("--adapter", help="adapter checkpoint trained on language A")
             p.add_argument("--eval-language", help="unseen language to evaluate on")

@@ -1,10 +1,10 @@
 """Dataset ingestion: record types and validated JSON-lines loading.
 
-All datasets travel as JSON-lines. Record kinds:
+All datasets travel as JSON-lines, one record per line. File kinds:
   unlabeled:  {id, language, code, nl?}
-  cloze:      {id, tokens, mask_index, candidates, answer, language, has_nl}
+  cloze:      {id, tokens, mask_index, candidates, answer, language, has_nl?}
   retrieval:  {id, label, code, language}
-  pair:       {id_a, id_b, code_a, code_b, label}
+Clone pairs (``PairRecord``) are drawn from retrieval records, never read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .schema import checked, read_text
+from .schema import JsonConfig, read_text
 
 
 class CorpusError(ValueError):
@@ -20,7 +20,7 @@ class CorpusError(ValueError):
 
 
 @dataclasses.dataclass
-class CorpusRecord:
+class CorpusRecord(JsonConfig):
     id: str
     language: str
     code: str
@@ -28,7 +28,7 @@ class CorpusRecord:
 
 
 @dataclasses.dataclass
-class ClozeRecord:
+class ClozeRecord(JsonConfig):
     id: str
     tokens: list[int]
     mask_index: int
@@ -39,7 +39,7 @@ class ClozeRecord:
 
 
 @dataclasses.dataclass
-class RetrievalRecord:
+class RetrievalRecord(JsonConfig):
     id: str
     label: str
     code: str
@@ -47,7 +47,7 @@ class RetrievalRecord:
 
 
 @dataclasses.dataclass
-class PairRecord:
+class PairRecord(JsonConfig):
     id_a: str
     id_b: str
     code_a: str
@@ -59,54 +59,35 @@ _RECORD_TYPES = {
     "unlabeled": CorpusRecord,
     "cloze": ClozeRecord,
     "retrieval": RetrievalRecord,
-    "pair": PairRecord,
 }
 
 
-MAX_BAD_FRACTION = 0.01  # of a file's lines that may be malformed
-
-
-def load_jsonl(path, kind: str):
-    """Load and validate one JSON object per line: every field of the
-    kind's record type without a default is required, each field present
-    must be of its annotated JSON type, unknown keys are dropped.
-
-    Malformed lines are collected with their line numbers; more than
-    ``MAX_BAD_FRACTION`` of them is a hard failure.
-    Returns (records, error_report) where error_report is a list of
-    (line_number, message).
-    """
+def load_jsonl(path, kind: str) -> list:
+    """The records of a JSON-lines file of ``kind``. Each non-blank line is
+    read by the record type's ``from_dict``: the keys it knows, laid over
+    its defaults; unknown keys are dropped. The first line that is no JSON
+    object, lacks a key without a default or holds a value of the wrong JSON
+    type raises ``CorpusError`` naming the file, the line and the key."""
     if kind not in _RECORD_TYPES:
         raise CorpusError(f"unknown record kind {kind!r}")
     cls = _RECORD_TYPES[kind]
     fields = dataclasses.fields(cls)
-    required = [f.name for f in fields if f.default is dataclasses.MISSING]
-    records, errors = [], []
-    n_lines = 0
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    records = []
     for lineno, line in enumerate(read_text(path, CorpusError).split("\n"), start=1):
         if not line.strip():
             continue
-        n_lines += 1
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
-            errors.append((lineno, f"invalid JSON: {e.msg}"))
-            continue
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON: {e.msg}") from e
         if not isinstance(obj, dict):
-            errors.append((lineno, "not a JSON object"))
-            continue
-        missing = [f for f in required if f not in obj]
-        if missing:
-            errors.append((lineno, f"missing fields: {', '.join(missing)}"))
-            continue
+            raise CorpusError(f"{path}: line {lineno}: not a JSON object")
         try:
-            records.append(cls(**{f.name: checked(f.name, f.type, obj[f.name])
-                                  for f in fields if f.name in obj}))
+            records.append(cls.from_dict(
+                {**defaults, **{f.name: obj[f.name] for f in fields if f.name in obj}}))
         except ValueError as e:
-            errors.append((lineno, str(e)))
-    if n_lines == 0:
+            raise CorpusError(f"{path}: line {lineno}: {e}") from e
+    if not records:
         raise CorpusError(f"{path}: empty file")
-    if len(errors) / n_lines > MAX_BAD_FRACTION:
-        detail = "; ".join(f"line {n}: {m}" for n, m in errors[:5])
-        raise CorpusError(f"{path}: {len(errors)}/{n_lines} malformed lines ({detail})")
-    return records, errors
+    return records

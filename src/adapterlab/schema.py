@@ -6,7 +6,7 @@ JSON type; a field whose type is a config class (or that class ``| None``)
 nests that class's own ``to_dict`` and ``from_dict``. Value ranges are each
 class's ``__post_init__`` (via ``check``), so a config built in Python meets
 the same rule. Both raise ``ValueError`` naming the key, for run configs,
-checkpoint manifests and (through ``checked``) dataset records alike.
+checkpoint manifests and dataset records alike.
 """
 
 from __future__ import annotations

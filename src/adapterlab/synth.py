@@ -256,7 +256,7 @@ def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
 def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[CorpusRecord]:
     """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
     if path:
-        return load_jsonl(path, "unlabeled")[0]
+        return load_jsonl(path, "unlabeled")
     return synth_code_records(spec.language, spec.n or 600, seed=spec.seed_or(seed))
 
 
@@ -264,7 +264,7 @@ def retrieval_records(path: str | None, spec: SyntheticSpec,
                       seed: int) -> list[RetrievalRecord]:
     """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
     if path:
-        return load_jsonl(path, "retrieval")[0]
+        return load_jsonl(path, "retrieval")
     return synth_clone_classes(spec.n_classes, spec.per_class,
                                seed=spec.seed_or(seed), language=spec.language)
 
@@ -274,7 +274,7 @@ def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Voca
     """Cloze probes: cloze JSON-lines, or built from synthetic programs
     (in ``language`` when given)."""
     if path:
-        return load_jsonl(path, "cloze")[0]
+        return load_jsonl(path, "cloze")
     records = synth_code_records(language or spec.language, spec.n or 200,
                                  seed=spec.seed_or(seed))
     examples = build_cloze_examples(records, vocab)

@@ -219,7 +219,8 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
 
     A step that cannot be taken (a non-finite forward pass, loss or
     gradient) stops the run before any weight changes and raises
-    ``TrainingError`` carrying the closed report.
+    ``TrainingError`` carrying the closed report; a weight that is not
+    finite in ``STEP_DTYPE`` is named as its cause.
     """
     params = encoder.params
     apply_freeze(params, mode)
@@ -237,6 +238,17 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
         err.report = report
         return err
 
+    def step_failed(step: int, reason: str, detail: str | None = None) -> TrainingError:
+        """``abort`` for a step, naming a weight whose ``STEP_DTYPE`` copy
+        is not finite as the cause; checked only once a step has failed."""
+        for name, t in params.items():
+            copy = frozen[name] if name in frozen else t.data.astype(STEP_DTYPE)
+            if not np.isfinite(copy).all():
+                detail = (f"{reason}: parameter {name} is not finite in "
+                          f"{np.dtype(STEP_DTYPE).name}")
+                break
+        return abort(step, reason, detail)
+
     def evaluate(step: int) -> float:
         try:
             val = validate()
@@ -252,10 +264,10 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
             try:
                 loss = batch_loss(rng)
             except T.NumericError as e:
-                raise abort(step, "non-finite forward pass", str(e)) from e
+                raise step_failed(step, "non-finite forward pass", str(e)) from e
             if loss is not None:
                 if not np.isfinite(loss.item()):
-                    raise abort(step, "non-finite loss")
+                    raise step_failed(step, "non-finite loss")
                 grads = T.gradients(loss, params)
         if loss is None:
             report.skipped_batches += 1
@@ -266,7 +278,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
             try:
                 adam_step(params, grads, state, cfg)
             except TrainingError as e:
-                raise abort(step, "non-finite gradient", str(e)) from e
+                raise step_failed(step, "non-finite gradient", str(e)) from e
         report.steps = step
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from adapterlab import synth, training
+from adapterlab.adapters import attach
+from adapterlab.checkpoint import load_checkpoint
 from adapterlab.cli import dispatch
+from adapterlab.encoder import Encoder
 from adapterlab.tokenizer import Vocabulary
 
 TINY = [
@@ -497,6 +500,34 @@ def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):
         assert [row["step"] for row in report["loss"]] == [1, 2, 3]
 
 
+def test_sweep_layers_retrain_starts_each_placement_from_the_backbone(pipeline, tmp_path,
+                                                                    monkeypatch):
+    """The model handed to the trainer at placement i is the checkpoint's
+    backbone with a fresh ``attach`` of that placement, seeded by the run
+    seed: no trained adapter weight carries over."""
+    root, vocab = pipeline
+    ckpt = root / "la" / "l_adapter.ckpt"
+    handed = {}
+
+    def record(encoder, texts, vocab, cfg):
+        handed[max(encoder.adapters.plan.l_layers)] = {
+            name: t.data.copy() for name, t in encoder.params.items()}
+        return training.TrainReport()
+    monkeypatch.setattr(training, "train_language_adapter", record)
+    assert _run(["sweep-layers", "--retrain-per-layer", "--out", str(tmp_path),
+                 "--seed", "5", "--set", f"vocab={vocab}", "--set", f"model={ckpt}",
+                 "--set", "synthetic.n=20"]) == 0
+    manifest, state = load_checkpoint(ckpt)
+    assert sorted(handed) == [1, 2]
+    for i, params in handed.items():
+        fresh = Encoder(manifest.config)
+        attach(fresh, manifest.placement.truncated(i, 2), manifest.adapter_config, seed=5)
+        fresh.params.load_state_dict({n: v for n, v in state.items()
+                                      if n.startswith(("emb.", "layer.", "mlm."))})
+        assert params.keys() == dict(fresh.params.items()).keys()
+        assert all(np.array_equal(params[n], t.data) for n, t in fresh.params.items())
+
+
 @pytest.mark.parametrize("subcommand, sets, key", [
     ("tokenizer-train", ["synthetic=5"], "synthetic"),
     ("tokenizer-train", ['synthetic.n_sentences="abc"'], "n_sentences"),
@@ -586,25 +617,32 @@ def _one_error_line(capsys) -> dict:
 @pytest.mark.parametrize("subcommand, kind, field, value", [
     ("eval-clone", "retrieval", "code", 5),
     ("eval-cloze", "cloze", "mask_index", "2"),
+    ("train-lang-adapter", "unlabeled", "language", None),
 ])
 def test_wrong_typed_dataset_field_exits_1_naming_it(pipeline, tmp_path, capsys,
                                                      subcommand, kind, field, value):
-    """A dataset line whose field has the wrong JSON type is a malformed line;
-    above the 1% tolerance the run exits 1 with one error line naming it."""
+    """One dataset line in 200, the last, whose field has the wrong JSON
+    type: the run exits 1 with one error line naming the file, the line and
+    the key."""
     root, vocab = pipeline
-    records = (synth.synth_clone_classes(3, 3, seed=0) if kind == "retrieval" else
-               synth.build_cloze_examples(synth.synth_code_records("alpha", 6, seed=0),
-                                          Vocabulary.load(vocab)))
-    rows = [dataclasses.asdict(r) for r in records]
-    rows[1][field] = value
+    records = {
+        "retrieval": lambda: synth.synth_clone_classes(20, 10, seed=0),
+        "cloze": lambda: synth.build_cloze_examples(
+            synth.synth_code_records("alpha", 400, seed=0), Vocabulary.load(vocab)),
+        "unlabeled": lambda: synth.synth_code_records("alpha", 200, seed=0),
+    }[kind]()[:200]
+    rows = [r.to_dict() for r in records]
+    rows[-1][field] = value
     data = tmp_path / "data.jsonl"
     data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    source = ["--set", f"backbone={root / 'pre' / 'backbone.ckpt'}", "--set", f"corpus={data}"] \
+        if kind == "unlabeled" else \
+        ["--set", f"model={root / 'la' / 'l_adapter.ckpt'}", "--set", f"data={data}"]
     assert _run([subcommand, "--out", str(tmp_path / "o"), "--set", f"vocab={vocab}",
-                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
-                 "--set", f"data={data}"]) == 1
+                 *source]) == 1
     err = _one_error_line(capsys)
-    assert err["error"] == "CorpusError" and "line 2" in err["message"]
-    assert repr(field) in err["message"]
+    assert err["error"] == "CorpusError"
+    assert err["message"].startswith(f"{data}: line 200: key {field!r}")
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from adapterlab.corpus import CorpusError, load_jsonl
+from adapterlab.corpus import ClozeRecord, CorpusError, CorpusRecord, load_jsonl
 
 
 def _write_jsonl(path, rows):
@@ -17,37 +17,33 @@ def test_load_unlabeled_ok(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{"id": f"r{i}", "language": "alpha", "code": "x = 1 ;"}
                      for i in range(5)])
-    records, errors = load_jsonl(p, "unlabeled")
-    assert len(records) == 5 and not errors
+    records = load_jsonl(p, "unlabeled")
+    assert len(records) == 5
     assert records[0].nl is None
 
 
-def test_load_reports_bad_lines_within_tolerance(tmp_path):
-    p = tmp_path / "d.jsonl"
-    rows = [{"id": f"r{i}", "language": "a", "code": "x"} for i in range(199)]
-    _write_jsonl(p, rows + ["{not json"])
-    records, errors = load_jsonl(p, "unlabeled")
-    assert len(records) == 199
-    assert len(errors) == 1 and errors[0][0] == 200
+ROWS = [{"id": f"r{i}", "language": "a", "code": "x"} for i in range(199)]
 
 
-def test_load_fails_above_bad_fraction(tmp_path):
+@pytest.mark.parametrize("line, named", [
+    ("{not json", "invalid JSON"),
+    ('{"id": "r", "language": "a"}', "missing key(s) 'code'"),
+], ids=["invalid-json", "missing-key"])
+def test_bad_line_raises_naming_file_line_and_key(tmp_path, line, named):
+    """No tolerance: the first bad line of a file fails the load, naming
+    the file, the line and (where there is one) the key."""
     p = tmp_path / "d.jsonl"
-    _write_jsonl(p, [{"id": "a", "language": "l", "code": "c"},
-                     "{broken", '{"id": "missing-fields"}'])
-    with pytest.raises(CorpusError):
+    _write_jsonl(p, ROWS + [line])
+    with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: {named}")):
         load_jsonl(p, "unlabeled")
 
 
 def test_valid_json_that_is_no_object_is_a_malformed_line(tmp_path):
     p = tmp_path / "d.jsonl"
-    rows = [{"id": f"r{i}", "language": "a", "code": "x"} for i in range(199)]
-    _write_jsonl(p, rows + ["5"])
-    records, errors = load_jsonl(p, "unlabeled")
-    assert len(records) == 199 and errors == [(200, "not a JSON object")]
-    _write_jsonl(p, rows[:1] + ["5", '["a list"]'])
-    with pytest.raises(CorpusError, match="line 2: not a JSON object"):
-        load_jsonl(p, "unlabeled")
+    for line in ("5", '["a list"]'):
+        _write_jsonl(p, ROWS + [line])
+        with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: not a JSON object")):
+            load_jsonl(p, "unlabeled")
 
 
 def test_load_empty_file_raises(tmp_path):
@@ -65,8 +61,9 @@ def test_non_utf8_file_raises_naming_it(tmp_path):
 
 
 def test_load_unknown_kind_raises(tmp_path):
-    with pytest.raises(CorpusError):
-        load_jsonl(tmp_path / "x", "mystery")
+    for kind in ("mystery", "pair"):  # pairs are drawn from retrieval records, never read
+        with pytest.raises(CorpusError, match=f"unknown record kind '{kind}'"):
+            load_jsonl(tmp_path / "x", kind)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -74,7 +71,7 @@ def test_save_load_round_trip(tmp_path):
              **({"nl": "doc"} if i % 2 else {})} for i in range(4)]
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, rows)
-    back, _ = load_jsonl(p, "unlabeled")
+    back = load_jsonl(p, "unlabeled")
     assert [r.id for r in back] == [r["id"] for r in rows]
     assert back[1].nl == "doc" and back[0].nl is None
 
@@ -84,7 +81,6 @@ GOOD = {
     "cloze": {"id": "c", "tokens": [0, 4, 1], "mask_index": 1, "candidates": [7, 8],
               "answer": 7, "language": "alpha", "has_nl": False},
     "retrieval": {"id": "r", "label": "class00", "code": "x = 1 ;", "language": "alpha"},
-    "pair": {"id_a": "a", "id_b": "b", "code_a": "x", "code_b": "y", "label": 1},
 }
 
 
@@ -95,23 +91,28 @@ GOOD = {
     ("cloze", "tokens", [0, "4", 1]),
     ("cloze", "has_nl", 1),
     ("retrieval", "label", 3),
-    ("pair", "label", True),
 ])
 def test_wrong_typed_field_is_a_malformed_line_naming_it(tmp_path, kind, field, value):
     """Each present field is checked against its record annotation through
-    the schema's type table: one wrong-typed line in 200 is dropped and
-    reported, and above the 1% tolerance it fails the load."""
+    the schema's type table: one wrong-typed line in 200 fails the load."""
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [GOOD[kind]] * 199 + [{**GOOD[kind], field: value}])
-    records, errors = load_jsonl(p, kind)
-    assert len(records) == 199 and [n for n, _ in errors] == [200]
-    assert repr(field) in errors[0][1]
-    _write_jsonl(p, [GOOD[kind], {**GOOD[kind], field: value}])
-    with pytest.raises(CorpusError, match=f"line 2: key '{field}'"):
+    with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: key '{field}'")):
         load_jsonl(p, kind)
+
+
+def test_unknown_keys_are_dropped_and_defaulted_fields_may_be_absent(tmp_path):
+    """Real datasets carry extra fields; a field with a default may be left out."""
+    p = tmp_path / "d.jsonl"
+    cloze = {k: v for k, v in GOOD["cloze"].items() if k != "has_nl"}
+    _write_jsonl(p, [{**cloze, "split": "test", "url": None}])
+    [record] = load_jsonl(p, "cloze")
+    assert record == ClozeRecord(**GOOD["cloze"]) and not hasattr(record, "split")
+    _write_jsonl(p, [{**GOOD["unlabeled"], "docstring": 5}])
+    assert load_jsonl(p, "unlabeled") == [CorpusRecord(**GOOD["unlabeled"], nl=None)]
 
 
 def test_optional_field_may_be_null(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{**GOOD["unlabeled"], "nl": None, "split": None}])
-    assert load_jsonl(p, "unlabeled")[0][0].nl is None
+    assert load_jsonl(p, "unlabeled")[0].nl is None

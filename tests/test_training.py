@@ -3,6 +3,7 @@ determinism, early stopping, and error paths."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,15 +250,18 @@ def test_trainer_steps_in_float32_over_float64_masters(corpus_and_vocab, monkeyp
 @pytest.mark.parametrize("kind, weight", [("pretrain", "mlm.bias"),
                                           ("lang", "l_adapter.1.up.b"),
                                           ("retrieval", "t_adapter.1.up.b"),
-                                          ("pair", "head.pair.b")])
+                                          ("pair", "head.pair.b"),
+                                          ("lang", "mlm.bias")])  # frozen
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
 def test_weight_that_overflows_float32_stops_the_run(corpus_and_vocab, kind, weight):
-    """A trainable weight of 1e39 is finite in float64 and inf in float32:
-    the first step fails, and every parameter keeps its float64 bytes."""
+    """A weight of 1e39 is finite in float64 and inf in float32: the first
+    step fails naming it, whether it is trainable (cast each step) or frozen
+    (cast once per run), and every parameter keeps its float64 bytes."""
     enc, run = _trainer(kind, corpus_and_vocab)
     enc.params[weight].data[0] = 1e39
     before = {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()}
-    with pytest.raises(TrainingError, match="at step 1") as info:
+    with pytest.raises(TrainingError, match=re.escape(
+            f"parameter {weight} is not finite in float32 at step 1")) as info:
         run()
     assert info.value.report.steps == 1 and info.value.report.loss_curve == []
     assert {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()} == before
