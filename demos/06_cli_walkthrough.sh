@@ -31,6 +31,18 @@ adapterlab eval-clone --out $R/clone --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
   --set synthetic.n_classes=6 --set synthetic.per_class=5
 
+# pair mode: a T-adapter with a pair head, scored by F1 on held-out pairs
+adapterlab train-task-adapter --out $R/ta-pair --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set task=pair_classification --set n_pairs=40 \
+  --set train.max_steps=10 --set train.eval_every=10 \
+  --set synthetic.n_classes=6 --set synthetic.per_class=5
+
+adapterlab eval-clone --out $R/clone-pair --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/ta-pair/t_adapter.ckpt \
+  --set task=pair_classification --set n_pairs=40 \
+  --set synthetic.n_classes=6 --set synthetic.per_class=5
+
 # a retrieval dataset file: one JSON object per line; keys the record type
 # does not know (here "source") are dropped, and the first bad line exits 1
 : > $R/clone.jsonl

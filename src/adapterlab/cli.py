@@ -151,7 +151,7 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     records = synth.code_records(run.corpus, _config(run, "synthetic"), seed)
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
-    language = records[0].language if records else "unknown"
+    language = records[0].language
     save_model(out / "l_adapter.ckpt", "l_adapter", encoder, language=language)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "l_adapter.ckpt"), "language": language,

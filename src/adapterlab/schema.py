@@ -40,8 +40,6 @@ _TYPES = {
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v), None),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), None),
     "list[int]": ("a list of integers", _is_int_list, None),
-    "list[str]": ("a list of strings", lambda v: isinstance(v, list)
-                  and all(isinstance(w, str) for w in v), None),
     "frozenset[int]": ("a list of integers", _is_int_list, frozenset),
     "dict | None": ("an object or null", lambda v: v is None or isinstance(v, dict), None),
     "dict[str, list[int]]": ("an object of integer lists", lambda v: isinstance(v, dict)

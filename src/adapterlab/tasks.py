@@ -3,7 +3,8 @@
 
 Retrieval uses cosine similarity on unit-norm mean-pooled embeddings with
 deterministic tie-break by ascending item id. Pair classification feeds
-[e_a; e_b; |e_a - e_b|; e_a * e_b] through one linear layer and a sigmoid.
+[e_a; e_b; |e_a - e_b|; e_a * e_b] through one linear layer to a clone logit;
+a pair is predicted a clone when its logit is > 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .tensor import ParameterSet, Tensor
 from .tokenizer import Vocabulary, encode_batch, pad_batch
 
 
-EVAL_BATCH = 16  # examples per forward pass in eval_cloze and embed_corpus
+EVAL_BATCH = 16  # sequences per no-grad forward pass in every evaluation
 
 
 class TaskError(ValueError):
@@ -42,11 +43,17 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
     """Argmax over candidate logits at the single mask position; no training."""
     if not examples:
         raise TaskError("empty cloze example set")
+    vocab_size, max_positions = encoder.config.vocab_size, encoder.config.max_positions
     for ex in examples:
         if ex.answer not in ex.candidates:
             raise TaskError(f"example {ex.id}: gold answer not in candidates")
-        if not all(0 <= c < encoder.config.vocab_size for c in ex.candidates):
+        if not all(0 <= c < vocab_size for c in ex.candidates):
             raise TaskError(f"example {ex.id}: a candidate id is outside the vocabulary")
+        if not all(0 <= t < vocab_size for t in ex.tokens):
+            raise TaskError(f"example {ex.id}: a token id is outside the vocabulary")
+        if len(ex.tokens) > max_positions:
+            raise TaskError(f"example {ex.id}: {len(ex.tokens)} tokens exceed "
+                            f"max_positions {max_positions}")
         if (ex.tokens.count(mask_id) != 1 or not 0 <= ex.mask_index < len(ex.tokens)
                 or ex.tokens[ex.mask_index] != mask_id):
             raise TaskError(f"example {ex.id}: expected exactly one mask "
@@ -211,20 +218,17 @@ def pair_batch_logits(encoder: Encoder, pairs: Sequence[PairRecord],
     return pair_logits(encoder.params, e_a, e_b)
 
 
-def classify_pair(encoder: Encoder, pair: PairRecord, vocab: Vocabulary,
-                  max_len: int | None = None) -> float:
-    """Probability that the pair is a clone (threshold 0.5 for F1)."""
-    max_len = max_len or encoder.config.max_positions
-    with T.no_grad():
-        logit = pair_batch_logits(encoder, [pair], vocab, max_len)
-        return float(T.sigmoid(logit).data.squeeze())
-
-
 def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
                max_len: int | None = None) -> dict:
-    # (is a clone, predicted a clone) -> count
-    seen = Counter((bool(pair.label), classify_pair(encoder, pair, vocab, max_len) > 0.5)
-                   for pair in pairs)
+    """Confusion counts, precision, recall and F1 of the clone rule logit > 0;
+    each pass embeds ``EVAL_BATCH // 2`` pairs, so ``EVAL_BATCH`` sequences."""
+    max_len = max_len or encoder.config.max_positions
+    seen: Counter = Counter()  # (is a clone, predicted a clone) -> count
+    for start in range(0, len(pairs), EVAL_BATCH // 2):
+        chunk = pairs[start:start + EVAL_BATCH // 2]
+        with T.no_grad():
+            logits = pair_batch_logits(encoder, chunk, vocab, max_len).data[:, 0]
+        seen.update((bool(pair.label), bool(z > 0)) for pair, z in zip(chunk, logits))
     tp, fn, fp, tn = seen[True, True], seen[True, False], seen[False, True], seen[False, False]
     res = f1_score(tp, fp, tn, fn)
     return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,

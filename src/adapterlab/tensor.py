@@ -178,11 +178,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, (a,), (lambda g: g * 0.5 / out,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(out, (a,), (lambda g: g * out * (1.0 - out),))
-
-
 def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 

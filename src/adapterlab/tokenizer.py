@@ -128,13 +128,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """``TokenizerError`` names the file, and the line of a bad entry or
+        """The token ids must be exactly 0..n-1, each token listed once.
+        ``TokenizerError`` names the file, and the line of a bad entry or
         every missing special token."""
         lines = read_text(path, TokenizerError).splitlines()
         if not lines or lines[0] != VOCAB_HEADER:
             raise TokenizerError(f"{path}: not a vocabulary file "
                                  f"(expected header {VOCAB_HEADER!r})")
         token_to_id: dict[str, int] = {}
+        line_of: dict[int, int] = {}  # token id -> the line that lists it
         merges: list[tuple[str, str]] = []
         section = "tokens"
         try:
@@ -146,15 +148,23 @@ class Vocabulary:
                     continue
                 a, b = line.split("\t")
                 if section == "tokens":
-                    token_to_id[_unescape(a)] = int(b)
+                    token, idx = _unescape(a), int(b)
+                    if token in token_to_id or idx in line_of:
+                        raise ValueError("token or id listed twice")
+                    token_to_id[token], line_of[idx] = idx, lineno
                 else:
                     merges.append((_unescape(a), _unescape(b)))
-        except ValueError as e:  # no single tab, a bad id or a bad escape
+        except ValueError as e:  # no single tab, a bad id, a repeated entry, a bad escape
             raise TokenizerError(f"{path}, line {lineno}: bad {section} entry "
                                  f"{line!r} ({e})") from e
         missing = [t for t in SPECIAL_TOKENS if t not in token_to_id]
         if missing:
             raise TokenizerError(f"{path}: missing special token(s) {', '.join(missing)}")
+        # n distinct ids, none outside 0..n-1: exactly 0..n-1
+        stray = sorted(line_of[i] for i in line_of if not 0 <= i < len(line_of))
+        if stray:
+            raise TokenizerError(f"{path}, line {stray[0]}: bad tokens entry "
+                                 f"{lines[stray[0] - 1]!r} (id outside 0..{len(line_of) - 1})")
         return cls(token_to_id=token_to_id, merges=merges)
 
 

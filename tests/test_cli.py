@@ -649,7 +649,13 @@ def test_wrong_typed_dataset_field_exits_1_naming_it(pipeline, tmp_path, capsys,
     (lambda lines: [ln for ln in lines if not ln.startswith("<mask>\t")], "<mask>"),
     (lambda lines: lines[:3] + ["no-tab-here"] + lines[3:], "line 4"),
     (lambda lines: ["\udcff\udcfe" + lines[0]] + lines[1:], "not UTF-8"),  # bytes ff fe
-], ids=["special-token-missing", "line-without-tab", "not-utf-8"])
+    # the last of 512 tokens renumbered; a token listed again under another's id
+    (lambda lines: lines[:512] + [lines[512].split("\t")[0] + "\t549"] + lines[513:],
+     "line 513: bad tokens entry"),
+    (lambda lines: lines[:7] + [lines[6].split("\t")[0] + "\t6"] + lines[8:],
+     "line 8: bad tokens entry"),
+], ids=["special-token-missing", "line-without-tab", "not-utf-8", "id-outside-0-to-n-1",
+        "token-listed-twice"])
 def test_bad_vocabulary_exits_1_naming_it(pipeline, tmp_path, capsys, edit, named):
     root, vocab = pipeline
     bad = tmp_path / "vocab.txt"
@@ -660,6 +666,27 @@ def test_bad_vocabulary_exits_1_naming_it(pipeline, tmp_path, capsys, edit, name
     err = _one_error_line(capsys)
     assert err["error"] == "TokenizerError"
     assert str(bad) in err["message"] and named in err["message"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda tokens: tokens + [99999], "a token id is outside the vocabulary"),
+    (lambda tokens: tokens + [5] * (201 - len(tokens)), "201 tokens exceed max_positions 128"),
+], ids=["token-outside-vocabulary", "longer-than-max-positions"])
+def test_bad_cloze_probe_exits_1_naming_it(pipeline, tmp_path, capsys, edit, named):
+    """A probe read from a file is checked before any forward pass: the error
+    names the probe, not only the encoder's limit."""
+    root, vocab = pipeline
+    examples = synth.cloze_examples(None, synth.SyntheticSpec(n=20), 1, Vocabulary.load(vocab))
+    examples[-1].tokens = edit(examples[-1].tokens)
+    probes = tmp_path / "probes.jsonl"
+    probes.write_text("".join(json.dumps(dataclasses.asdict(ex)) + "\n" for ex in examples))
+    assert _run(["eval-cloze", "--out", str(tmp_path / "o"), "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", f"data={probes}"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "TaskError"
+    assert err["message"] == f"example {examples[-1].id}: {named}"
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("subcommand, argv, error", [

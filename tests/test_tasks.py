@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from adapterlab import tasks
 from adapterlab import tensor as T
 from adapterlab.corpus import ClozeRecord, PairRecord, RetrievalRecord
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.tasks import (EVAL_BATCH, TaskError, classify_pair, embed_corpus,
-                              eval_cloze, eval_pairs, f1_score,
-                              in_batch_negative_loss, map_at_r,
-                              register_pair_head)
+from adapterlab.tasks import (EVAL_BATCH, TaskError, embed_corpus, eval_cloze,
+                              eval_pairs, f1_score, in_batch_negative_loss,
+                              map_at_r, pair_batch_logits, register_pair_head)
 from adapterlab.tokenizer import pad_batch, train_bpe
 
 CFG = EncoderConfig(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32,
@@ -191,6 +191,8 @@ def test_eval_cloze_runs_and_validates(encoder):
     ("mask_index", 99, "position 99"),
     ("mask_index", -3, "position -3"),
     ("candidates", [10, CFG.vocab_size], "outside the vocabulary"),
+    ("tokens", [0, 7, 4, 99999, 2], "example x: a token id is outside the vocabulary"),
+    ("tokens", [0, 7, 4] + [9] * CFG.max_positions, "example x: 27 tokens exceed"),
 ])
 def test_eval_cloze_refuses_an_index_outside_the_probe(encoder, field, value, message):
     """A probe read from a dataset may point past its tokens or the
@@ -276,14 +278,44 @@ def test_embed_corpus_encodes_each_item_once(encoder, vocab, monkeypatch):
 def test_pair_head_and_eval(encoder, vocab):
     if "head.pair.w" not in encoder.params:
         register_pair_head(encoder.params, CFG.hidden_size)
-    pair = PairRecord(id_a="a", id_b="b", code_a="a b c", code_b="a b c", label=1)
-    p = classify_pair(encoder, pair, vocab)
-    assert 0.0 < p < 1.0
-    out = eval_pairs(encoder, [pair,
+    out = eval_pairs(encoder, [PairRecord(id_a="a", id_b="b", code_a="a b c",
+                                          code_b="a b c", label=1),
                                PairRecord(id_a="a", id_b="c", code_a="a b c",
                                           code_b="g h", label=0)], vocab)
     assert out["tp"] + out["fp"] + out["tn"] + out["fn"] == 2
     assert 0.0 <= out["f1"] <= 1.0
+
+
+def test_eval_pairs_chunks_score_as_one_pair_per_pass(encoder, vocab, monkeypatch):
+    """Pairs of several lengths, in chunks of ``EVAL_BATCH // 2`` and a
+    ragged last one, score as they do one pair per pass: the logits agree to
+    1e-12 and the confusion counts of the logit > 0 rule are the same."""
+    if "head.pair.w" not in encoder.params:
+        register_pair_head(encoder.params, CFG.hidden_size)
+    rng = np.random.default_rng(3)
+    words = "a b c d e f g h x = max ( , ) ;".split()
+    pairs = [PairRecord(id_a=f"{i}a", id_b=f"{i}b", label=i % 2,
+                        code_a=" ".join(rng.choice(words, size=1 + i % 9)),
+                        code_b=" ".join(rng.choice(words, size=1 + i % 5)))
+             for i in range(2 * (EVAL_BATCH // 2) + 3)]
+    with T.no_grad():
+        one = np.array([pair_batch_logits(encoder, [p], vocab, CFG.max_positions).data[0, 0]
+                        for p in pairs])
+    chunks = []
+
+    def recorded(*args, **kwargs):
+        out = pair_batch_logits(*args, **kwargs)
+        chunks.append(out.data[:, 0])
+        return out
+
+    monkeypatch.setattr(tasks, "pair_batch_logits", recorded)
+    got = eval_pairs(encoder, pairs, vocab)
+    assert [len(c) for c in chunks] == [EVAL_BATCH // 2, EVAL_BATCH // 2, 3]
+    assert np.allclose(np.concatenate(chunks), one, rtol=0, atol=1e-12)
+    label = np.array([p.label for p in pairs]) == 1
+    want = {"tp": int((label & (one > 0)).sum()), "fp": int((~label & (one > 0)).sum()),
+            "tn": int((~label & (one <= 0)).sum()), "fn": int((label & (one <= 0)).sum())}
+    assert {k: got[k] for k in want} == want
 
 
 # -- contrastive loss ------------------------------------------------------

@@ -51,7 +51,6 @@ GRADIENT_ROWS = {
     "exp": (T.exp, [RNG.normal(size=(3, 4))]),
     "log": (T.log, [_positive(3, 4)]),
     "sqrt": (T.sqrt, [_positive(3, 4)]),
-    "sigmoid": (T.sigmoid, [RNG.normal(size=(3, 4))]),
     "relu": (T.relu, [_away_from_zero(3, 4)]),
     "absolute": (T.absolute, [_away_from_zero(3, 4)]),
     "tsum": (lambda a: T.tsum(a, axis=1), [RNG.normal(size=(3, 4))]),

@@ -88,7 +88,11 @@ def test_load_rejects_wrong_header(tmp_path):
     (lambda lines: [ln for ln in lines if ln.split("\t")[0] not in ("<s>", "<pad>")],
      "<s>, <pad>"),
     (lambda lines: ["\udcff\udcfe" + lines[0]] + lines[1:], "not UTF-8"),  # bytes ff fe
-], ids=["no-tab", "bad-id", "merge-with-two-tabs", "no-mask", "no-bos-or-pad", "not-utf-8"])
+    (lambda lines: lines[:3] + ["<pad>\t999"] + lines[4:], "line 4: bad tokens entry"),
+    (lambda lines: lines[:5] + ["<unk>\t4"] + lines[6:], "line 6: bad tokens entry"),
+    (lambda lines: lines[:5] + ["<mask>\t3"] + lines[6:], "line 6: bad tokens entry"),
+], ids=["no-tab", "bad-id", "merge-with-two-tabs", "no-mask", "no-bos-or-pad", "not-utf-8",
+        "id-outside-0-to-n-1", "token-listed-twice", "id-listed-twice"])
 def test_load_names_the_file_and_the_bad_line_or_token(tmp_path, vocab, edit, named):
     """A broken vocabulary file fails at load time with a ``TokenizerError``
     naming the file and the line, or every missing special token."""
