@@ -17,7 +17,7 @@ from adapterlab.synth import (build_cloze_examples, synth_clone_classes,
                               synth_code_records, synth_nl_corpus)
 from adapterlab.tasks import embed_corpus, eval_cloze, map_at_r
 from adapterlab.tokenizer import train_bpe
-from adapterlab.training import (TrainConfig, class_split, pretrain_mlm,
+from adapterlab.training import (TrainConfig, holdout, pretrain_mlm,
                                  train_language_adapter, train_task_adapter)
 
 nl = synth_nl_corpus(2000, seed=0)
@@ -47,9 +47,10 @@ print(f"cloze accuracy: backbone {base_acc:.3f} -> with adapter {adapted_acc:.3f
 
 print("\n== task adapter for clone retrieval ==")
 items = synth_clone_classes(10, 10, seed=3)
-# per-class splits, so every test and validation class has >= 2 members
-rest, test = class_split(items, seed=0)
-train, val = class_split(rest, seed=0)
+# per-class holdouts, so every test and validation class has >= 2 members:
+# 2 of each class's 10 members go to test, then 2 of the other 8 to validation
+rest, test = holdout(items, 0, label=lambda r: r.label)
+train, val = holdout(rest, 0, label=lambda r: r.label)
 print(f"split: {len(train)} train / {len(val)} validation / {len(test)} test items")
 
 enc2 = Encoder(cfg, seed=0)

@@ -47,6 +47,7 @@ class PlacementPlan(JsonConfig):
     invertible: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, "layer numbers >= 1", lambda v: all(l >= 1 for l in v),
               "l_layers", "t_layers")
 
@@ -90,6 +91,7 @@ class AdapterConfig(JsonConfig):
     inv_steps: int = 2
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, "null or >= 1", lambda v: v is None or v >= 1,
               "l_bottleneck", "t_bottleneck", "inv_coupling_dim")
         check(self, ">= 1", lambda v: v >= 1, "inv_steps")

@@ -52,6 +52,7 @@ class Manifest(JsonConfig):
     task: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, repr(FORMAT), lambda v: v == FORMAT, "format")
         check(self, f"one of {KINDS}", lambda v: v in KINDS, "kind")
         check(self, "'<f8'", lambda v: v == "<f8", "dtype")

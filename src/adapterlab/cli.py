@@ -177,7 +177,7 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
     del state  # the model holds its own copy; free this one before training
     # one split rule for both task kinds: pairs never cross the class split
     records = synth.retrieval_records(run.data, _config(run, "synthetic"), seed)
-    train_data, val_data = training.class_split(records, seed)
+    train_data, val_data = training.holdout(records, seed, label=lambda r: r.label)
     if task_kind == "pair_classification":
         n_pairs = run.n_pairs or 400
         n_train = int(0.9 * n_pairs)

@@ -31,6 +31,7 @@ class EncoderConfig(JsonConfig):
     ln_eps: float = 1e-5
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, ">= 1", lambda v: v >= 1, "num_layers", "hidden_size",
               "num_heads", "ffn_size", "vocab_size", "max_positions")
         check(self, "in [0, 1)", lambda v: 0 <= v < 1, "dropout")

@@ -1,12 +1,13 @@
 """The base of the config dataclasses: ``to_dict`` and its checked inverse;
 and the one JSON type table for everything read from outside.
 
-``from_dict`` takes exactly the keys ``to_dict`` writes, each of its field's
-JSON type; a field whose type is a config class (or that class ``| None``)
-nests that class's own ``to_dict`` and ``from_dict``. Value ranges are each
-class's ``__post_init__`` (via ``check``), so a config built in Python meets
-the same rule. Both raise ``ValueError`` naming the key, for run configs,
-checkpoint manifests and dataset records alike.
+``from_dict`` takes exactly the keys ``to_dict`` writes. Every field is
+checked on construction, however the config is built: its type by
+``JsonConfig.__post_init__`` (a field whose type is a config class, or that
+class ``| None``, nests that class's own ``to_dict`` and ``from_dict``), then
+its range by each class's own ``__post_init__`` (via ``check``). Both raise
+``ValueError`` naming the key, for run configs, checkpoint manifests and
+dataset records alike.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(map(_is_int, v))
 
 
+def _is_int_set(v) -> bool:  # a JSON list, or the frozenset it is read into
+    return isinstance(v, (list, frozenset)) and all(map(_is_int, v))
+
+
 # field annotation -> (what the JSON value must be, test, conversion)
 _TYPES = {
     "bool": ("true or false", lambda v: isinstance(v, bool), None),
@@ -40,7 +45,7 @@ _TYPES = {
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v), None),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str), None),
     "list[int]": ("a list of integers", _is_int_list, None),
-    "frozenset[int]": ("a list of integers", _is_int_list, frozenset),
+    "frozenset[int]": ("a list of integers", _is_int_set, frozenset),
     "dict | None": ("an object or null", lambda v: v is None or isinstance(v, dict), None),
     "dict[str, list[int]]": ("an object of integer lists", lambda v: isinstance(v, dict)
                              and all(map(_is_int_list, v.values())), None),
@@ -49,8 +54,8 @@ _TYPES = {
 
 def checked(name: str, annotation: str, value):
     """``value`` as a field ``name`` of type ``annotation`` holds it (a
-    config class's through its ``from_dict``); ``ValueError`` naming ``name``
-    if it is wrong."""
+    config class's instance as it is, its dict through its ``from_dict``);
+    ``ValueError`` naming ``name`` if it is wrong."""
     if annotation in _TYPES:
         rule, test, convert = _TYPES[annotation]
         if not test(value):
@@ -58,8 +63,8 @@ def checked(name: str, annotation: str, value):
         return convert(value) if convert else value
     nested = next(c for c in JsonConfig.__subclasses__()
                   if c.__name__ == annotation.removesuffix(" | None"))
-    if value is None and annotation.endswith(" | None"):
-        return None
+    if value is None and annotation.endswith(" | None") or isinstance(value, nested):
+        return value
     try:
         return nested.from_dict(value)
     except ValueError as e:
@@ -67,6 +72,13 @@ def checked(name: str, annotation: str, value):
 
 
 class JsonConfig:
+    def __post_init__(self):
+        """Every field checked and converted by ``checked``; each subclass's
+        own ``__post_init__`` calls this first, then checks ranges."""
+        for f in dataclasses.fields(self):
+            # object.__setattr__ sets the fields of frozen classes too
+            object.__setattr__(self, f.name, checked(f.name, f.type, getattr(self, f.name)))
+
     def to_dict(self) -> dict:
         return {f.name: v.to_dict() if isinstance(v, JsonConfig) else copy.deepcopy(v)
                 for f in dataclasses.fields(self) for v in [getattr(self, f.name)]}
@@ -82,7 +94,7 @@ class JsonConfig:
         if unknown or missing:
             what = "unknown" if unknown else "missing"
             raise ValueError(f"{what} key(s) {', '.join(map(repr, unknown or missing))}")
-        return cls(**{f.name: checked(f.name, f.type, d[f.name]) for f in fields})
+        return cls(**d)
 
 
 def read_text(path, error: type[Exception]) -> str:
@@ -128,6 +140,7 @@ class RunConfig(JsonConfig):
     placement: dict | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, ">= 1", lambda v: v >= 1, "vocab_size")
         check(self, "null or >= 1", lambda v: v is None or v >= 1, "n_pairs", "max_len")
         check(self, "'retrieval' or 'pair_classification'",

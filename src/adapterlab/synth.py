@@ -225,6 +225,7 @@ class SyntheticSpec(JsonConfig):
     per_class: int = 20
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, "null or >= 0", lambda v: v is None or v >= 0, "seed")
         check(self, "null or >= 1", lambda v: v is None or v >= 1, "n")
         check(self, ">= 1", lambda v: v >= 1, "n_sentences", "n_classes", "per_class")

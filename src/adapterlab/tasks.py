@@ -29,6 +29,16 @@ class TaskError(ValueError):
     pass
 
 
+def fitted_max_len(encoder: Encoder, max_len: int | None,
+                   error: type[Exception] = TaskError) -> int:
+    """``max_len``, or the model's ``max_positions`` when it is unset; one
+    above ``max_positions`` raises ``error`` naming both."""
+    max_positions = encoder.config.max_positions
+    if max_len and max_len > max_positions:
+        raise error(f"max_len {max_len} exceeds the model's max_positions {max_positions}")
+    return max_len or max_positions
+
+
 # -- cloze test ------------------------------------------------------------
 
 @dataclasses.dataclass
@@ -104,7 +114,7 @@ def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray,
 
 def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
                  vocab: Vocabulary, max_len: int | None = None) -> EmbedResult:
-    max_len = max_len or encoder.config.max_positions
+    max_len = fitted_max_len(encoder, max_len)
     rows, n_truncated = [], 0
     for start in range(0, len(items), EVAL_BATCH):
         encoded = [vocab.encode(it.code) for it in items[start:start + EVAL_BATCH]]
@@ -222,7 +232,7 @@ def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
                max_len: int | None = None) -> dict:
     """Confusion counts, precision, recall and F1 of the clone rule logit > 0;
     each pass embeds ``EVAL_BATCH // 2`` pairs, so ``EVAL_BATCH`` sequences."""
-    max_len = max_len or encoder.config.max_positions
+    max_len = fitted_max_len(encoder, max_len)
     seen: Counter = Counter()  # (is a clone, predicted a clone) -> count
     for start in range(0, len(pairs), EVAL_BATCH // 2):
         chunk = pairs[start:start + EVAL_BATCH // 2]

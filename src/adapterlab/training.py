@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import time
 from typing import Callable, Sequence
@@ -56,6 +55,7 @@ class TrainConfig(JsonConfig):
     items_per_class: int = 4
 
     def __post_init__(self):
+        super().__post_init__()
         check(self, "> 0", lambda v: v > 0, "learning_rate", "temperature")
         check(self, ">= 1", lambda v: v >= 1, "batch_size", "patience", "eval_every",
               "max_len", "classes_per_batch", "items_per_class")
@@ -124,34 +124,28 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
         p.data = p.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _index_split(n: int, seed: int) -> tuple[list[int], list[int]]:
-    """90/10 train/validation split of ``n`` texts (the MLM trainers)."""
+def holdout(items: Sequence, seed: int, label: Callable | None = None
+            ) -> tuple[list, list]:
+    """The train/validation split of every trainer. ``items`` are grouped by
+    ``label(item)`` (one group without ``label``), and each group, in sorted
+    key order, is permuted by one generator seeded with ``seed``. A group of
+    n >= 4 gives its last max(2, n - int(0.9 n + 0.5)) permuted members to
+    validation, so retrieval validation never sees a singleton class; a
+    smaller group stays whole in training."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(label(item) if label else None, []).append(item)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_train = int(0.9 * n + 0.5)
-    return list(order[:n_train]), list(order[n_train:])
-
-
-def class_split(records: Sequence[RetrievalRecord], seed: int
-                ) -> tuple[list[RetrievalRecord], list[RetrievalRecord]]:
-    """Per-class train/validation split of retrieval records: at least two
-    held-out members per class (classes too small to spare two stay entirely
-    in training), so MAP@R on the validation set never sees singleton
-    classes."""
-    by_class: dict = {}
-    for r in records:
-        by_class.setdefault(r.label, []).append(r)
     train, val = [], []
-    for label in sorted(by_class):
-        members = sorted(
-            by_class[label],
-            key=lambda r: hashlib.sha256(f"{seed}:{r.id}".encode()).hexdigest())
-        n_val = max(2, round(0.1 * len(members))) if len(members) >= 4 else 0
-        val.extend(members[:n_val])
-        train.extend(members[n_val:])
+    for key in sorted(groups):
+        group, n = groups[key], len(groups[key])
+        order = rng.permutation(n)
+        n_train = min(int(0.9 * n + 0.5), n - 2) if n >= 4 else n
+        train.extend(group[i] for i in order[:n_train])
+        val.extend(group[i] for i in order[n_train:])
     if not val:
-        raise TrainingError("every retrieval class is too small to hold out "
-                            "validation members (need >= 4 per class)")
+        raise TrainingError("too small to hold out validation members: no group "
+                            f"of >= 4 among {len(items)} items")
     return train, val
 
 
@@ -220,8 +214,10 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
     A step that cannot be taken (a non-finite forward pass, loss or
     gradient) stops the run before any weight changes and raises
     ``TrainingError`` carrying the closed report; a weight that is not
-    finite in ``STEP_DTYPE`` is named as its cause.
+    finite in ``STEP_DTYPE`` is named as its cause. A ``cfg.max_len`` above
+    the model's ``max_positions`` is refused before step 0.
     """
+    tasks.fitted_max_len(encoder, cfg.max_len, TrainingError)
     params = encoder.params
     apply_freeze(params, mode)
     frozen = {name: t.data.astype(STEP_DTYPE) for name, t in params.items()
@@ -298,11 +294,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
 
 def _mlm_train(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                cfg: TrainConfig, mode: FreezeMode) -> TrainReport:
-    if not texts:
-        raise TrainingError("empty corpus")
-    train_idx, val_idx = _index_split(len(texts), cfg.seed)
-    train_texts = [texts[i] for i in train_idx]
-    val_texts = [texts[i] for i in val_idx] or train_texts[:cfg.batch_size]
+    train_texts, val_texts = holdout(texts, cfg.seed)
 
     def batch_loss(rng: np.random.Generator) -> T.Tensor | None:
         pick = rng.integers(0, len(train_texts), size=cfg.batch_size)

@@ -569,6 +569,33 @@ def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("subcommand, sets, error", [
+    ("eval-clone", ["max_len=129"], "TaskError"),
+    ("train-lang-adapter", ["train.max_len=129"], "TrainingError"),
+    ("train-task-adapter", ["train.max_len=129"], "TrainingError"),
+    ("pretrain", [*TINY[1::2], "encoder.max_positions=16"], "TrainingError"),
+])
+def test_max_len_above_max_positions_exits_1_naming_it(pipeline, tmp_path, capsys,
+                                                       subcommand, sets, error):
+    """The pipeline's model has 128 positions (16 for the pretrain row, whose
+    ``train.max_len`` is the default 64): a longer ``max_len`` is refused
+    whatever the texts' lengths, naming the key and both numbers."""
+    root, vocab = pipeline
+    want = "max_len 64 exceeds the model's max_positions 16" if subcommand == "pretrain" \
+        else "max_len 129 exceeds the model's max_positions 128"
+    argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", f"vocab={vocab}",
+            "--set", f"backbone={root / 'pre' / 'backbone.ckpt'}",
+            "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+            "--set", "train.max_steps=1", "--set", "synthetic.n=20",
+            "--set", "synthetic.n_sentences=50"]
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["message"]) == (error, want)
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("key", ["encoder.num_layers=2", "adapter.l_bottleneck=4"])
 def test_budget_paper_scale_refuses_size_keys(tmp_path, capsys, key):
     assert _run(["budget", "--paper-scale", "--out", str(tmp_path), "--set", key]) == 1

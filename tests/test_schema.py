@@ -100,6 +100,15 @@ def test_junk_raises_value_error_and_nothing_else(cls, configs, data):
     assert isinstance(config, cls) and cls.from_dict(config.to_dict()) == config
 
 
+def _wrong_type(cls):
+    """Values no field of ``cls`` takes."""
+    if cls in (RunConfig, Manifest):  # their fields take strings, lists and objects
+        return st.booleans() | st.floats()
+    # no field takes an object, and the one string field a language name
+    return (st.text(max_size=4).filter(lambda t: t not in ("alpha", "beta"))
+            | st.dictionaries(st.text(max_size=4), json_values))
+
+
 @pytest.mark.parametrize("cls, configs", CONFIGS, ids=IDS)
 @settings(deadline=None)
 @given(data=st.data())
@@ -112,14 +121,55 @@ def test_one_bad_key_raises_value_error_naming_it(cls, configs, data):
     elif how == "add":
         key = data.draw(st.text(max_size=8).filter(lambda k: k not in d))
         d[key] = data.draw(json_values)
-    elif cls in (RunConfig, Manifest):  # their fields take strings, lists and objects
-        d[key] = data.draw(st.booleans() | st.floats())
-    else:  # no field takes an object, and the one string field a language name
-        d[key] = data.draw(st.text(max_size=4).filter(lambda t: t not in ("alpha", "beta"))
-                           | st.dictionaries(st.text(max_size=4), json_values))
+    else:
+        d[key] = data.draw(_wrong_type(cls))
     with pytest.raises(ValueError) as info:
         cls.from_dict(d)
     assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("cls, configs", CONFIGS, ids=IDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_wrong_type_from_python_raises_value_error_naming_it(cls, configs, data):
+    """A config built in Python meets the JSON type table too."""
+    config = data.draw(configs)
+    key = data.draw(st.sampled_from(_names(cls)))
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(config, **{key: data.draw(_wrong_type(cls))})
+    assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (PlacementPlan, {"l_layers": 4}, "l_layers"),
+    (PlacementPlan, {"t_layers": [1, "2"]}, "t_layers"),
+    (PlacementPlan, {"invertible": 1}, "invertible"),
+    (EncoderConfig, {"num_layers": 2.0}, "num_layers"),
+    (EncoderConfig, {"num_heads": True}, "num_heads"),
+    (TrainConfig, {"max_len": "64"}, "max_len"),
+    (TrainConfig, {"early_stop": "yes"}, "early_stop"),
+    (AdapterConfig, {"l_bottleneck": 1.5}, "l_bottleneck"),
+    (Manifest, {"config": {"num_layers": 2}}, "config"),
+    (Manifest, {"placement": [1]}, "placement"),
+    (RunConfig, {"train": [1]}, "train"),
+])
+def test_wrong_type_from_python_is_named(cls, kwargs, key):
+    with pytest.raises(ValueError, match=f"^key {key!r}"):
+        cls(**kwargs)
+
+
+def test_python_values_convert_as_json_values_do():
+    """A list becomes a set, an integer a float, and a nested config's dict
+    goes through its ``from_dict``; a nested config passes as it is."""
+    plan = PlacementPlan(l_layers=[4, 4], t_layers=[])
+    assert (plan.l_layers, plan.t_layers) == (frozenset({4}), frozenset())
+    assert plan == PlacementPlan(frozenset({4}))
+    rate = TrainConfig(learning_rate=1).learning_rate
+    assert rate == 1.0 and type(rate) is float
+    enc = EncoderConfig(num_layers=2)
+    m = Manifest(config=enc, placement={"l_layers": [1], "t_layers": [], "invertible": True})
+    assert m.config is enc
+    assert m.placement == PlacementPlan(frozenset({1}), invertible=True)
 
 
 @pytest.mark.parametrize("cls, key, value", [

@@ -273,6 +273,22 @@ def test_embed_corpus_encodes_each_item_once(encoder, vocab, monkeypatch):
     assert (got.embeddings == want.embeddings).all()
 
 
+@pytest.mark.parametrize("call", ["embed_corpus", "eval_pairs"])
+def test_max_len_above_max_positions_is_refused(encoder, vocab, call):
+    """Even when every text is short enough to fit, the refusal names the
+    key and both numbers; ``max_positions`` itself is accepted."""
+    if "head.pair.w" not in encoder.params:
+        register_pair_head(encoder.params, CFG.hidden_size)
+    items = [RetrievalRecord(id=str(i), label="c", code="a b c", language="l")
+             for i in range(2)]
+    pairs = [PairRecord(id_a="a", id_b="b", code_a="a b c", code_b="g h", label=0)]
+    run = {"embed_corpus": lambda max_len: embed_corpus(encoder, items, vocab, max_len),
+           "eval_pairs": lambda max_len: eval_pairs(encoder, pairs, vocab, max_len)}[call]
+    with pytest.raises(TaskError, match=r"^max_len 25 exceeds the model's max_positions 24$"):
+        run(CFG.max_positions + 1)
+    run(CFG.max_positions)
+
+
 # -- pair classification ---------------------------------------------------
 
 def test_pair_head_and_eval(encoder, vocab):

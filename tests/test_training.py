@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterlab import tasks, training
 from adapterlab import tensor as T
@@ -180,12 +182,12 @@ def test_skipped_batch_is_counted_and_still_validated(corpus_and_vocab, monkeypa
     assert [row["loss"] for row in doc["loss"]] == report.loss_curve
 
 
-def _trainer(kind, corpus_and_vocab):
+def _trainer(kind, corpus_and_vocab, max_len=32):
     """(encoder, run) for one short run of a trainer: ``pretrain``, the
     L-adapter MLM loop ``lang``, or a ``retrieval`` or ``pair`` T-adapter."""
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
-    cfg = TrainConfig(learning_rate=1e-3, max_steps=2, eval_every=2, max_len=32, seed=0,
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=2, eval_every=2, max_len=max_len, seed=0,
                       batch_size=4, classes_per_batch=3, items_per_class=2)
     if kind == "pretrain":
         return enc, lambda: pretrain_mlm(enc, texts, vocab, cfg)
@@ -245,6 +247,19 @@ def test_trainer_steps_in_float32_over_float64_masters(corpus_and_vocab, monkeyp
     assert all(enc.params[name].data.tobytes() == before[name] for name in frozen)
     assert any(enc.params[name].data.tobytes() != before[name]
                for name in enc.params.trainable_names())
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "lang", "retrieval", "pair"])
+def test_max_len_above_max_positions_is_refused_before_step_0(corpus_and_vocab, kind):
+    """Whether or not some text is long enough to overflow the positions,
+    the run stops before its first validation, naming the key and both
+    numbers, with every weight as it was."""
+    enc, run = _trainer(kind, corpus_and_vocab, max_len=CFG.max_positions + 1)
+    before = checksum(enc.params)
+    with pytest.raises(TrainingError,
+                       match=r"^max_len 65 exceeds the model's max_positions 64$"):
+        run()
+    assert checksum(enc.params) == before
 
 
 @pytest.mark.parametrize("kind, weight", [("pretrain", "mlm.bias"),
@@ -402,22 +417,78 @@ def test_eval_mlm_loss_deterministic(corpus_and_vocab):
     assert a == b
 
 
-def test_class_split_holds_out_two_per_class():
+def test_holdout_holds_out_two_per_class():
     """Classes of four or more members give at least two to validation;
     smaller ones stay whole in training; the split depends only on the seed."""
     tiny = [dataclasses.replace(r, id=f"tiny-{r.id}", label="tiny")
             for r in synth_clone_classes(1, 3, seed=1)]
     records = synth_clone_classes(3, 5, seed=0) + tiny
-    train, val = training.class_split(records, seed=7)
+    by_label = lambda r: r.label
+    train, val = training.holdout(records, 7, label=by_label)
     assert sorted(r.id for r in train + val) == sorted(r.id for r in records)
     by_class = {}
     for r in val:
         by_class[r.label] = by_class.get(r.label, 0) + 1
     assert by_class == {"class00": 2, "class01": 2, "class02": 2}
-    assert training.class_split(records, seed=7) == (train, val)
+    assert training.holdout(records, 7, label=by_label) == (train, val)
     assert {r.label for r in train} == {"class00", "class01", "class02", "tiny"}
     with pytest.raises(TrainingError, match="too small"):
-        training.class_split(tiny, seed=7)
+        training.holdout(tiny, 7, label=by_label)
+
+
+def _ninety_ten(n, seed):
+    """The MLM trainers' split of ``n`` texts before ``holdout``, kept as the
+    reference: one seeded permutation, its first int(0.9 n + 0.5) indices
+    to training."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    n_train = int(0.9 * n + 0.5)
+    return list(order[:n_train]), list(order[n_train:])
+
+
+@settings(deadline=None, max_examples=200)
+@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6) | st.integers(0, 200),
+       seed=st.integers(0, 2 ** 32))
+def test_holdout_partitions_each_group_by_the_rule(sizes, seed):
+    """Grouped (a list of group sizes) or not (one size): an exact partition;
+    a group of n >= 4 holds out max(2, n - int(0.9 n + 0.5)) members, a
+    smaller one none; a seed gives one split; and ungrouped from n = 16 on,
+    the split is the reference 90/10 split's, order included. Nothing held
+    out raises."""
+    grouped = isinstance(sizes, list)
+    sizes = sizes if grouped else [sizes]
+    items = [f"g{g}-{i}" for g, n in enumerate(sizes) for i in range(n)]
+    label = (lambda item: item.partition("-")[0]) if grouped else None
+    want = [max(2, n - int(0.9 * n + 0.5)) if n >= 4 else 0 for n in sizes]
+    if not any(want):
+        with pytest.raises(TrainingError, match="too small"):
+            training.holdout(items, seed, label=label)
+        return
+    train, val = training.holdout(items, seed, label=label)
+    assert sorted(train + val) == sorted(items)
+    assert [sum(item.startswith(f"g{g}-") for item in val) for g in range(len(sizes))] == want
+    assert training.holdout(items, seed, label=label) == (train, val)
+    if not grouped and sizes[0] >= 16:
+        ref_train, ref_val = _ninety_ten(sizes[0], seed)
+        assert (train, val) == ([items[i] for i in ref_train], [items[i] for i in ref_val])
+
+
+def test_pretrain_validates_on_held_out_texts_only(corpus_and_vocab, monkeypatch):
+    """10 texts hold out 2, on which every validation runs; 3 texts hold out
+    none, and the run is refused rather than validated on its training texts."""
+    texts, vocab = corpus_and_vocab
+    cfg = TrainConfig(learning_rate=1e-3, max_steps=2, eval_every=1, max_len=32)
+    with pytest.raises(TrainingError, match="too small"):
+        pretrain_mlm(_encoder(vocab), texts[:3], vocab, cfg)
+    real, validated = training.eval_mlm_loss, []
+
+    def spy(encoder, val_texts, *args):
+        validated.append(list(val_texts))
+        return real(encoder, val_texts, *args)
+    monkeypatch.setattr(training, "eval_mlm_loss", spy)
+    pretrain_mlm(_encoder(vocab), texts[:10], vocab, cfg)
+    held_out = training.holdout(texts[:10], cfg.seed)[1]
+    assert len(held_out) == 2 and validated == [held_out] * 3
 
 
 @pytest.mark.parametrize("training_mode", [False, True], ids=["eval", "training"])
