@@ -58,6 +58,11 @@ adapterlab eval-clone --out $R/clone-file --seed 0 \
 
 adapterlab budget --paper-scale --out $R/budget
 
+# each subcommand reads its own keys; one it never reads exits 1, naming it
+if adapterlab budget --out $R/budget-model --set model=$R/la/l_adapter.ckpt; then
+  exit 1
+fi
+
 adapterlab sweep-layers --out $R/sweep --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
   --set synthetic.n=30

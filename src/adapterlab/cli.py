@@ -3,11 +3,12 @@ backbone training, adapter training, evaluations, budget reports, layer
 sweeps, and zero-shot transfer runs.
 
 Every run reads one JSON config (optional), applies ``--set key.path=value``
-overrides, checks the result once as a ``schema.RunConfig``, and writes its
-artifacts under ``--out``: the effective config, a JSON report, and any
-checkpoints. Exit codes: 0 success, 1 failed precondition (with an error
-JSON on stderr naming the exception class), 2 usage error. A training run
-that stops on a bad step still writes its ``train_report.json``.
+overrides, checks the result once as a ``schema.RunConfig`` and against the
+keys its subcommand reads (``_KEYS``), and writes its artifacts under
+``--out``: the effective config, a JSON report, and any checkpoints. Exit
+codes: 0 success, 1 failed precondition (with an error JSON on stderr naming
+the exception class), 2 usage error. A training run that stops on a bad step
+still writes its ``train_report.json``.
 """
 
 from __future__ import annotations
@@ -89,21 +90,15 @@ def _config(run: RunConfig, key: str, base: dict | None = None):
         raise CliError(f"config key {key!r}: {e}") from e
 
 
-def _require(run: RunConfig, key: str) -> str:
-    if not getattr(run, key):
-        raise CliError(f"config key {key!r} is required")
-    return getattr(run, key)
-
-
 def _cloze_examples(run: RunConfig, vocab: Vocabulary, seed: int, **kwargs) -> list:
     """Cloze probes drawn, by default, from the held-out seed of ``seed``."""
     return synth.cloze_examples(run.data, _config(run, "synthetic"), synth.held_out_seed(seed),
                                 vocab, **kwargs)
 
 
-def _refuse(run: RunConfig, keys, reason: str) -> None:
-    """A config key the run would ignore is an error."""
-    ignored = sorted(k for k in keys if getattr(run, k) is not None)
+def _refuse(given: dict, keys, reason: str) -> None:
+    """A config key that ``given`` sets and the run would ignore is an error."""
+    ignored = sorted(k for k in keys if given.get(k) is not None)
     if ignored:
         raise CliError(f"config key(s) {ignored} do not apply: {reason}")
 
@@ -119,7 +114,7 @@ def cmd_tokenizer_train(args, run, seed, out: Path) -> dict:
 
 
 def cmd_pretrain(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
+    vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     enc_cfg = _config(run, "encoder")
     if (run.encoder or {}).get("vocab_size", vocab.size) != vocab.size:
@@ -136,12 +131,12 @@ def cmd_pretrain(args, run, seed, out: Path) -> dict:
 
 
 def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
+    vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
-    manifest, state = load_checkpoint(_require(run, "backbone"))
+    manifest, state = load_checkpoint(run.backbone)
     plan = adapter_cfg = None
     if manifest.placement:
-        _refuse(run, ("placement", "adapter"), "the backbone already has adapters")
+        _refuse(vars(run), ("placement", "adapter"), "the backbone already has adapters")
     else:
         plan = (_config(run, "placement") if run.placement else
                 PlacementPlan.full(manifest.config.num_layers, invertible=True))
@@ -160,13 +155,13 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
 
 
 def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
+    vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     task_kind = run.task
-    manifest, state = load_checkpoint(_require(run, "model"))
+    manifest, state = load_checkpoint(run.model)
     plan, adapter_cfg = manifest.plan, None
     if plan.t_layers:
-        _refuse(run, ("adapter",), "the model already has task adapters")
+        _refuse(vars(run), ("adapter",), "the model already has task adapters")
     else:
         # widen the plan with all-layer T-adapters
         layers = range(1, manifest.config.num_layers + 1)
@@ -196,8 +191,8 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
 
 
 def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
-    encoder = build_model(*load_checkpoint(_require(run, "model")))
+    vocab = Vocabulary.load(run.vocab)
+    encoder = build_model(*load_checkpoint(run.model))
     examples = _cloze_examples(run, vocab, seed)
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
@@ -205,8 +200,8 @@ def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
 
 
 def cmd_eval_clone(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
-    encoder = build_model(*load_checkpoint(_require(run, "model")))
+    vocab = Vocabulary.load(run.vocab)
+    encoder = build_model(*load_checkpoint(run.model))
     task_kind, max_len = run.task, run.max_len
     records = synth.retrieval_records(run.data, _config(run, "synthetic"),
                                       synth.held_out_seed(seed))
@@ -215,8 +210,6 @@ def cmd_eval_clone(args, run, seed, out: Path) -> dict:
         ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
         return {"task": task_kind, "map_at_r": ev.map_at_r,
                 "n_items": len(records), "n_truncated": res.n_truncated}
-    if "head.pair.w" not in encoder.params:
-        raise CliError("model checkpoint has no pair-classification head")
     pairs = synth.pairs_from_retrieval(records, run.n_pairs or 200, seed=seed)
     scores = tasks.eval_pairs(encoder, pairs, vocab, max_len=max_len)
     return {"task": task_kind, "n_pairs": len(pairs), **scores}
@@ -224,7 +217,7 @@ def cmd_eval_clone(args, run, seed, out: Path) -> dict:
 
 def cmd_budget(args, run, seed, out: Path) -> dict:
     if args.paper_scale:
-        _refuse(run, ("encoder", "adapter"), "--paper-scale fixes every size")
+        _refuse(vars(run), ("encoder", "adapter"), "--paper-scale fixes every size")
         report = paper_scale_report()
     else:
         report = build_report(_config(run, "encoder"), _config(run, "adapter"))
@@ -238,8 +231,10 @@ def cmd_budget(args, run, seed, out: Path) -> dict:
 
 
 def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
-    vocab = Vocabulary.load(_require(run, "vocab"))
-    manifest, state = load_checkpoint(_require(run, "model"))
+    if not args.retrain_per_layer:
+        _refuse(vars(run), ("train", "corpus"), "only --retrain-per-layer trains")
+    vocab = Vocabulary.load(run.vocab)
+    manifest, state = load_checkpoint(run.model)
     if not manifest.placement:
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan, L = manifest.placement, manifest.config.num_layers
@@ -274,17 +269,14 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
 
 
 def cmd_zero_shot(args, run, seed, out: Path) -> dict:
-    _refuse(run, ("data",), "zero-shot draws one probe set per language")
-    vocab = Vocabulary.load(_require(run, "vocab"))
-    manifest, state = load_checkpoint(_require(run, "model"))
+    vocab = Vocabulary.load(run.vocab)
+    manifest, state = load_checkpoint(run.model)
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
     trained_on = run.train_language or manifest.language
     if not trained_on:
         raise CliError("training language unknown; set config key 'train_language'")
     unseen = run.eval_language
-    if not unseen:
-        raise CliError("--eval-language (or config key 'eval_language') is required")
     scores = {}
     for language in (trained_on, unseen):
         examples = _cloze_examples(run, vocab, seed, language=language)
@@ -305,6 +297,26 @@ _HANDLERS = {
     "sweep-layers": cmd_sweep_layers,
     "zero-shot": cmd_zero_shot,
 }
+
+# The top-level run-config keys each subcommand reads. A key given a non-null
+# value that its subcommand does not read is an error, whatever the value:
+# the run would ignore it. zero-shot reads no ``data``: one probe file cannot
+# hold a probe set per language.
+_KEYS = {
+    "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
+    "pretrain": {"vocab", "corpus", "synthetic", "encoder", "train"},
+    "train-lang-adapter": {"vocab", "backbone", "corpus", "synthetic", "train",
+                           "adapter", "placement"},
+    "train-task-adapter": {"vocab", "model", "data", "synthetic", "task", "n_pairs",
+                           "train", "adapter"},
+    "eval-cloze": {"vocab", "model", "data", "synthetic"},
+    "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
+    "budget": {"encoder", "adapter"},
+    "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
+    "zero-shot": {"vocab", "model", "synthetic", "train_language", "eval_language"},
+}
+# keys that must be set wherever they are read
+_REQUIRED = {"vocab", "backbone", "model", "eval_language"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,13 +352,19 @@ def dispatch(argv=None) -> int:
         seed = args.seed
         if seed < 0:
             raise CliError(f"--seed must be >= 0, got {seed}")
+        given = load_run_config(args)
         try:
-            run = RunConfig.from_dict({**RunConfig().to_dict(), **load_run_config(args)})
+            run = RunConfig.from_dict({**RunConfig().to_dict(), **given})
         except ValueError as e:
             raise CliError(f"run config: {e}") from e
         for key in _SECTIONS:  # checked over the defaults; handlers lay their own bases
             if getattr(run, key) is not None:
                 _config(run, key)
+        reads = _KEYS[args.subcommand]
+        _refuse(given, given.keys() - reads, f"{args.subcommand} does not read them")
+        missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
+        if missing:
+            raise CliError(f"config key(s) {missing} are required")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = _HANDLERS[args.subcommand](args, run, seed, out)

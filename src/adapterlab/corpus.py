@@ -1,9 +1,10 @@
 """Dataset ingestion: record types and validated JSON-lines loading.
 
-All datasets travel as JSON-lines, one record per line. File kinds:
-  unlabeled:  {id, language, code, nl?}
-  cloze:      {id, tokens, mask_index, candidates, answer, language, has_nl?}
-  retrieval:  {id, label, code, language}
+All datasets travel as JSON-lines, one record per line; a file holds one
+record type:
+  CorpusRecord:     {id, language, code, nl?}  (unlabeled code)
+  ClozeRecord:      {id, tokens, mask_index, candidates, answer, language, has_nl?}
+  RetrievalRecord:  {id, label, code, language}
 Clone pairs (``PairRecord``) are drawn from retrieval records, never read.
 """
 
@@ -55,23 +56,13 @@ class PairRecord(JsonConfig):
     label: int
 
 
-_RECORD_TYPES = {
-    "unlabeled": CorpusRecord,
-    "cloze": ClozeRecord,
-    "retrieval": RetrievalRecord,
-}
-
-
-def load_jsonl(path, kind: str) -> list:
-    """The records of a JSON-lines file of ``kind``. Each non-blank line is
-    read by the record type's ``from_dict``: the keys it knows, laid over
+def load_jsonl(path, record_type: type[JsonConfig]) -> list:
+    """The ``record_type`` records of a JSON-lines file. Each non-blank line
+    is read by the record type's ``from_dict``: the keys it knows, laid over
     its defaults; unknown keys are dropped. The first line that is no JSON
     object, lacks a key without a default or holds a value of the wrong JSON
     type raises ``CorpusError`` naming the file, the line and the key."""
-    if kind not in _RECORD_TYPES:
-        raise CorpusError(f"unknown record kind {kind!r}")
-    cls = _RECORD_TYPES[kind]
-    fields = dataclasses.fields(cls)
+    fields = dataclasses.fields(record_type)
     defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
     records = []
     for lineno, line in enumerate(read_text(path, CorpusError).split("\n"), start=1):
@@ -84,7 +75,7 @@ def load_jsonl(path, kind: str) -> list:
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}: line {lineno}: not a JSON object")
         try:
-            records.append(cls.from_dict(
+            records.append(record_type.from_dict(
                 {**defaults, **{f.name: obj[f.name] for f in fields if f.name in obj}}))
         except ValueError as e:
             raise CorpusError(f"{path}: line {lineno}: {e}") from e

@@ -257,7 +257,7 @@ def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
 def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[CorpusRecord]:
     """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
     if path:
-        return load_jsonl(path, "unlabeled")
+        return load_jsonl(path, CorpusRecord)
     return synth_code_records(spec.language, spec.n or 600, seed=spec.seed_or(seed))
 
 
@@ -265,7 +265,7 @@ def retrieval_records(path: str | None, spec: SyntheticSpec,
                       seed: int) -> list[RetrievalRecord]:
     """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
     if path:
-        return load_jsonl(path, "retrieval")
+        return load_jsonl(path, RetrievalRecord)
     return synth_clone_classes(spec.n_classes, spec.per_class,
                                seed=spec.seed_or(seed), language=spec.language)
 
@@ -275,7 +275,7 @@ def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Voca
     """Cloze probes: cloze JSON-lines, or built from synthetic programs
     (in ``language`` when given)."""
     if path:
-        return load_jsonl(path, "cloze")
+        return load_jsonl(path, ClozeRecord)
     records = synth_code_records(language or spec.language, spec.n or 200,
                                  seed=spec.seed_or(seed))
     examples = build_cloze_examples(records, vocab)

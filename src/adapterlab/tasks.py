@@ -131,7 +131,6 @@ def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
 @dataclasses.dataclass
 class RetrievalEvalResult:
     per_query_ap: list[float]
-    r_per_query: list[int]
     map_at_r: float
 
 
@@ -161,7 +160,7 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
     else:
         raise TaskError(f"unknown metric {metric!r}")
 
-    aps, rs = [], []
+    aps = []
     for q in range(n):
         others = [j for j in range(n) if j != q]
         ranked = sorted(others, key=lambda j: (-sims[q, j], ids[j]))
@@ -173,9 +172,7 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
                 hits += 1
                 ap += hits / rank
         aps.append(ap / r)
-        rs.append(r)
-    return RetrievalEvalResult(per_query_ap=aps, r_per_query=rs,
-                               map_at_r=float(np.mean(aps)))
+    return RetrievalEvalResult(per_query_ap=aps, map_at_r=float(np.mean(aps)))
 
 
 # -- pair classification ---------------------------------------------------
@@ -185,7 +182,6 @@ class F1Result:
     precision: float
     recall: float
     f1: float
-    degenerate: bool
 
 
 def f1_score(tp: int, fp: int, tn: int, fn: int) -> F1Result:
@@ -195,8 +191,7 @@ def f1_score(tp: int, fp: int, tn: int, fn: int) -> F1Result:
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
-    return F1Result(precision=p, recall=r, f1=f,
-                    degenerate=tp + fp == 0 or tp + fn == 0 or p + r == 0)
+    return F1Result(precision=p, recall=r, f1=f)
 
 
 def register_pair_head(params: ParameterSet, hidden_size: int) -> None:
@@ -232,6 +227,8 @@ def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
                max_len: int | None = None) -> dict:
     """Confusion counts, precision, recall and F1 of the clone rule logit > 0;
     each pass embeds ``EVAL_BATCH // 2`` pairs, so ``EVAL_BATCH`` sequences."""
+    if "head.pair.w" not in encoder.params:
+        raise TaskError("the model has no pair-classification head")
     max_len = fitted_max_len(encoder, max_len)
     seen: Counter = Counter()  # (is a clone, predicted a clone) -> count
     for start in range(0, len(pairs), EVAL_BATCH // 2):

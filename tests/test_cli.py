@@ -9,11 +9,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from adapterlab import synth, training
+from adapterlab import cli, synth, training
 from adapterlab.adapters import attach
 from adapterlab.checkpoint import load_checkpoint
 from adapterlab.cli import dispatch
 from adapterlab.encoder import Encoder
+from adapterlab.schema import RunConfig
 from adapterlab.tokenizer import Vocabulary
 
 TINY = [
@@ -131,6 +132,94 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, subcommand):
     assert _run([subcommand, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
     err = _one_error_line(capsys)
     assert err["error"] == "CliError" and "--seed" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+# The top-level keys each subcommand reads: 48 (subcommand, key) pairs.
+READS = {
+    "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
+    "pretrain": {"vocab", "corpus", "synthetic", "encoder", "train"},
+    "train-lang-adapter": {"vocab", "backbone", "corpus", "synthetic", "train", "adapter",
+                           "placement"},
+    "train-task-adapter": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "train",
+                           "adapter"},
+    "eval-cloze": {"vocab", "model", "data", "synthetic"},
+    "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
+    "budget": {"encoder", "adapter"},
+    "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
+    "zero-shot": {"vocab", "model", "synthetic", "train_language", "eval_language"},
+}
+REQUIRED = {"vocab", "backbone", "model", "eval_language"}
+# a valid value other than the default for every run-config key; the paths
+# name no file, so a run that gets past the key checks fails on reading one
+VALUES = {
+    "vocab": "v.txt", "corpus": "c.jsonl", "data": "d.jsonl", "backbone": "b.ckpt",
+    "model": "m.ckpt", "vocab_size": 300, "n_pairs": 10, "max_len": 16,
+    "task": "pair_classification", "layers": "0..1", "train_language": "alpha",
+    "eval_language": "beta", "synthetic": {"n": 5}, "encoder": {"num_layers": 2},
+    "train": {"max_steps": 1}, "adapter": {"l_bottleneck": 4},
+    "placement": {"l_layers": [1], "t_layers": [], "invertible": False},
+}
+
+
+def test_key_table_names_every_subcommand_and_every_key():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert cli._KEYS.keys() == cli._HANDLERS.keys() == READS.keys()
+    assert cli._KEYS == READS and sum(map(len, READS.values())) == 48
+    assert set().union(*READS.values()) == fields == VALUES.keys()
+
+
+@pytest.mark.parametrize("subcommand, key", [
+    (subcommand, key) for subcommand, reads in READS.items()
+    for key in VALUES if key not in reads])
+def test_a_key_the_subcommand_does_not_read_exits_1_naming_it(tmp_path, capsys,
+                                                              subcommand, key):
+    """The run would ignore it: one error line names the key before any
+    file is read, and ``--out`` holds no report."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: VALUES[key]}))
+    assert _run([subcommand, "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
+    err = _one_error_line(capsys)
+    assert err == {"error": "CliError", "subcommand": subcommand,
+                   "message": f"config key(s) [{key!r}] do not apply: "
+                              f"{subcommand} does not read them"}
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand, sets, named", [
+    ("pretrain", ["vocab_size=2048"], "['vocab_size']"),  # the default value
+    ("budget", ["task=retrieval"], "['task']"),  # the default value
+    ("budget", ["synthetic={{}}"], "['synthetic']"),  # an empty section
+    ("budget", ["model={tmp}/nonexistent.ckpt", "backbone={tmp}/nope",
+                "data={tmp}/nope.jsonl"], "['backbone', 'data', 'model']"),
+])
+def test_an_unread_key_is_refused_whatever_its_value(tmp_path, capsys, subcommand,
+                                                     sets, named):
+    argv = [subcommand, "--out", str(tmp_path / "o")]
+    for s in sets:
+        argv += ["--set", s.format(tmp=tmp_path)]
+    assert _run(argv) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CliError" and named in err["message"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_an_unread_key_set_to_null_is_the_default(tmp_path):
+    assert _run(["budget", "--out", str(tmp_path), "--set", "model=null",
+                 "--set", "layers=null"]) == 0
+
+
+@pytest.mark.parametrize("subcommand, key", [
+    (subcommand, key) for subcommand, reads in READS.items()
+    for key in sorted(reads & REQUIRED)])
+def test_a_missing_required_key_exits_1_naming_it(tmp_path, capsys, subcommand, key):
+    """Named before any file is read: the other required keys name no file."""
+    argv = [subcommand, "--out", str(tmp_path / "o")]
+    for other in sorted(READS[subcommand] & REQUIRED - {key}):
+        argv += ["--set", f"{other}={VALUES[other]}"]
+    assert _run(argv) == 1
+    assert _one_error_line(capsys) == {"error": "CliError", "subcommand": subcommand,
+                                       "message": f"config key(s) [{key!r}] are required"}
     assert not (tmp_path / "o").exists()
 
 
@@ -348,7 +437,7 @@ def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
     def programs(subcommand, *sets):
         drawn.append(set())
         argv = [subcommand, "--out", str(tmp_path / subcommand), "--seed", "0",
-                "--set", f"vocab={vocab}", "--set", "train.max_steps=1"]
+                "--set", f"vocab={vocab}"]
         for s in sets:
             argv += ["--set", s]
         assert _run(argv) == 0
@@ -356,9 +445,10 @@ def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
         return drawn[-1]
 
     la = root / "la" / "l_adapter.ckpt"
-    trained = programs("train-lang-adapter", f"backbone={root / 'pre' / 'backbone.ckpt'}")
+    trained = programs("train-lang-adapter", f"backbone={root / 'pre' / 'backbone.ckpt'}",
+                       "train.max_steps=1")
     assert not trained & programs("eval-cloze", f"model={la}")
-    trained = programs("train-task-adapter", f"model={la}")
+    trained = programs("train-task-adapter", f"model={la}", "train.max_steps=1")
     assert not trained & programs("eval-clone", f"model={la}")
 
 
@@ -570,10 +660,13 @@ def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("subcommand, sets, error", [
-    ("eval-clone", ["max_len=129"], "TaskError"),
-    ("train-lang-adapter", ["train.max_len=129"], "TrainingError"),
-    ("train-task-adapter", ["train.max_len=129"], "TrainingError"),
-    ("pretrain", [*TINY[1::2], "encoder.max_positions=16"], "TrainingError"),
+    ("eval-clone", ["model={la}", "max_len=129"], "TaskError"),
+    ("train-lang-adapter", ["backbone={pre}", "train.max_steps=1", "train.max_len=129"],
+     "TrainingError"),
+    ("train-task-adapter", ["model={la}", "train.max_steps=1", "train.max_len=129"],
+     "TrainingError"),
+    ("pretrain", ["train.max_steps=1", *TINY[1::2], "encoder.max_positions=16"],
+     "TrainingError"),
 ])
 def test_max_len_above_max_positions_exits_1_naming_it(pipeline, tmp_path, capsys,
                                                        subcommand, sets, error):
@@ -584,16 +677,32 @@ def test_max_len_above_max_positions_exits_1_naming_it(pipeline, tmp_path, capsy
     want = "max_len 64 exceeds the model's max_positions 16" if subcommand == "pretrain" \
         else "max_len 129 exceeds the model's max_positions 128"
     argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", f"vocab={vocab}",
-            "--set", f"backbone={root / 'pre' / 'backbone.ckpt'}",
-            "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
-            "--set", "train.max_steps=1", "--set", "synthetic.n=20",
-            "--set", "synthetic.n_sentences=50"]
+            "--set", "synthetic.n=20", "--set", "synthetic.n_sentences=50"]
     for s in sets:
-        argv += ["--set", s]
+        argv += ["--set", s.format(pre=root / "pre" / "backbone.ckpt",
+                                   la=root / "la" / "l_adapter.ckpt")]
     assert _run(argv) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert (err["error"], err["message"]) == (error, want)
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sets, key", [(["train.max_steps=2"], "train"),
+                                       (["corpus={tmp}/code.jsonl"], "corpus")])
+def test_sweep_layers_without_retraining_refuses_training_keys(pipeline, tmp_path, capsys,
+                                                               sets, key):
+    """Truncating the trained stack trains nothing, so it would ignore them."""
+    root, vocab = pipeline
+    argv = ["sweep-layers", "--out", str(tmp_path / "o"), "--set", f"vocab={vocab}",
+            "--set", f"model={root / 'la' / 'l_adapter.ckpt'}", "--set", "synthetic.n=20"]
+    for s in sets:
+        argv += ["--set", s.format(tmp=tmp_path)]
+    assert _run(argv) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CliError"
+    assert err["message"] == (f"config key(s) [{key!r}] do not apply: "
+                              "only --retrain-per-layer trains")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("key", ["encoder.num_layers=2", "adapter.l_bottleneck=4"])

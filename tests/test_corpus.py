@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from adapterlab.corpus import ClozeRecord, CorpusError, CorpusRecord, load_jsonl
+from adapterlab.corpus import (ClozeRecord, CorpusError, CorpusRecord, RetrievalRecord,
+                               load_jsonl)
 
 
 def _write_jsonl(path, rows):
@@ -17,7 +18,7 @@ def test_load_unlabeled_ok(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{"id": f"r{i}", "language": "alpha", "code": "x = 1 ;"}
                      for i in range(5)])
-    records = load_jsonl(p, "unlabeled")
+    records = load_jsonl(p, CorpusRecord)
     assert len(records) == 5
     assert records[0].nl is None
 
@@ -35,7 +36,7 @@ def test_bad_line_raises_naming_file_line_and_key(tmp_path, line, named):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, ROWS + [line])
     with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: {named}")):
-        load_jsonl(p, "unlabeled")
+        load_jsonl(p, CorpusRecord)
 
 
 def test_valid_json_that_is_no_object_is_a_malformed_line(tmp_path):
@@ -43,27 +44,21 @@ def test_valid_json_that_is_no_object_is_a_malformed_line(tmp_path):
     for line in ("5", '["a list"]'):
         _write_jsonl(p, ROWS + [line])
         with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: not a JSON object")):
-            load_jsonl(p, "unlabeled")
+            load_jsonl(p, CorpusRecord)
 
 
 def test_load_empty_file_raises(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text("")
     with pytest.raises(CorpusError):
-        load_jsonl(p, "unlabeled")
+        load_jsonl(p, CorpusRecord)
 
 
 def test_non_utf8_file_raises_naming_it(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_bytes('{"id": "r0", "language": "a", "code": "x"}\n'.encode("utf-16"))
     with pytest.raises(CorpusError, match=re.escape(f"{p}: not UTF-8 text")):
-        load_jsonl(p, "unlabeled")
-
-
-def test_load_unknown_kind_raises(tmp_path):
-    for kind in ("mystery", "pair"):  # pairs are drawn from retrieval records, never read
-        with pytest.raises(CorpusError, match=f"unknown record kind '{kind}'"):
-            load_jsonl(tmp_path / "x", kind)
+        load_jsonl(p, CorpusRecord)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -71,11 +66,12 @@ def test_save_load_round_trip(tmp_path):
              **({"nl": "doc"} if i % 2 else {})} for i in range(4)]
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, rows)
-    back = load_jsonl(p, "unlabeled")
+    back = load_jsonl(p, CorpusRecord)
     assert [r.id for r in back] == [r["id"] for r in rows]
     assert back[1].nl == "doc" and back[0].nl is None
 
 
+TYPES = {"unlabeled": CorpusRecord, "cloze": ClozeRecord, "retrieval": RetrievalRecord}
 GOOD = {
     "unlabeled": {"id": "r", "language": "alpha", "code": "x = 1 ;"},
     "cloze": {"id": "c", "tokens": [0, 4, 1], "mask_index": 1, "candidates": [7, 8],
@@ -98,7 +94,7 @@ def test_wrong_typed_field_is_a_malformed_line_naming_it(tmp_path, kind, field, 
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [GOOD[kind]] * 199 + [{**GOOD[kind], field: value}])
     with pytest.raises(CorpusError, match=re.escape(f"{p}: line 200: key '{field}'")):
-        load_jsonl(p, kind)
+        load_jsonl(p, TYPES[kind])
 
 
 def test_unknown_keys_are_dropped_and_defaulted_fields_may_be_absent(tmp_path):
@@ -106,13 +102,13 @@ def test_unknown_keys_are_dropped_and_defaulted_fields_may_be_absent(tmp_path):
     p = tmp_path / "d.jsonl"
     cloze = {k: v for k, v in GOOD["cloze"].items() if k != "has_nl"}
     _write_jsonl(p, [{**cloze, "split": "test", "url": None}])
-    [record] = load_jsonl(p, "cloze")
+    [record] = load_jsonl(p, ClozeRecord)
     assert record == ClozeRecord(**GOOD["cloze"]) and not hasattr(record, "split")
     _write_jsonl(p, [{**GOOD["unlabeled"], "docstring": 5}])
-    assert load_jsonl(p, "unlabeled") == [CorpusRecord(**GOOD["unlabeled"], nl=None)]
+    assert load_jsonl(p, CorpusRecord) == [CorpusRecord(**GOOD["unlabeled"], nl=None)]
 
 
 def test_optional_field_may_be_null(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{**GOOD["unlabeled"], "nl": None, "split": None}])
-    assert load_jsonl(p, "unlabeled")[0].nl is None
+    assert load_jsonl(p, CorpusRecord)[0].nl is None

@@ -61,7 +61,6 @@ def test_map_at_r_hand_case():
     res = map_at_r(emb, labels, ids=["A1", "A2", "B1", "B2"], metric="euclidean")
     assert res.per_query_ap == [0.0, 0.0, 1.0, 1.0]
     assert res.map_at_r == 0.5
-    assert res.r_per_query == [1, 1, 1, 1]
 
 
 def test_map_at_r_matches_oracle_random():
@@ -153,9 +152,10 @@ def test_f1_matches_oracle_random():
         assert res.f1 == pytest.approx(f)
 
 
-def test_f1_degenerate_flag_and_validation():
-    assert f1_score(0, 0, 5, 0).degenerate
-    assert not f1_score(3, 1, 1, 1).degenerate
+def test_f1_degenerate_counts_and_validation():
+    """No predicted and no actual clone: precision, recall and F1 are 0."""
+    res = f1_score(0, 0, 5, 0)
+    assert (res.precision, res.recall, res.f1) == (0.0, 0.0, 0.0)
     with pytest.raises(TaskError):
         f1_score(-1, 0, 0, 0)
 
@@ -300,6 +300,12 @@ def test_pair_head_and_eval(encoder, vocab):
                                           code_b="g h", label=0)], vocab)
     assert out["tp"] + out["fp"] + out["tn"] + out["fn"] == 2
     assert 0.0 <= out["f1"] <= 1.0
+
+
+def test_eval_pairs_refuses_a_model_without_a_pair_head(vocab):
+    pair = PairRecord(id_a="a", id_b="b", code_a="a b c", code_b="a b c", label=1)
+    with pytest.raises(TaskError, match="no pair-classification head"):
+        eval_pairs(Encoder(CFG, seed=0), [pair], vocab)
 
 
 def test_eval_pairs_chunks_score_as_one_pair_per_pass(encoder, vocab, monkeypatch):
