@@ -55,6 +55,12 @@ done
 adapterlab eval-clone --out $R/clone-file --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
   --set data=$R/clone.jsonl
+# the file replaces the generated classes, so sizing them exits 1
+if adapterlab eval-clone --out $R/clone-file-sized --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
+  --set data=$R/clone.jsonl --set synthetic.n_classes=6; then
+  exit 1
+fi
 
 adapterlab budget --paper-scale --out $R/budget
 

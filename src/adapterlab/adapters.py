@@ -31,6 +31,7 @@ class FreezeMode(enum.Enum):
 
 
 BACKBONE_PREFIXES = ("emb.", "layer.", "mlm.")
+INV_STEPS = 2  # the invertible adapter's coupling steps: MAD-X's two coupling functions
 
 _MODE_PREFIXES = {
     FreezeMode.PRETRAIN_BACKBONE: BACKBONE_PREFIXES,
@@ -83,18 +84,15 @@ class PlacementPlan(JsonConfig):
 
 @dataclasses.dataclass
 class AdapterConfig(JsonConfig):
-    """Bottleneck sizes. Defaults: reduction 2 for L-adapters, 16 for
-    T-adapters; the invertible adapter uses 2 additive coupling steps."""
+    """Bottleneck sizes. Defaults: reduction 2 for L-adapters, 16 for T-adapters."""
     l_bottleneck: int | None = None     # default max(1, hidden/2)
     t_bottleneck: int | None = None     # default max(1, hidden/16)
     inv_coupling_dim: int | None = None # default max(1, hidden/4)
-    inv_steps: int = 2
 
     def __post_init__(self):
         super().__post_init__()
         check(self, "null or >= 1", lambda v: v is None or v >= 1,
               "l_bottleneck", "t_bottleneck", "inv_coupling_dim")
-        check(self, ">= 1", lambda v: v >= 1, "inv_steps")
 
     def resolved(self, hidden_size: int) -> "AdapterConfig":
         """This config with every default size filled in for ``hidden_size``."""
@@ -102,7 +100,6 @@ class AdapterConfig(JsonConfig):
             l_bottleneck=self.l_bottleneck or max(1, hidden_size // 2),
             t_bottleneck=self.t_bottleneck or max(1, hidden_size // 16),
             inv_coupling_dim=self.inv_coupling_dim or max(1, hidden_size // 4),
-            inv_steps=self.inv_steps,
         )
 
 
@@ -111,8 +108,8 @@ def bottleneck_param_count(hidden: int, bottleneck: int) -> int:
     return 2 * hidden * bottleneck + bottleneck + hidden
 
 
-def invertible_param_count(hidden: int, coupling_dim: int, steps: int) -> int:
-    return steps * bottleneck_param_count(hidden // 2, coupling_dim)
+def invertible_param_count(hidden: int, coupling_dim: int) -> int:
+    return INV_STEPS * bottleneck_param_count(hidden // 2, coupling_dim)
 
 
 def bottleneck_forward(x: Tensor, down_w: Tensor, down_b: Tensor,
@@ -166,7 +163,7 @@ class AdapterStack:
         for l in sorted(self.plan.t_layers):
             bottleneck(f"t_adapter.{l}", h, self.config.t_bottleneck)
         if self.plan.invertible:  # each coupling step is a bottleneck on half the width
-            for k in range(self.config.inv_steps):
+            for k in range(INV_STEPS):
                 bottleneck(f"inv.{k}", h // 2, self.config.inv_coupling_dim)
 
     def _weights(self, prefix: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -186,7 +183,7 @@ class AdapterStack:
         step order."""
         half = self.hidden // 2
         parts = [T.tslice(x, (..., slice(0, half))), T.tslice(x, (..., slice(half, self.hidden)))]
-        steps = range(self.config.inv_steps)
+        steps = range(INV_STEPS)
         for k in reversed(steps) if inverse else steps:
             shift = bottleneck_forward(parts[1 - k % 2], *self._weights(f"inv.{k}"))
             parts[k % 2] = (T.sub if inverse else T.add)(parts[k % 2], shift)

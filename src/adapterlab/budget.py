@@ -19,8 +19,7 @@ MEGABYTE = 2 ** 20
 # Full-scale adapter sizing: reduction 2 for L-adapters, reduction 16 for
 # T-adapters, invertible coupling dim chosen so the 12-layer L-adapter stack
 # plus invertible adapter totals ~7.39M parameters at hidden size 768.
-PAPER_ADAPTER_CONFIG = AdapterConfig(l_bottleneck=384, t_bottleneck=48,
-                                     inv_coupling_dim=193, inv_steps=2)
+PAPER_ADAPTER_CONFIG = AdapterConfig(l_bottleneck=384, t_bottleneck=48, inv_coupling_dim=193)
 
 # Reference budgets (millions of parameters) for the full-scale comparison
 # models; used only for ratio reproduction, never as measured values.
@@ -70,7 +69,7 @@ def count_component(kind: str, config: EncoderConfig,
     if kind == "l_adapter":
         n = len(plan.l_layers) * bottleneck_param_count(h, ac.l_bottleneck)
         if plan.invertible:
-            n += invertible_param_count(h, ac.inv_coupling_dim, ac.inv_steps)
+            n += invertible_param_count(h, ac.inv_coupling_dim)
         return n
     if kind == "t_adapter":
         return len(plan.t_layers) * bottleneck_param_count(h, ac.t_bottleneck)

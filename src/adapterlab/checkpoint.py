@@ -25,7 +25,7 @@ from .encoder import Encoder, EncoderConfig
 from .schema import JsonConfig, check
 from .tasks import register_pair_head
 
-FORMAT = "adapterlab-ckpt v2"
+FORMAT = "adapterlab-ckpt v3"
 KINDS = ("backbone", "l_adapter", "t_adapter")
 
 

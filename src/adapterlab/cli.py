@@ -269,14 +269,16 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
 
 
 def cmd_zero_shot(args, run, seed, out: Path) -> dict:
+    _refuse({"synthetic.language": (run.synthetic or {}).get("language")},
+            ("synthetic.language",), "the checkpoint and eval_language set the languages")
     vocab = Vocabulary.load(run.vocab)
     manifest, state = load_checkpoint(run.model)
+    if not manifest.language:
+        raise CliError(f"{run.model}: the {manifest.kind} checkpoint records no training "
+                       "language; zero-shot needs an adapter trained on one")
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    trained_on = run.train_language or manifest.language
-    if not trained_on:
-        raise CliError("training language unknown; set config key 'train_language'")
-    unseen = run.eval_language
+    trained_on, unseen = manifest.language, run.eval_language
     scores = {}
     for language in (trained_on, unseen):
         examples = _cloze_examples(run, vocab, seed, language=language)
@@ -313,7 +315,7 @@ _KEYS = {
     "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
     "budget": {"encoder", "adapter"},
     "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
-    "zero-shot": {"vocab", "model", "synthetic", "train_language", "eval_language"},
+    "zero-shot": {"vocab", "model", "synthetic", "eval_language"},
 }
 # keys that must be set wherever they are read
 _REQUIRED = {"vocab", "backbone", "model", "eval_language"}
@@ -365,6 +367,12 @@ def dispatch(argv=None) -> int:
         missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
         if missing:
             raise CliError(f"config key(s) {missing} are required")
+        # files that replace every dataset ``synthetic`` sizes (sweep-layers: corpus if retraining)
+        retrains = getattr(args, "retrain_per_layer", True)
+        files = sorted(reads & ({"corpus", "data"} if retrains else {"data"}))
+        if files and all(getattr(run, k) for k in files):
+            _refuse(given, ("synthetic",), f"{args.subcommand} generates no dataset with "
+                    f"{' and '.join(map(repr, files))} given")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = _HANDLERS[args.subcommand](args, run, seed, out)

@@ -28,14 +28,12 @@ class EncoderConfig(JsonConfig):
     vocab_size: int = 2048
     max_positions: int = 128
     dropout: float = 0.1
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         super().__post_init__()
         check(self, ">= 1", lambda v: v >= 1, "num_layers", "hidden_size",
               "num_heads", "ffn_size", "vocab_size", "max_positions")
         check(self, "in [0, 1)", lambda v: 0 <= v < 1, "dropout")
-        check(self, "> 0", lambda v: v > 0, "ln_eps")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
 
@@ -143,7 +141,7 @@ class Encoder:
         positions = np.arange(ids.shape[1])
         x = T.add(T.embedding(p["emb.tok"], ids),
                   T.embedding(p["emb.pos"], positions))
-        x = T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"], c.ln_eps)
+        x = T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"])
         if self.adapters is not None:
             x = self.adapters.embed_forward(x)
         x = T.dropout(x, c.dropout, rng)
@@ -155,15 +153,13 @@ class Encoder:
             if rows is not None and l == c.num_layers:
                 drawn_as = (x.shape, rows)
                 x, attn = T.tslice(x, rows), T.tslice(attn, rows)
-            h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"],
-                              p[f"layer.{l}.ln1.b"], c.ln_eps)
+            h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"], p[f"layer.{l}.ln1.b"])
             f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
                          p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
             f = T.dropout(f, c.dropout, rng, drawn_as)
             if self.adapters is not None:
                 f = self.adapters.layer_slot(l, h1, f)
-            x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"],
-                             p[f"layer.{l}.ln2.b"], c.ln_eps)
+            x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"], p[f"layer.{l}.ln2.b"])
         if not np.isfinite(x.data).all():
             raise T.NumericError("non-finite hidden states")
         return x
@@ -177,7 +173,7 @@ class Encoder:
         """
         p = self.params
         x = T.linear_gelu(hidden, p["mlm.dense.w"], p["mlm.dense.b"])
-        x = T.layer_norm(x, p["mlm.ln.w"], p["mlm.ln.b"], self.config.ln_eps)
+        x = T.layer_norm(x, p["mlm.ln.w"], p["mlm.ln.b"])
         if self.adapters is not None:
             x = self.adapters.output_inverse(x)
         return T.linear(x, T.transpose(p["emb.tok"], (1, 0)), p["mlm.bias"])

@@ -131,7 +131,6 @@ class RunConfig(JsonConfig):
     max_len: int | None = None
     task: str = "retrieval"
     layers: str | None = None
-    train_language: str | None = None
     eval_language: str | None = None
     synthetic: dict | None = None
     encoder: dict | None = None

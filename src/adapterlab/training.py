@@ -44,9 +44,8 @@ class TrainConfig(JsonConfig):
     learning_rate: float = 1e-4
     batch_size: int = 8
     max_steps: int = 200
-    patience: int = 3
+    patience: int | None = None
     eval_every: int = 50
-    early_stop: bool = False
     seed: int = 0
     mask_rate: float = 0.15
     max_len: int = 64
@@ -57,8 +56,9 @@ class TrainConfig(JsonConfig):
     def __post_init__(self):
         super().__post_init__()
         check(self, "> 0", lambda v: v > 0, "learning_rate", "temperature")
-        check(self, ">= 1", lambda v: v >= 1, "batch_size", "patience", "eval_every",
+        check(self, ">= 1", lambda v: v >= 1, "batch_size", "eval_every",
               "max_len", "classes_per_batch", "items_per_class")
+        check(self, "null or >= 1", lambda v: v is None or v >= 1, "patience")
         check(self, ">= 0", lambda v: v >= 0, "max_steps", "seed")
         check(self, "in [0, 1]", lambda v: 0 <= v <= 1, "mask_rate")
 
@@ -207,9 +207,9 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
     nothing to learn returns None and is counted, not stepped. The loss and
     its gradients are computed in ``STEP_DTYPE`` (see ``_step_weights``),
     the update in float64. ``validate()`` runs in float64 at step 0, every
-    ``cfg.eval_every`` steps and at the last step. With ``cfg.early_stop``,
-    ``cfg.patience`` validations in a row that do not beat the best so far
-    (step 0 included) stop the run.
+    ``cfg.eval_every`` steps and at the last step. With a ``cfg.patience``,
+    that many validations in a row that do not beat the best so far (step 0
+    included) stop the run; without one, it runs ``cfg.max_steps`` steps.
 
     A step that cannot be taken (a non-finite forward pass, loss or
     gradient) stops the run before any weight changes and raises
@@ -283,7 +283,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
                 best, bad_evals = val, 0
             else:
                 bad_evals += 1
-                if cfg.early_stop and bad_evals >= cfg.patience:
+                if cfg.patience is not None and bad_evals >= cfg.patience:
                     report.stopping_reason = f"early stop after {bad_evals} flat evals"
                     break
     if not report.stopping_reason:

@@ -152,13 +152,13 @@ def test_attach_validates_layers_and_double_attach():
 
 def test_param_count_formulas():
     assert bottleneck_param_count(768, 384) == 2 * 768 * 384 + 384 + 768
-    assert invertible_param_count(768, 193, 2) == 2 * (2 * 384 * 193 + 193 + 384)
+    assert invertible_param_count(768, 193) == 2 * (2 * 384 * 193 + 193 + 384)
     enc = _fresh(PlacementPlan.full(3, t_adapters=True, invertible=True))
     cfg = AdapterConfig().resolved(CFG.hidden_size)
     got_l = enc.params.count("l_adapter.")
     assert got_l == 3 * bottleneck_param_count(16, cfg.l_bottleneck)
     got_inv = enc.params.count("inv.")
-    assert got_inv == invertible_param_count(16, cfg.inv_coupling_dim, cfg.inv_steps)
+    assert got_inv == invertible_param_count(16, cfg.inv_coupling_dim)
 
 
 def test_invertible_steps_are_half_width_bottlenecks():
@@ -175,7 +175,7 @@ def test_invertible_steps_are_half_width_bottlenecks():
         assert list(p) == ["down.w", "down.b", "up.w", "up.b"]
         assert [v.shape for v in p.values()] == [(half, d), (d,), (d, half), (half,)]
         assert not p["up.w"].any() and 0 < np.abs(p["down.w"]).max() < 1e-2
-    assert invertible_param_count(CFG.hidden_size, d, 2) == 2 * bottleneck_param_count(half, d)
+    assert invertible_param_count(CFG.hidden_size, d) == 2 * bottleneck_param_count(half, d)
     draws = np.random.default_rng(1)  # attach's seed: one down.w draw per step, in order
     assert np.array_equal(enc.params["inv.0.down.w"].data, draws.normal(0.0, 1e-3, (half, d)))
     assert np.array_equal(enc.params["inv.1.down.w"].data, draws.normal(0.0, 1e-3, (half, d)))

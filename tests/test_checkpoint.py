@@ -79,6 +79,22 @@ def test_wrong_format_rejected(tmp_path):
         load_checkpoint(_edited(tmp_path / "m.ckpt", tmp_path / "v1.ckpt", v1))
 
 
+def test_v2_manifest_rejected_naming_its_format(tmp_path):
+    """v2 stored the encoder's ``ln_eps`` and the adapter's ``inv_steps``,
+    which are constants since v3: a v2 file fails on its format."""
+    v2 = {"format": "adapterlab-ckpt v2", "kind": "l_adapter", "dtype": "<f8",
+          "config": {**CFG.to_dict(), "ln_eps": 1e-5},
+          "placement": {"l_layers": [1], "t_layers": [], "invertible": False},
+          "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1,
+                             "inv_coupling_dim": 2, "inv_steps": 2},
+          "params": {"w": [2]}, "language": "alpha", "task": None}
+    p = tmp_path / "v2.ckpt"
+    _hand_made(p, json.dumps(v2), {"w": np.zeros(2).tobytes()})
+    with pytest.raises(CheckpointError,
+                       match=r"v2\.ckpt: manifest key 'format'.*'adapterlab-ckpt v2'"):
+        load_checkpoint(p)
+
+
 def test_placement_and_adapter_config_stored(tmp_path):
     """The manifest keeps the layout that readers outside the library parse."""
     enc = Encoder(CFG, seed=0)
@@ -88,14 +104,14 @@ def test_placement_and_adapter_config_stored(tmp_path):
     save_model(p, "l_adapter", enc, language="alpha")
     manifest, _ = load_checkpoint(p)
     assert manifest.placement == manifest.plan == plan
-    assert manifest.adapter_config == AdapterConfig(2, 1, 2, 2)  # sizes resolved for h=8
+    assert manifest.adapter_config == AdapterConfig(2, 1, 2)  # sizes resolved for h=8
     with zipfile.ZipFile(p) as zf:
         raw = json.loads(zf.read("manifest.json"))
     assert raw == {"format": FORMAT, "kind": "l_adapter", "dtype": "<f8",
                    "config": CFG.to_dict(),
                    "placement": {"l_layers": [1, 2], "t_layers": [], "invertible": True},
                    "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1,
-                                      "inv_coupling_dim": 2, "inv_steps": 2},
+                                      "inv_coupling_dim": 2},
                    "params": {n: list(enc.params[n].data.shape) for n in enc.params.names()},
                    "language": "alpha", "task": None}
     assert Manifest().plan == PlacementPlan()  # a bare backbone places nothing

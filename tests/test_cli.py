@@ -135,7 +135,7 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, subcommand):
     assert not (tmp_path / "o").exists()
 
 
-# The top-level keys each subcommand reads: 48 (subcommand, key) pairs.
+# The top-level keys each subcommand reads: 47 (subcommand, key) pairs.
 READS = {
     "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
     "pretrain": {"vocab", "corpus", "synthetic", "encoder", "train"},
@@ -147,7 +147,7 @@ READS = {
     "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
     "budget": {"encoder", "adapter"},
     "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
-    "zero-shot": {"vocab", "model", "synthetic", "train_language", "eval_language"},
+    "zero-shot": {"vocab", "model", "synthetic", "eval_language"},
 }
 REQUIRED = {"vocab", "backbone", "model", "eval_language"}
 # a valid value other than the default for every run-config key; the paths
@@ -155,9 +155,9 @@ REQUIRED = {"vocab", "backbone", "model", "eval_language"}
 VALUES = {
     "vocab": "v.txt", "corpus": "c.jsonl", "data": "d.jsonl", "backbone": "b.ckpt",
     "model": "m.ckpt", "vocab_size": 300, "n_pairs": 10, "max_len": 16,
-    "task": "pair_classification", "layers": "0..1", "train_language": "alpha",
-    "eval_language": "beta", "synthetic": {"n": 5}, "encoder": {"num_layers": 2},
-    "train": {"max_steps": 1}, "adapter": {"l_bottleneck": 4},
+    "task": "pair_classification", "layers": "0..1", "eval_language": "beta",
+    "synthetic": {"n": 5}, "encoder": {"num_layers": 2}, "train": {"max_steps": 1},
+    "adapter": {"l_bottleneck": 4},
     "placement": {"l_layers": [1], "t_layers": [], "invertible": False},
 }
 
@@ -165,24 +165,29 @@ VALUES = {
 def test_key_table_names_every_subcommand_and_every_key():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert cli._KEYS.keys() == cli._HANDLERS.keys() == READS.keys()
-    assert cli._KEYS == READS and sum(map(len, READS.values())) == 48
+    assert cli._KEYS == READS and sum(map(len, READS.values())) == 47
     assert set().union(*READS.values()) == fields == VALUES.keys()
+
+
+# run-config keys that went (zero-shot reads the training language from its
+# checkpoint): a config that still sets one is refused as an unknown key
+GONE = {"train_language": "alpha"}
 
 
 @pytest.mark.parametrize("subcommand, key", [
     (subcommand, key) for subcommand, reads in READS.items()
-    for key in VALUES if key not in reads])
+    for key in {**VALUES, **GONE} if key not in reads])
 def test_a_key_the_subcommand_does_not_read_exits_1_naming_it(tmp_path, capsys,
                                                               subcommand, key):
     """The run would ignore it: one error line names the key before any
     file is read, and ``--out`` holds no report."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: VALUES[key]}))
+    config.write_text(json.dumps({key: {**VALUES, **GONE}[key]}))
     assert _run([subcommand, "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
     err = _one_error_line(capsys)
-    assert err == {"error": "CliError", "subcommand": subcommand,
-                   "message": f"config key(s) [{key!r}] do not apply: "
-                              f"{subcommand} does not read them"}
+    message = f"run config: unknown key(s) {key!r}" if key in GONE else \
+        f"config key(s) [{key!r}] do not apply: {subcommand} does not read them"
+    assert err == {"error": "CliError", "subcommand": subcommand, "message": message}
     assert not (tmp_path / "o" / "report.json").exists()
 
 
@@ -221,6 +226,51 @@ def test_a_missing_required_key_exits_1_naming_it(tmp_path, capsys, subcommand, 
     assert _one_error_line(capsys) == {"error": "CliError", "subcommand": subcommand,
                                        "message": f"config key(s) [{key!r}] are required"}
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand, flags, files, refused", [
+    ("tokenizer-train", [], ["corpus"], True),
+    ("pretrain", [], ["corpus"], True),
+    ("train-lang-adapter", [], ["corpus"], True),
+    ("train-task-adapter", [], ["data"], True),
+    ("eval-cloze", [], ["data"], True),
+    ("eval-clone", [], ["data"], True),
+    ("sweep-layers", [], ["data"], True),
+    ("sweep-layers", ["--retrain-per-layer"], ["corpus", "data"], True),
+    ("sweep-layers", ["--retrain-per-layer"], ["data"], False),  # it sizes the corpus
+    ("eval-cloze", [], [], False),
+])
+def test_synthetic_is_refused_when_files_replace_every_dataset(tmp_path, capsys, subcommand,
+                                                               flags, files, refused):
+    """The run would ignore it: one error line names it and the path keys,
+    before any file is read. Where it sizes a dataset, the run goes on and
+    fails on reading the vocabulary file, which does not exist."""
+    argv = [subcommand, *flags, "--out", str(tmp_path / "o"), "--set", "synthetic.n=5"]
+    for key in sorted(READS[subcommand] & REQUIRED | set(files)):
+        argv += ["--set", f"{key}={VALUES[key]}"]
+    assert _run(argv) == 1
+    err = _one_error_line(capsys)
+    if not refused:
+        assert err["error"] == "FileNotFoundError" and VALUES["vocab"] in err["message"]
+        return
+    assert err == {"error": "CliError", "subcommand": subcommand,
+                   "message": "config key(s) ['synthetic'] do not apply: "
+                              f"{subcommand} generates no dataset with "
+                              f"{' and '.join(map(repr, files))} given"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_shot_refuses_a_synthetic_language(tmp_path, capsys):
+    """Its two languages are the checkpoint's and ``eval_language``: a
+    ``synthetic.language`` would be ignored."""
+    assert _run(["zero-shot", "--out", str(tmp_path / "o"), "--adapter", VALUES["model"],
+                 "--eval-language", "beta", "--set", f"vocab={VALUES['vocab']}",
+                 "--set", "synthetic.language=beta"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CliError"
+    assert err["message"] == ("config key(s) ['synthetic.language'] do not apply: "
+                              "the checkpoint and eval_language set the languages")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_pipeline_artifacts(pipeline):
@@ -318,6 +368,21 @@ def test_zero_shot_cli(pipeline, tmp_path):
     rep = _report(tmp_path)
     assert rep["train_language"] == "alpha"
     assert set(rep["cloze_accuracy"]) == {"alpha", "beta"}
+
+
+def test_zero_shot_on_a_backbone_exits_1_naming_it(pipeline, tmp_path, capsys):
+    """The training language comes from the checkpoint, and a bare backbone
+    records none."""
+    root, vocab = pipeline
+    backbone = root / "pre" / "backbone.ckpt"
+    assert _run(["zero-shot", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--adapter", str(backbone), "--eval-language", "beta",
+                 "--set", f"vocab={vocab}", "--set", "synthetic.n=20"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CliError"
+    assert err["message"].startswith(f"{backbone}: the backbone checkpoint records no "
+                                     "training language")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_zero_shot_refuses_a_probe_file(pipeline, tmp_path, capsys):
@@ -461,7 +526,7 @@ def test_evaluation_defaults_hold_out_training_data(pipeline, tmp_path,
     ("train-lang-adapter", ["adapter.l_bottlenek=4"], "l_bottlenek"),
     ("train-lang-adapter", ['adapter.l_bottleneck="x"'], "l_bottleneck"),
     ("train-task-adapter", ["adapter.t_bottlenek=4"], "t_bottlenek"),
-    ("train-task-adapter", ["adapter.inv_steps=null"], "inv_steps"),
+    ("train-task-adapter", ["adapter.inv_steps=2"], "inv_steps"),  # a constant since v3
     ("pretrain", ['train.max_steps="abc"'], "max_steps"),
     ("pretrain", ["train.eval_every=0"], "eval_every"),
 ])

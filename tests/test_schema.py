@@ -25,14 +25,14 @@ encoder_configs = st.builds(
                                                 hidden_size=heads * per_head, **kw),
     heads=st.integers(1, 16), per_head=st.integers(1, 64), num_layers=st.integers(1, 48),
     ffn_size=sizes, vocab_size=st.integers(1, 10 ** 6), max_positions=sizes,
-    dropout=unit, ln_eps=positive)
+    dropout=unit)
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, batch_size=sizes, max_steps=st.integers(0, 10 ** 6),
-    patience=sizes, eval_every=sizes, early_stop=st.booleans(), seed=st.integers(0, 2 ** 63),
+    patience=st.none() | sizes, eval_every=sizes, seed=st.integers(0, 2 ** 63),
     mask_rate=st.floats(0.0, 1.0), max_len=sizes, temperature=positive,
     classes_per_batch=sizes, items_per_class=sizes)
 adapter_configs = st.builds(AdapterConfig, st.none() | sizes, st.none() | sizes,
-                            st.none() | sizes, sizes)
+                            st.none() | sizes)
 layer_sets = st.frozensets(st.integers(1, 48))
 plans = st.builds(PlacementPlan, layer_sets, layer_sets, st.booleans())
 synthetic_specs = st.builds(SyntheticSpec, st.none() | st.integers(0, 2 ** 63),
@@ -57,7 +57,7 @@ run_configs = st.builds(
     vocab_size=sizes, n_pairs=st.none() | sizes, max_len=st.none() | sizes,
     task=st.sampled_from(["retrieval", "pair_classification"]),
     layers=st.none() | st.builds("{}..{}".format, st.integers(0, 48), st.integers(0, 48)),
-    train_language=strings, eval_language=strings, synthetic=sections, encoder=sections,
+    eval_language=strings, synthetic=sections, encoder=sections,
     train=sections, adapter=sections, placement=sections)
 
 manifests = st.builds(
@@ -147,7 +147,7 @@ def test_wrong_type_from_python_raises_value_error_naming_it(cls, configs, data)
     (EncoderConfig, {"num_layers": 2.0}, "num_layers"),
     (EncoderConfig, {"num_heads": True}, "num_heads"),
     (TrainConfig, {"max_len": "64"}, "max_len"),
-    (TrainConfig, {"early_stop": "yes"}, "early_stop"),
+    (TrainConfig, {"patience": "3"}, "patience"),
     (AdapterConfig, {"l_bottleneck": 1.5}, "l_bottleneck"),
     (Manifest, {"config": {"num_layers": 2}}, "config"),
     (Manifest, {"placement": [1]}, "placement"),
@@ -176,15 +176,15 @@ def test_python_values_convert_as_json_values_do():
     (EncoderConfig, "num_layers", 0),
     (EncoderConfig, "num_heads", 0),
     (EncoderConfig, "dropout", 1.0),
-    (EncoderConfig, "ln_eps", 0.0),
     (TrainConfig, "eval_every", 0),
     (TrainConfig, "max_steps", -1),
     (TrainConfig, "learning_rate", -1e-3),
     (TrainConfig, "batch_size", 0),
     (TrainConfig, "mask_rate", 1.5),
     (TrainConfig, "temperature", 0.0),
+    (TrainConfig, "patience", 0),
     (AdapterConfig, "l_bottleneck", 0),
-    (AdapterConfig, "inv_steps", 0),
+    (AdapterConfig, "inv_coupling_dim", 0),
     (PlacementPlan, "t_layers", frozenset({0, 2})),
     (SyntheticSpec, "seed", -1),
     (SyntheticSpec, "n", 0),

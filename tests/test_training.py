@@ -396,16 +396,22 @@ def test_task_adapter_validation_errors(corpus_and_vocab):
 
 
 def test_early_stopping_fires(corpus_and_vocab):
+    """A ``patience`` alone turns early stopping on; without one, a flat
+    validation curve runs to ``max_steps``."""
     texts, vocab = corpus_and_vocab
-    enc = _encoder(vocab)
     # absurd learning rate keeps validation flat-or-worse quickly
     cfg = TrainConfig(learning_rate=1e-9, max_steps=40, eval_every=5,
-                      early_stop=True, patience=2, max_len=32, seed=0)
-    report = pretrain_mlm(enc, texts, vocab, cfg)
+                      patience=2, max_len=32, seed=0)
+    stopped = pretrain_mlm(_encoder(vocab), texts, vocab, cfg)
     # the step-0 validation counts as the best so far: flat at 5 and 10
-    assert report.val_steps == [0, 5, 10]
-    assert report.steps == 10
-    assert "early stop" in report.stopping_reason
+    assert stopped.val_steps == [0, 5, 10]
+    assert stopped.steps == 10
+    assert "early stop" in stopped.stopping_reason
+    cfg = dataclasses.replace(cfg, max_steps=20, patience=None)
+    report = pretrain_mlm(_encoder(vocab), texts, vocab, cfg)
+    assert report.val_curve[:3] == stopped.val_curve  # the same flat curve, run on
+    assert report.val_steps == [0, 5, 10, 15, 20]
+    assert (report.steps, report.stopping_reason) == (20, "max steps")
 
 
 def test_eval_mlm_loss_deterministic(corpus_and_vocab):
