@@ -73,6 +73,11 @@ adapterlab sweep-layers --out $R/sweep --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
   --set synthetic.n=30
 
+# a sub-range of placements: each one a view of the one loaded model
+adapterlab sweep-layers --out $R/sweep-upper --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set synthetic.n=30 --set layers=1..2
+
 # each placement retrained from the backbone with fresh L-adapters
 adapterlab sweep-layers --retrain-per-layer --out $R/sweep-retrain --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \

@@ -12,6 +12,7 @@ the model.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import hashlib
@@ -66,6 +67,12 @@ class PlacementPlan(JsonConfig):
         keep = set(range(1, i + 1))
         return PlacementPlan(self.l_layers & keep, self.t_layers & keep,
                              self.invertible if i > 0 else False)
+
+    def step(self, l: int) -> tuple[bool, ...]:
+        """What the plan places in step ``l`` of a forward pass: the
+        invertible adapter in step 0, the embedding; the L- and the
+        T-adapter in layer ``l`` >= 1."""
+        return (self.invertible,) if l == 0 else (l in self.l_layers, l in self.t_layers)
 
     def places(self, name: str) -> bool:
         """Whether parameter ``name`` belongs to an adapter this plan places."""
@@ -219,6 +226,66 @@ def attach(encoder: Encoder, plan: PlacementPlan,
     stack = AdapterStack(encoder, plan, config, seed)
     encoder.adapters = stack
     return stack
+
+
+def placement_view(encoder: Encoder, plan: PlacementPlan) -> Encoder:
+    """``encoder`` running only the adapters of ``plan``, a part of its own
+    plan. The view shares the encoder's config and ``ParameterSet``: it
+    computes what a model built from the same checkpoint with ``plan``
+    computes, and holds no copy of a parameter."""
+    stack = encoder.adapters
+    held = stack.plan if stack is not None else PlacementPlan()
+    if not (plan.l_layers <= held.l_layers and plan.t_layers <= held.t_layers
+            and held.invertible >= plan.invertible):
+        raise ValueError(f"placement {plan.to_dict()} is not a part of the "
+                         f"encoder's {held.to_dict()}")
+    view = copy.copy(encoder)
+    if stack is not None:
+        view.adapters = copy.copy(stack)
+        view.adapters.plan = plan
+    return view
+
+
+def forward_placements(encoders: list[Encoder], ids: np.ndarray,
+                       attention_mask: np.ndarray, rows: tuple | None = None) -> list[Tensor]:
+    """``forward(ids, attention_mask, rows=rows)`` of each encoder, without
+    dropout. Encoders that share a ``ParameterSet`` and place the same
+    adapters in steps 0..k (``PlacementPlan.step``) hold the same states
+    after step k, so each distinct prefix of steps runs once, and so does
+    the backbone's part of each layer (``Encoder.layer_backbone``) on each
+    distinct state. The prefixes run depth first; a state lives while a
+    step that starts from it is pending."""
+    finals: list[Tensor | None] = [None] * len(encoders)
+
+    def split(group, l: int):
+        """``group`` by its ``ParameterSet`` and the adapters of step ``l``."""
+        branches: dict[tuple, list[int]] = {}
+        for i in group:
+            stack = encoders[i].adapters
+            plan = stack.plan if stack is not None else PlacementPlan()
+            branches.setdefault((id(encoders[i].params),) + plan.step(l), []).append(i)
+        return branches.values()
+
+    # (encoders that share steps 0..l-1, step l, the state and mask bias it starts from)
+    pending = [(group, 0, None, None) for group in split(range(len(encoders)), 0)]
+    while pending:
+        group, l, x, mask_bias = pending.pop()
+        encoder = encoders[group[0]]
+        if l == 0:
+            x, mask_bias = encoder.embed_step(ids, attention_mask)
+            pending.append((group, 1, x, mask_bias))
+            continue
+        last = encoder.config.num_layers
+        h1, f = encoder.layer_backbone(l, x, mask_bias, rows=rows if l == last else None)
+        for branch in split(group, l):
+            y = encoders[branch[0]].layer_adapters(l, h1, f)
+            if l == last:
+                for i in branch:
+                    finals[i] = y
+            else:
+                pending.append((branch, l + 1, y, mask_bias))
+        del h1, f  # not alive beside the next layer's: one encoder holds what forward holds
+    return finals
 
 
 def trainable_parameters(params: ParameterSet, mode: FreezeMode) -> list[str]:

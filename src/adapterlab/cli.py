@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import synth, tasks, training
-from .adapters import BACKBONE_PREFIXES, AdapterConfig, PlacementPlan
+from .adapters import BACKBONE_PREFIXES, AdapterConfig, PlacementPlan, placement_view
 from .budget import build_report, paper_scale_report
 from .checkpoint import build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
@@ -243,24 +243,32 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
         raise CliError(f"config key 'layers': range {lo}..{hi} outside [0, {L}]")
 
     examples = _cloze_examples(run, vocab, seed)
-    start = manifest
+    placements = [(i, full_plan.truncated(i, L)) for i in range(lo, hi + 1)]
     if args.retrain_per_layer:
         texts = [r.code for r in synth.code_records(run.corpus, _config(run, "synthetic"), seed)]
         train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
         # each placement starts from the backbone alone, with fresh adapters
         # sized by the manifest's adapter config, as train-lang-adapter does
-        # on a bare backbone; task adapters are no part of it
+        # on a bare backbone; task adapters are no part of it, and no
+        # placement shares a layer prefix with another
         start = dataclasses.replace(manifest, placement=None)
         state = {n: v for n, v in state.items() if n.startswith(BACKBONE_PREFIXES)}
-        full_plan = dataclasses.replace(full_plan, t_layers=frozenset())
+        results = []
+        for i, plan in placements:
+            plan = dataclasses.replace(plan, t_layers=frozenset())
+            encoder = build_model(start, state, plan, seed=seed)
+            if i > 0:
+                report = training.train_language_adapter(encoder, texts, vocab, train_cfg)
+                (out / f"train_report.layer{i}.json").write_text(report.to_json())
+            results.append(tasks.eval_cloze(encoder, examples, vocab.mask_id))
+    else:
+        # one model; each placement is a view of it
+        model = build_model(manifest, state)
+        del state
+        results = tasks.eval_cloze_placements(
+            [placement_view(model, plan) for _, plan in placements], examples, vocab.mask_id)
     rows = []
-    for i in range(lo, hi + 1):
-        plan = full_plan.truncated(i, L)
-        encoder = build_model(start, state, plan, seed=seed)
-        if args.retrain_per_layer and i > 0:
-            report = training.train_language_adapter(encoder, texts, vocab, train_cfg)
-            (out / f"train_report.layer{i}.json").write_text(report.to_json())
-        result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
+    for (i, plan), result in zip(placements, results):
         rows.append({"i": i, "accuracy": result.accuracy,
                      "l_layers": sorted(plan.l_layers)})
         print(f"layers 1..{i}: accuracy {result.accuracy:.4f}")
@@ -319,6 +327,21 @@ _KEYS = {
 }
 # keys that must be set wherever they are read
 _REQUIRED = {"vocab", "backbone", "model", "eval_language"}
+# The datasets each subcommand generates, by the path key whose file replaces
+# each; the ``synthetic`` fields a generator reads are its ``reads``.
+# sweep-layers generates a corpus only with --retrain-per-layer; zero-shot
+# refuses ``data`` (see _KEYS), so its probes are always generated.
+_SOURCES = {
+    "tokenizer-train": {"corpus": synth.nl_texts},
+    "pretrain": {"corpus": synth.nl_texts},
+    "train-lang-adapter": {"corpus": synth.code_records},
+    "train-task-adapter": {"data": synth.retrieval_records},
+    "eval-cloze": {"data": synth.cloze_examples},
+    "eval-clone": {"data": synth.retrieval_records},
+    "budget": {},
+    "sweep-layers": {"data": synth.cloze_examples, "corpus": synth.code_records},
+    "zero-shot": {"data": synth.cloze_examples},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    made: list[Path] = []  # the --out directory and the parents this run made
     try:
         seed = args.seed
         if seed < 0:
@@ -367,13 +391,19 @@ def dispatch(argv=None) -> int:
         missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
         if missing:
             raise CliError(f"config key(s) {missing} are required")
-        # files that replace every dataset ``synthetic`` sizes (sweep-layers: corpus if retraining)
-        retrains = getattr(args, "retrain_per_layer", True)
-        files = sorted(reads & ({"corpus", "data"} if retrains else {"data"}))
-        if files and all(getattr(run, k) for k in files):
+        sources = dict(_SOURCES[args.subcommand])
+        if not getattr(args, "retrain_per_layer", True):
+            del sources["corpus"]
+        files = sorted(sources)
+        live = [source for key, source in sources.items() if not getattr(run, key)]
+        if files and not live:
             _refuse(given, ("synthetic",), f"{args.subcommand} generates no dataset with "
                     f"{' and '.join(map(repr, files))} given")
+        fields = {f"synthetic.{k}": v for k, v in (given.get("synthetic") or {}).items()}
+        _refuse(fields, fields.keys() - {f"synthetic.{f}" for src in live for f in src.reads},
+                f"no dataset that {args.subcommand} generates reads them")
         out = Path(args.out)
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         report = _HANDLERS[args.subcommand](args, run, seed, out)
         report["subcommand"] = args.subcommand
@@ -386,6 +416,11 @@ def dispatch(argv=None) -> int:
     except (CliError, ValueError, RuntimeError, OSError) as e:
         if getattr(e, "report", None) is not None:  # a training run that stopped
             (out / "train_report.json").write_text(e.report.to_json())
+        for d in made:  # deepest first: a failed run leaves no empty directory it made
+            try:
+                d.rmdir()
+            except OSError:
+                break
         error = {"error": type(e).__name__, "message": str(e), "subcommand": args.subcommand}
         print(json.dumps(error), file=sys.stderr)
         return 1

@@ -126,6 +126,18 @@ class Encoder:
         if training and rng is None:
             raise ValueError("training=True needs an rng for dropout")
         rng = rng if training else None
+        x, mask_bias = self.embed_step(ids, attention_mask, rng)
+        L = self.config.num_layers
+        for l in range(1, L + 1):
+            x = self.layer_adapters(l, *self.layer_backbone(l, x, mask_bias, rng,
+                                                            rows if l == L else None))
+        return x
+
+    def embed_step(self, ids: np.ndarray, attention_mask: np.ndarray,
+                   rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
+        """The checked inputs' embedding states [batch, len, h], after the
+        invertible adapter and dropout (with ``rng``), and the attention
+        mask bias that every ``layer_backbone`` of the pass takes."""
         ids = np.asarray(ids)
         attention_mask = np.asarray(attention_mask)
         c, p = self.config, self.params
@@ -144,23 +156,35 @@ class Encoder:
         x = T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"])
         if self.adapters is not None:
             x = self.adapters.embed_forward(x)
-        x = T.dropout(x, c.dropout, rng)
+        return T.dropout(x, c.dropout, rng), mask_bias
 
-        for l in range(1, c.num_layers + 1):
-            attn = self._attention(x, mask_bias, l, rng)
-            attn = T.dropout(attn, c.dropout, rng)
-            drawn_as = None
-            if rows is not None and l == c.num_layers:
-                drawn_as = (x.shape, rows)
-                x, attn = T.tslice(x, rows), T.tslice(attn, rows)
-            h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"], p[f"layer.{l}.ln1.b"])
-            f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
-                         p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
-            f = T.dropout(f, c.dropout, rng, drawn_as)
-            if self.adapters is not None:
-                f = self.adapters.layer_slot(l, h1, f)
-            x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"], p[f"layer.{l}.ln2.b"])
-        if not np.isfinite(x.data).all():
+    def layer_backbone(self, l: int, x: Tensor, mask_bias: np.ndarray,
+                       rng: np.random.Generator | None = None,
+                       rows: tuple | None = None) -> tuple[Tensor, Tensor]:
+        """The backbone's part of layer ``l`` on the states ``x`` that layer
+        l-1 (0: ``embed_step``) gave: attention, residual and LN1, then the
+        feed-forward network; returns LN1's output and the feed-forward
+        output, which ``layer_adapters`` takes. ``rows`` as in ``forward``."""
+        c, p = self.config, self.params
+        attn = self._attention(x, mask_bias, l, rng)
+        attn = T.dropout(attn, c.dropout, rng)
+        drawn_as = None
+        if rows is not None:
+            drawn_as = (x.shape, rows)
+            x, attn = T.tslice(x, rows), T.tslice(attn, rows)
+        h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"], p[f"layer.{l}.ln1.b"])
+        f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
+                     p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])
+        return h1, T.dropout(f, c.dropout, rng, drawn_as)
+
+    def layer_adapters(self, l: int, h1: Tensor, f: Tensor) -> Tensor:
+        """The rest of layer ``l``: the adapter slot, residual and LN2. The
+        last layer's states must be finite."""
+        p = self.params
+        if self.adapters is not None:
+            f = self.adapters.layer_slot(l, h1, f)
+        x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"], p[f"layer.{l}.ln2.b"])
+        if l == self.config.num_layers and not np.isfinite(x.data).all():
             raise T.NumericError("non-finite hidden states")
         return x
 

@@ -243,6 +243,16 @@ def held_out_seed(seed: int) -> int:
     return seed + 2 ** 31
 
 
+def _reads(*fields: str):
+    """Marks a data source with the ``SyntheticSpec`` fields its generator
+    reads (``reads``); a run config's other fields would be ignored."""
+    def mark(source):
+        source.reads = frozenset(fields)
+        return source
+    return mark
+
+
+@_reads("seed", "n_sentences")
 def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     """NL pretraining corpus: a text file (one document per line) or synthetic."""
     if path:
@@ -254,6 +264,7 @@ def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     return synth_nl_corpus(spec.n_sentences, seed=spec.seed_or(seed))
 
 
+@_reads("seed", "n", "language")
 def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[CorpusRecord]:
     """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
     if path:
@@ -261,6 +272,7 @@ def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[Corpu
     return synth_code_records(spec.language, spec.n or 600, seed=spec.seed_or(seed))
 
 
+@_reads("seed", "n_classes", "per_class", "language")
 def retrieval_records(path: str | None, spec: SyntheticSpec,
                       seed: int) -> list[RetrievalRecord]:
     """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
@@ -270,6 +282,7 @@ def retrieval_records(path: str | None, spec: SyntheticSpec,
                                seed=spec.seed_or(seed), language=spec.language)
 
 
+@_reads("seed", "n", "language")
 def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Vocabulary,
                    language: str | None = None) -> list[ClozeRecord]:
     """Cloze probes: cloze JSON-lines, or built from synthetic programs

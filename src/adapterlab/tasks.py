@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .adapters import forward_placements
 from .corpus import ClozeRecord, PairRecord, RetrievalRecord
 from .encoder import Encoder
 from .tensor import ParameterSet, Tensor
@@ -23,6 +24,7 @@ from .tokenizer import Vocabulary, encode_batch, pad_batch
 
 
 EVAL_BATCH = 16  # sequences per no-grad forward pass in every evaluation
+MAP_BLOCK = 2 ** 16  # similarity entries (times h for euclidean) per block of queries
 
 
 class TaskError(ValueError):
@@ -51,9 +53,18 @@ class ClozeResult:
 def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
                mask_id: int) -> ClozeResult:
     """Argmax over candidate logits at the single mask position; no training."""
+    return eval_cloze_placements([encoder], examples, mask_id)[0]
+
+
+def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeRecord],
+                          mask_id: int) -> list[ClozeResult]:
+    """``eval_cloze`` of each encoder, such as the placement views of one
+    model (``adapters.placement_view``), which share every step prefix their
+    plans share (``adapters.forward_placements``)."""
     if not examples:
         raise TaskError("empty cloze example set")
-    vocab_size, max_positions = encoder.config.vocab_size, encoder.config.max_positions
+    vocab_size = min(e.config.vocab_size for e in encoders)
+    max_positions = min(e.config.max_positions for e in encoders)
     for ex in examples:
         if ex.answer not in ex.candidates:
             raise TaskError(f"example {ex.id}: gold answer not in candidates")
@@ -68,24 +79,23 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
                 or ex.tokens[ex.mask_index] != mask_id):
             raise TaskError(f"example {ex.id}: expected exactly one mask "
                             f"at position {ex.mask_index}")
-    predictions = []
-    correct = 0
+    predictions: list[list[dict]] = [[] for _ in encoders]
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
         # ids are pre-tokenized; pad with 0 and mask it out
         ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
         rows = (np.arange(len(chunk)), np.array([ex.mask_index for ex in chunk]))
         with T.no_grad():
-            logits = encoder.mlm_logits(encoder.forward(ids, attn, mode="mlm", rows=rows)).data
-        for ex, row in zip(chunk, logits):
-            cand = np.asarray(ex.candidates)
-            pred = int(cand[np.argmax(row[cand])])
-            ok = pred == ex.answer
-            correct += ok
-            predictions.append({"id": ex.id, "prediction": pred,
-                                "answer": ex.answer, "correct": bool(ok)})
-    return ClozeResult(accuracy=correct / len(examples), n=len(examples),
-                       predictions=predictions)
+            finals = forward_placements(list(encoders), ids, attn, rows)
+            for encoder, hidden, preds in zip(encoders, finals, predictions):
+                logits = encoder.mlm_logits(hidden).data
+                for ex, row in zip(chunk, logits):
+                    cand = np.asarray(ex.candidates)
+                    pred = int(cand[np.argmax(row[cand])])
+                    preds.append({"id": ex.id, "prediction": pred,
+                                  "answer": ex.answer, "correct": bool(pred == ex.answer)})
+    return [ClozeResult(accuracy=sum(p["correct"] for p in preds) / len(examples),
+                        n=len(examples), predictions=preds) for preds in predictions]
 
 
 # -- retrieval -------------------------------------------------------------
@@ -151,27 +161,39 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
     if singletons:
         raise TaskError(f"singleton classes (need >= 2 members): {singletons}")
 
-    if metric == "cosine":
-        normed = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
-        sims = normed @ normed.T
-    elif metric == "euclidean":
-        d = np.linalg.norm(embeddings[:, None, :] - embeddings[None, :, :], axis=-1)
-        sims = -d
-    else:
+    if metric not in ("cosine", "euclidean"):
         raise TaskError(f"unknown metric {metric!r}")
-
+    if metric == "cosine":
+        embeddings = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
+        # equal rows share one column of the product, so their similarities
+        # tie exactly and the ids decide; GEMM may round equal columns apart
+        distinct, column = np.unique(embeddings, axis=0, return_inverse=True)
+    # every item's place in ascending id order; a stable sort keeps equal ids
+    # in item order, as the ranking's tie-break does
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=lambda j: ids[j])] = np.arange(n)
+    codes = {lab: c for c, lab in enumerate(counts)}
+    classes = np.array([codes[lab] for lab in labels])
+    r_all = np.array([counts[lab] - 1 for lab in labels])
+    width = embeddings.shape[1] if metric == "euclidean" else 1
+    block = max(1, MAP_BLOCK // (n * width))
     aps = []
-    for q in range(n):
-        others = [j for j in range(n) if j != q]
-        ranked = sorted(others, key=lambda j: (-sims[q, j], ids[j]))
-        r = counts[labels[q]] - 1
-        hits = 0
-        ap = 0.0
-        for rank, j in enumerate(ranked[:r], start=1):
-            if labels[j] == labels[q]:
-                hits += 1
-                ap += hits / rank
-        aps.append(ap / r)
+    for start in range(0, n, block):
+        q = np.arange(start, min(start + block, n))
+        if metric == "cosine":
+            sims = (embeddings[q] @ distinct.T)[:, column.reshape(-1)]
+        else:
+            sims = -np.linalg.norm(embeddings[q, None, :] - embeddings[None, :, :], axis=-1)
+        # by similarity, descending, then by id; each query's own item dropped
+        order = np.lexsort((np.broadcast_to(id_rank, sims.shape), -sims), axis=-1)
+        order = order[order != q[:, None]].reshape(len(q), n - 1)
+        r = r_all[q]
+        top = order[:, :r.max()]
+        hits = (classes[top] == classes[q, None]) & (np.arange(top.shape[1]) < r[:, None])
+        ranks = np.arange(1, top.shape[1] + 1)
+        # the precision at each hit, summed in rank order as a loop would
+        ap = np.cumsum(np.where(hits, np.cumsum(hits, axis=1) / ranks, 0.0), axis=1)
+        aps.extend((ap[np.arange(len(q)), r - 1] / r).tolist())
     return RetrievalEvalResult(per_query_ap=aps, map_at_r=float(np.mean(aps)))
 
 

@@ -51,6 +51,7 @@ class Vocabulary:
         if len(self.id_to_token) != len(self.token_to_id):
             raise TokenizerError("duplicate ids in vocabulary")
         self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        self._run_ids: dict[str, list[int]] = {}  # encode's memo: a run's ids
 
     @property
     def size(self) -> int:
@@ -97,8 +98,11 @@ class Vocabulary:
     def encode(self, text: str, add_special: bool = True) -> list[int]:
         ids: list[int] = []
         for run in _RUN_RE.findall(text):
-            for piece in self._bpe_run(run):
-                ids.append(self.token_to_id.get(piece, self.unk_id))
+            run_ids = self._run_ids.get(run)
+            if run_ids is None:
+                run_ids = self._run_ids[run] = [self.token_to_id.get(piece, self.unk_id)
+                                                for piece in self._bpe_run(run)]
+            ids.extend(run_ids)
         if add_special:
             return [self.bos_id] + ids + [self.eos_id]
         return ids

@@ -4,16 +4,22 @@ and the gradients they leave, and checksums."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterlab import tensor as T
 from adapterlab.adapters import (AdapterConfig, AdapterStack, FreezeMode,
                                  PlacementPlan, apply_freeze, attach, checksum,
-                                 bottleneck_param_count,
+                                 bottleneck_param_count, forward_placements,
                                  invertible_param_count,
-                                 language_adapter_forward, task_adapter_forward,
-                                 trainable_parameters)
+                                 language_adapter_forward, placement_view,
+                                 task_adapter_forward, trainable_parameters)
+from adapterlab.checkpoint import Manifest, build_model
+from adapterlab.corpus import ClozeRecord
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.tasks import pair_logits, register_pair_head
+from adapterlab.tasks import (EVAL_BATCH, eval_cloze, eval_cloze_placements, pair_logits,
+                              register_pair_head)
+from adapterlab.tokenizer import pad_batch
 
 CFG = EncoderConfig(num_layers=3, hidden_size=16, num_heads=2, ffn_size=32,
                     vocab_size=40, max_positions=12, dropout=0.0)
@@ -280,3 +286,58 @@ def test_tape_starts_at_the_lowest_adapter():
     report = T.finite_difference_check(loss, enc.params, max_entries_per_param=4,
                                        rng=np.random.default_rng(3))
     assert report.passed, report.per_param
+
+
+layer_sets = st.sets(st.integers(1, 4), max_size=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), layer_sets, layer_sets, st.booleans(), st.data())
+def test_shared_prefixes_equal_one_model_per_placement(num_layers, l_layers, t_layers,
+                                                       invertible, data):
+    """Every truncation i of a sweep's range lo..hi, as a view of one model
+    with shared prefixes, against a model built for it alone: equal final
+    states bit for bit, and equal cloze predictions."""
+    cfg = EncoderConfig(num_layers=num_layers, hidden_size=16, num_heads=2, ffn_size=32,
+                        vocab_size=40, max_positions=12)
+    plan = PlacementPlan(frozenset(l for l in l_layers if l <= num_layers),
+                         frozenset(l for l in t_layers if l <= num_layers), invertible)
+    hi = data.draw(st.integers(0, num_layers))
+    lo = data.draw(st.integers(0, hi))
+    enc = Encoder(cfg, seed=0)
+    attach(enc, plan, seed=1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for name, t in enc.params.items():
+        if name.startswith(("l_adapter.", "t_adapter.", "inv.")):
+            t.data = rng.normal(0.0, 0.5, t.shape)
+    manifest = Manifest(kind="l_adapter", config=cfg, placement=plan,
+                        adapter_config=enc.adapters.config)
+    state = enc.params.state_dict()
+    plans = [plan.truncated(i, num_layers) for i in range(lo, hi + 1)]
+    model = build_model(manifest, state)
+    views = [placement_view(model, p) for p in plans]
+    alone = [build_model(manifest, state, p) for p in plans]
+
+    examples = []
+    for k in range(EVAL_BATCH + 3):
+        tokens = rng.integers(5, cfg.vocab_size, size=3 + k % 8).tolist()
+        at = int(rng.integers(len(tokens)))
+        tokens[at] = 4
+        examples.append(ClozeRecord(id=str(k), tokens=tokens, mask_index=at,
+                                    candidates=[10, 11, 12], answer=10, language="alpha"))
+    ids, attn = pad_batch([ex.tokens for ex in examples], 0)
+    rows = (np.arange(len(examples)), np.array([ex.mask_index for ex in examples]))
+    finals = forward_placements(views, ids, attn, rows)
+    for shared, single in zip(finals, alone):
+        assert np.array_equal(shared.data, single.forward(ids, attn, rows=rows).data)
+    got = eval_cloze_placements(views, examples, mask_id=4)
+    assert [r.predictions for r in got] == [
+        eval_cloze(single, examples, mask_id=4).predictions for single in alone]
+
+
+def test_a_view_places_only_adapters_its_model_holds():
+    enc = _fresh(PlacementPlan(frozenset({1}), frozenset(), False))
+    with pytest.raises(ValueError, match="not a part of"):
+        placement_view(enc, PlacementPlan(frozenset({1}), frozenset(), True))
+    view = placement_view(enc, PlacementPlan())
+    assert view.params is enc.params and enc.adapters.plan.l_layers == {1}

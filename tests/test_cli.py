@@ -260,6 +260,34 @@ def test_synthetic_is_refused_when_files_replace_every_dataset(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("subcommand, flags, files, fields, refused", [
+    ("eval-cloze", [], [], {"n_classes": 3, "n_sentences": 7}, ["n_classes", "n_sentences"]),
+    ("tokenizer-train", [], [], {"seed": 1, "n_sentences": 50, "n": 5, "language": "beta"},
+     ["language", "n"]),
+    ("train-task-adapter", [], [], {"n_classes": 3, "per_class": 4, "n": 5}, ["n"]),
+    ("zero-shot", [], [], {"seed": 1, "n": 5, "per_class": 4}, ["per_class"]),
+    ("sweep-layers", [], [], {"n": 5, "n_sentences": 50}, ["n_sentences"]),
+    # the probe file replaces the probes; the training corpus is generated
+    ("sweep-layers", ["--retrain-per-layer"], ["data"], {"n": 5, "n_classes": 3},
+     ["n_classes"]),
+])
+def test_synthetic_fields_no_generator_reads_are_refused(tmp_path, capsys, subcommand, flags,
+                                                         files, fields, refused):
+    """Each one named, before any file is read."""
+    argv = [subcommand, *flags, "--out", str(tmp_path / "o")]
+    for key in sorted(READS[subcommand] & REQUIRED | set(files)):
+        argv += ["--set", f"{key}={VALUES[key]}"]
+    for field, value in fields.items():
+        argv += ["--set", f"synthetic.{field}={value}"]
+    assert _run(argv) == 1
+    named = [f"synthetic.{f}" for f in refused]
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": subcommand,
+        "message": f"config key(s) {named} do not apply: "
+                   f"no dataset that {subcommand} generates reads them"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_shot_refuses_a_synthetic_language(tmp_path, capsys):
     """Its two languages are the checkpoint's and ``eval_language``: a
     ``synthetic.language`` would be ignored."""
@@ -270,7 +298,7 @@ def test_zero_shot_refuses_a_synthetic_language(tmp_path, capsys):
     assert err["error"] == "CliError"
     assert err["message"] == ("config key(s) ['synthetic.language'] do not apply: "
                               "the checkpoint and eval_language set the languages")
-    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_artifacts(pipeline):
@@ -726,12 +754,12 @@ def test_bad_data_source_key_exits_1_naming_it(pipeline, tmp_path, capsys,
 
 @pytest.mark.parametrize("subcommand, sets, error", [
     ("eval-clone", ["model={la}", "max_len=129"], "TaskError"),
-    ("train-lang-adapter", ["backbone={pre}", "train.max_steps=1", "train.max_len=129"],
-     "TrainingError"),
+    ("train-lang-adapter", ["backbone={pre}", "train.max_steps=1", "train.max_len=129",
+                            "synthetic.n=20"], "TrainingError"),
     ("train-task-adapter", ["model={la}", "train.max_steps=1", "train.max_len=129"],
      "TrainingError"),
-    ("pretrain", ["train.max_steps=1", *TINY[1::2], "encoder.max_positions=16"],
-     "TrainingError"),
+    ("pretrain", ["train.max_steps=1", *TINY[1::2], "encoder.max_positions=16",
+                  "synthetic.n_sentences=50"], "TrainingError"),
 ])
 def test_max_len_above_max_positions_exits_1_naming_it(pipeline, tmp_path, capsys,
                                                        subcommand, sets, error):
@@ -741,8 +769,7 @@ def test_max_len_above_max_positions_exits_1_naming_it(pipeline, tmp_path, capsy
     root, vocab = pipeline
     want = "max_len 64 exceeds the model's max_positions 16" if subcommand == "pretrain" \
         else "max_len 129 exceeds the model's max_positions 128"
-    argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", f"vocab={vocab}",
-            "--set", "synthetic.n=20", "--set", "synthetic.n_sentences=50"]
+    argv = [subcommand, "--out", str(tmp_path), "--seed", "0", "--set", f"vocab={vocab}"]
     for s in sets:
         argv += ["--set", s.format(pre=root / "pre" / "backbone.ckpt",
                                    la=root / "la" / "l_adapter.ckpt")]
@@ -767,7 +794,19 @@ def test_sweep_layers_without_retraining_refuses_training_keys(pipeline, tmp_pat
     assert err["error"] == "CliError"
     assert err["message"] == (f"config key(s) [{key!r}] do not apply: "
                               "only --retrain-per-layer trains")
-    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_run_removes_only_the_empty_directories_it_made(pipeline, tmp_path):
+    """A refusal inside the subcommand comes after ``--out`` was made."""
+    root, vocab = pipeline
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "a" / "b", kept):
+        assert _run(["sweep-layers", "--out", str(out), "--set", f"vocab={vocab}",
+                     "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                     "--set", "train.max_steps=2"]) == 1
+    assert not (tmp_path / "a").exists() and kept.is_dir()
 
 
 @pytest.mark.parametrize("key", ["encoder.num_layers=2", "adapter.l_bottleneck=4"])

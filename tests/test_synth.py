@@ -1,9 +1,12 @@
 """Synthetic corpora: alphabet coverage, cue structure of the toy code
 languages, cloze probe construction, and clone-class structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from adapterlab import synth
 from adapterlab.corpus import CorpusError
 from adapterlab.synth import (build_cloze_examples, pairs_from_retrieval,
                               synth_clone_classes, synth_code_records,
@@ -105,3 +108,24 @@ def test_pairs_need_two_classes_of_two_items(n_classes, per_class):
     items = synth_clone_classes(n_classes, per_class, seed=0)
     with pytest.raises(CorpusError, match="two or more classes of two or more items"):
         pairs_from_retrieval(items, 10, seed=0)
+
+
+@pytest.mark.parametrize("source", [synth.nl_texts, synth.code_records,
+                                    synth.retrieval_records, synth.cloze_examples])
+def test_each_source_reads_the_spec_fields_it_declares(vocab, source):
+    """The CLI refuses every ``synthetic`` field outside the ``reads`` of the
+    sources a run generates from, so ``reads`` must be what the generator
+    reads of its spec, at small sizes."""
+    read = set()
+    fields = {f.name for f in dataclasses.fields(synth.SyntheticSpec)}
+
+    class Recording(synth.SyntheticSpec):
+        def __getattribute__(self, name):
+            if name in fields:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    spec = Recording(n=12, n_sentences=12, n_classes=3, per_class=2)
+    read.clear()
+    source(None, spec, 0, *([vocab] if source is synth.cloze_examples else []))
+    assert read == source.reads

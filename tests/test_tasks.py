@@ -131,6 +131,36 @@ def test_map_at_r_of_a_perfect_embedding_is_one(case):
     assert _map_at_r_oracle(emb, labels, ids, metric=metric) == 1.0
 
 
+@settings(deadline=None, max_examples=60)
+@given(retrieval_sets, st.integers(1, 3))
+def test_map_at_r_breaks_ties_between_equal_embeddings_by_id(case, distinct):
+    """Items share a few vectors, so most similarities tie exactly and only
+    the ids order them; the ids run in no relation to the item order."""
+    sizes, seed, metric = case
+    emb, labels, ids, rng = _draw_set(sizes, seed)
+    emb = emb[rng.integers(0, distinct, size=len(labels))]
+    ids = [ids[j] for j in rng.permutation(len(ids))]
+    got = map_at_r(emb, labels, ids, metric=metric).map_at_r
+    assert got == pytest.approx(_map_at_r_oracle(emb, labels, ids, metric=metric), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("per_block", [1, 5])
+def test_map_at_r_ranks_blocks_of_queries_as_one(monkeypatch, metric, per_block):
+    """Blocks of one and of five queries (the last one short) give every
+    query the AP that one block of all queries gives."""
+    rng = np.random.default_rng(4)
+    labels = [c for c in range(6) for _ in range(4)]
+    emb = rng.normal(size=(12, 3))[rng.integers(0, 12, size=len(labels))]
+    ids = [int(j) for j in rng.permutation(len(labels))]
+    whole = map_at_r(emb, labels, ids, metric=metric)
+    width = 3 if metric == "euclidean" else 1
+    monkeypatch.setattr(tasks, "MAP_BLOCK", per_block * len(labels) * width)
+    assert map_at_r(emb, labels, ids, metric=metric).per_query_ap == whole.per_query_ap
+    assert whole.map_at_r == pytest.approx(_map_at_r_oracle(emb, labels, ids, metric=metric),
+                                           abs=1e-12)
+
+
 def test_map_at_r_rejects_singletons_and_bad_metric():
     emb = np.eye(3)
     with pytest.raises(TaskError):

@@ -4,7 +4,8 @@ special-token layout, and MLM masking statistics."""
 import numpy as np
 import pytest
 
-from adapterlab.tokenizer import (SPECIAL_TOKENS, MaskedBatch, TokenizerError,
+from adapterlab.synth import synth_code_records, synth_nl_corpus
+from adapterlab.tokenizer import (_RUN_RE, SPECIAL_TOKENS, MaskedBatch, TokenizerError,
                                   Vocabulary, apply_mlm_mask, encode_batch,
                                   pad_batch, train_bpe)
 
@@ -33,6 +34,21 @@ def test_round_trip_exact(vocab):
         ids = vocab.encode(text)
         assert vocab.decode(ids) == text
         assert ids[0] == vocab.bos_id and ids[-1] == vocab.eos_id
+
+
+def test_memoised_ids_equal_the_merge_loop_on_nl_and_code():
+    """encode keeps each whitespace run's ids; a repeated run, in the same
+    text or a later one, gets what the merge loop gives it afresh."""
+    vocab = train_bpe(synth_nl_corpus(300, seed=0), 400)
+    texts = synth_nl_corpus(40, seed=1) + [r.code for r in synth_code_records("alpha", 40, seed=2)]
+    texts += [r.code for r in synth_code_records("beta", 40, seed=3)]
+    uncached = [[vocab.token_to_id.get(piece, vocab.unk_id)
+                 for run in _RUN_RE.findall(text) for piece in vocab._bpe_run(run)]
+                for text in texts]
+    for _ in range(2):  # the memo empty at first, then holding every run
+        assert [vocab.encode(t, add_special=False) for t in texts] == uncached
+    assert [vocab.encode(t) for t in texts] == [
+        [vocab.bos_id] + ids + [vocab.eos_id] for ids in uncached]
 
 
 def test_unknown_characters_become_unk(vocab):
