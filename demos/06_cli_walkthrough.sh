@@ -14,9 +14,23 @@ adapterlab pretrain --out $R/pre --seed 0 --set vocab=$R/tok/vocab.txt \
   --set train.max_steps=50 --set train.max_len=32 \
   --set synthetic.n_sentences=400
 
+# --seed is the one run seed, so a train.seed exits 1, naming it
+if adapterlab pretrain --out $R/pre-seeded --seed 0 --set vocab=$R/tok/vocab.txt \
+  --set train.max_steps=50 --set train.seed=1; then
+  exit 1
+fi
+
 adapterlab train-lang-adapter --out $R/la --seed 0 \
   --set vocab=$R/tok/vocab.txt --set backbone=$R/pre/backbone.ckpt \
   --set train.max_steps=30 --set synthetic.n=80
+
+# the L-adapter checkpoint fixes its adapters' sizes: a T-adapter stage may
+# size only the task adapters it adds, so this exits 1, naming the key
+if adapterlab train-task-adapter --out $R/ta-sized --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set adapter.l_bottleneck=4; then
+  exit 1
+fi
 
 adapterlab eval-cloze --out $R/cloze --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \

@@ -122,11 +122,11 @@ def build_model(manifest: Manifest, state: dict[str, np.ndarray],
                 seed: int = 0) -> Encoder:
     """Encoder + adapter stack + pair head, loaded from a checkpoint.
 
-    ``plan`` (default: the checkpoint's own) may drop adapter layers the
-    checkpoint holds or add ones it lacks; added adapters are initialised
-    from ``seed``. Every blob must land in a model slot unless ``plan``
-    dropped its layer, and every model parameter ``plan`` did not add must
-    come from the checkpoint; a breach raises ``CheckpointError``.
+    ``plan`` (default: the checkpoint's own) may add adapters the checkpoint
+    lacks; they are initialised from ``seed``. Every blob must land in a
+    model slot, and every model parameter ``plan`` did not add must come
+    from the checkpoint; a breach raises ``CheckpointError``. A part of a
+    model's adapters runs as ``adapters.placement_view`` of the whole.
     """
     encoder = Encoder(manifest.config, seed=0)
     stored = manifest.plan
@@ -136,18 +136,17 @@ def build_model(manifest: Manifest, state: dict[str, np.ndarray],
     if "head.pair.w" in state:
         register_pair_head(encoder.params, encoder.config.hidden_size)
 
-    slots = set(encoder.params.names())
-    for name in state:
-        if name not in slots and not (stored.places(name) and not plan.places(name)):
+    for name, value in state.items():
+        if name not in encoder.params:
             raise CheckpointError(f"checkpoint parameter {name} has no slot in the model")
-        elif name in slots and state[name].shape != encoder.params[name].data.shape:
+        if value.shape != encoder.params[name].data.shape:
             raise CheckpointError(f"checkpoint parameter {name} has shape "
-                                  f"{list(state[name].shape)}, its model slot "
+                                  f"{list(value.shape)}, its model slot "
                                   f"{list(encoder.params[name].data.shape)}")
-    for name in sorted(slots - state.keys()):
+    for name in sorted(set(encoder.params.names()) - state.keys()):
         if not (plan.places(name) and not stored.places(name)):
             raise CheckpointError(f"model parameter {name} is missing from the checkpoint")
-    encoder.params.load_state_dict({n: v for n, v in state.items() if n in slots})
+    encoder.params.load_state_dict(state)
     return encoder
 
 

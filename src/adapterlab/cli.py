@@ -103,6 +103,16 @@ def _refuse(given: dict, keys, reason: str) -> None:
         raise CliError(f"config key(s) {ignored} do not apply: {reason}")
 
 
+def _refuse_sizes(run: RunConfig, added: PlacementPlan) -> None:
+    """An ``adapter`` size for a kind of adapter ``added`` does not place is
+    an error: the run adds no adapter it could size."""
+    sizes = {"adapter.l_bottleneck": added.l_layers, "adapter.t_bottleneck": added.t_layers,
+             "adapter.inv_coupling_dim": added.invertible}
+    _refuse({f"adapter.{k}": v for k, v in (run.adapter or {}).items()},
+            [key for key, placed in sizes.items() if not placed],
+            "the run adds no adapter of that kind")
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tokenizer_train(args, run, seed, out: Path) -> dict:
@@ -140,10 +150,15 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     else:
         plan = (_config(run, "placement") if run.placement else
                 PlacementPlan.full(manifest.config.num_layers, invertible=True))
+        _refuse_sizes(run, plan)
         adapter_cfg = _config(run, "adapter")
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     records = synth.code_records(run.corpus, _config(run, "synthetic"), seed)
+    languages = sorted({r.language for r in records})
+    if len(languages) > 1:
+        raise CliError(f"corpus {run.corpus} names the languages {languages}; "
+                       "an L-adapter is trained on one")
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
     language = records[0].language
@@ -164,8 +179,9 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
         _refuse(vars(run), ("adapter",), "the model already has task adapters")
     else:
         # widen the plan with all-layer T-adapters
-        layers = range(1, manifest.config.num_layers + 1)
-        plan = dataclasses.replace(plan, t_layers=frozenset(layers))
+        layers = frozenset(range(1, manifest.config.num_layers + 1))
+        _refuse_sizes(run, PlacementPlan(t_layers=layers))
+        plan = dataclasses.replace(plan, t_layers=layers)
         adapter_cfg = _config(run, "adapter",
                               (manifest.adapter_config or AdapterConfig()).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
@@ -388,6 +404,8 @@ def dispatch(argv=None) -> int:
                 _config(run, key)
         reads = _KEYS[args.subcommand]
         _refuse(given, given.keys() - reads, f"{args.subcommand} does not read them")
+        _refuse({"train.seed": (run.train or {}).get("seed")}, ("train.seed",),
+                "--seed is the run seed")
         missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
         if missing:
             raise CliError(f"config key(s) {missing} are required")

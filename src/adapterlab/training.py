@@ -215,11 +215,13 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
     gradient) stops the run before any weight changes and raises
     ``TrainingError`` carrying the closed report; a weight that is not
     finite in ``STEP_DTYPE`` is named as its cause. A ``cfg.max_len`` above
-    the model's ``max_positions`` is refused before step 0.
+    the model's ``max_positions``, or a model in which ``mode`` trains no
+    parameter, is refused before step 0.
     """
     tasks.fitted_max_len(encoder, cfg.max_len, TrainingError)
     params = encoder.params
-    apply_freeze(params, mode)
+    if not apply_freeze(params, mode):
+        raise TrainingError(f"freeze mode {mode.value} trains no parameter of this model")
     frozen = {name: t.data.astype(STEP_DTYPE) for name, t in params.items()
               if not t.requires_grad}
     rng = np.random.default_rng(cfg.seed)
@@ -318,10 +320,6 @@ def pretrain_mlm(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
 def train_language_adapter(encoder: Encoder, code_texts: Sequence[str],
                            vocab: Vocabulary, cfg: TrainConfig) -> TrainReport:
     """Train L-adapters + invertible adapter by MLM on code; backbone frozen."""
-    if encoder.adapters is None:
-        raise TrainingError("no adapter stack attached")
-    if not encoder.adapters.plan.l_layers and not encoder.adapters.plan.invertible:
-        raise TrainingError("placement plan has no language adapters")
     return _mlm_train(encoder, code_texts, vocab, cfg, FreezeMode.TRAIN_L_ADAPTER)
 
 
@@ -350,12 +348,11 @@ def train_task_adapter(encoder: Encoder, train_data, val_data,
 
     ``task_kind`` is "retrieval" (in-batch negative sampling, MAP@R
     validation) or "pair_classification" (binary cross-entropy, F1
-    validation). Early stopping monitors the validation metric.
+    validation). Early stopping monitors the validation metric. In pair
+    mode a model without T-adapters trains its head alone.
     """
     if task_kind not in ("retrieval", "pair_classification"):
         raise TrainingError(f"unknown task kind {task_kind!r}")
-    if encoder.adapters is None:
-        raise TrainingError("no adapter stack attached")
     if not train_data or not val_data:
         raise TrainingError("task dataset needs training items and a validation split")
     if task_kind == "pair_classification" and "head.pair.w" not in encoder.params:

@@ -316,7 +316,13 @@ def test_shared_prefixes_equal_one_model_per_placement(num_layers, l_layers, t_l
     plans = [plan.truncated(i, num_layers) for i in range(lo, hi + 1)]
     model = build_model(manifest, state)
     views = [placement_view(model, p) for p in plans]
-    alone = [build_model(manifest, state, p) for p in plans]
+    alone = []  # each placement's own model: its adapters' parameters alone
+    for p in plans:
+        single = Encoder(cfg, seed=0)
+        if p != PlacementPlan():
+            attach(single, p, seed=1)
+        single.params.load_state_dict(state, strict=False)
+        alone.append(single)
 
     examples = []
     for k in range(EVAL_BATCH + 3):

@@ -2,6 +2,7 @@
 at load, format validation, and the composition rule of ``build_model``."""
 
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -184,15 +185,17 @@ def test_build_model_rejects_missing_declared_parameter(saved):
         build_model(manifest, state)
 
 
-def test_build_model_truncated_plan_drops_layers(saved):
+@pytest.mark.parametrize("plan, dropped", [
+    (PlacementPlan.full(4, invertible=True).truncated(2, 4), "l_adapter.3.down.w"),
+    (PlacementPlan.full(4, invertible=False), "inv.0.down.w"),
+    (PlacementPlan(), "l_adapter.1.down.w"),
+])
+def test_build_model_refuses_a_plan_that_drops_a_stored_adapter(saved, plan, dropped):
+    """A plan only adds adapters; a part of a model runs as a placement view."""
     manifest, state = saved
-    plan = PlacementPlan.full(4, invertible=True).truncated(2, 4)
-    enc = build_model(manifest, state, plan)
-    assert "l_adapter.3.down.w" not in enc.params
-    assert (enc.params["l_adapter.2.down.w"].data == state["l_adapter.2.down.w"]).all()
-    bare = build_model(manifest, state, PlacementPlan())
-    assert bare.adapters is None
-    assert (bare.params["head.pair.w"].data == state["head.pair.w"]).all()
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"checkpoint parameter {dropped} has no slot")):
+        build_model(manifest, state, plan)
 
 
 def test_build_model_widened_plan_adds_fresh_task_adapters(saved):
@@ -200,6 +203,7 @@ def test_build_model_widened_plan_adds_fresh_task_adapters(saved):
     plan = PlacementPlan.full(4, t_adapters=True, invertible=True)
     enc = build_model(manifest, state, plan, seed=5)
     assert (enc.params["t_adapter.4.up.w"].data == 0).all()  # near-identity init
+    assert "head.pair.w" in state  # the pair head is kept under a plan that names none
     for name, value in state.items():
         assert (enc.params[name].data == value).all()
 

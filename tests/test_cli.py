@@ -135,6 +135,23 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, subcommand):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("subcommand, flags", [
+    ("pretrain", []), ("train-lang-adapter", []), ("train-task-adapter", []),
+    ("sweep-layers", ["--retrain-per-layer"])])
+def test_train_seed_exits_1_naming_it(tmp_path, capsys, subcommand, flags):
+    """``--seed`` is the one run seed: ``train.seed`` is refused before any
+    file is read (the paths name no file)."""
+    argv = [subcommand, *flags, "--out", str(tmp_path / "o"), "--seed", "0",
+            "--set", "train.seed=7"]
+    for key in sorted(READS[subcommand] & REQUIRED):
+        argv += ["--set", f"{key}={VALUES[key]}"]
+    assert _run(argv) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": subcommand,
+        "message": "config key(s) ['train.seed'] do not apply: --seed is the run seed"}
+    assert not (tmp_path / "o").exists()
+
+
 # The top-level keys each subcommand reads: 47 (subcommand, key) pairs.
 READS = {
     "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
@@ -663,6 +680,50 @@ def test_task_adapter_config_on_task_checkpoint_exits_1(pipeline, tmp_path, caps
     # without the key, the same checkpoint trains on
     assert _run(["train-task-adapter", "--out", str(tmp_path / "again"), "--seed", "0",
                  "--set", f"model={tmp_path / 'ta' / 't_adapter.ckpt'}", *small]) == 0
+
+
+@pytest.mark.parametrize("subcommand, sets, key", [
+    ("train-task-adapter", ["model={la}"], "adapter.l_bottleneck"),
+    ("train-task-adapter", ["model={la}"], "adapter.inv_coupling_dim"),
+    ("train-task-adapter", ["model={pre}"], "adapter.l_bottleneck"),
+    ("train-lang-adapter", ["backbone={pre}"], "adapter.t_bottleneck"),
+    ("train-lang-adapter", ["backbone={pre}", 'placement={{"l_layers": [1], '
+                            '"t_layers": [], "invertible": false}}'], "adapter.inv_coupling_dim"),
+])
+def test_a_size_for_an_adapter_the_run_does_not_add_exits_1_naming_it(
+        pipeline, tmp_path, capsys, subcommand, sets, key):
+    """A stage sizes only the adapters it adds: the checkpoint fixes the
+    sizes of those it holds, and a kind it does not add has none."""
+    root, vocab = pipeline
+    argv = [subcommand, "--out", str(tmp_path / "o"), "--seed", "0",
+            "--set", f"vocab={vocab}", "--set", "train.max_steps=1", "--set", f"{key}=3"]
+    for s in sets:
+        argv += ["--set", s.format(pre=root / "pre" / "backbone.ckpt",
+                                   la=root / "la" / "l_adapter.ckpt")]
+    assert _run(argv) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": subcommand,
+        "message": f"config key(s) [{key!r}] do not apply: "
+                   "the run adds no adapter of that kind"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_corpus_of_two_languages_exits_1_naming_them(pipeline, tmp_path, capsys):
+    """An L-adapter checkpoint records one training language."""
+    root, vocab = pipeline
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text("".join(json.dumps(r.to_dict()) + "\n" for r in
+                              synth.synth_code_records("beta", 30, seed=1)
+                              + synth.synth_code_records("alpha", 30, seed=2)))
+    assert _run(["train-lang-adapter", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"corpus={corpus}",
+                 "--set", f"backbone={root / 'pre' / 'backbone.ckpt'}",
+                 "--set", "train.max_steps=1"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "train-lang-adapter",
+        "message": f"corpus {corpus} names the languages ['alpha', 'beta']; "
+                   "an L-adapter is trained on one"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_layers_retrain_keeps_every_train_report(pipeline, tmp_path):

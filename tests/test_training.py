@@ -395,6 +395,38 @@ def test_task_adapter_validation_errors(corpus_and_vocab):
         train_task_adapter(bare, items, items, vocab, TrainConfig(), "retrieval")
 
 
+def test_a_model_the_freeze_mode_trains_nothing_of_is_refused(corpus_and_vocab):
+    """An L-only model in retrieval mode has no parameter to train: refused
+    before step 0, naming the mode, with every weight as it was."""
+    _, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    attach(enc, PlacementPlan.full(CFG.num_layers, invertible=True), seed=3)
+    before = checksum(enc.params)
+    items = synth_clone_classes(3, 4, seed=0)
+    cfg = TrainConfig(max_steps=3, max_len=48, classes_per_batch=2, items_per_class=2)
+    with pytest.raises(TrainingError, match="freeze mode train_t_adapter trains no parameter"):
+        train_task_adapter(enc, items, items, vocab, cfg, "retrieval")
+    assert checksum(enc.params) == before
+
+
+@pytest.mark.parametrize("plan", [PlacementPlan.full(CFG.num_layers, invertible=True), None])
+def test_pair_mode_without_task_adapters_trains_the_head_alone(corpus_and_vocab, plan):
+    _, vocab = corpus_and_vocab
+    enc = _encoder(vocab)
+    if plan is not None:
+        attach(enc, plan, seed=3)
+    before = {name: t.data.copy() for name, t in enc.params.items()}
+    pairs = pairs_from_retrieval(synth_clone_classes(4, 4, seed=1), 24, seed=0)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_steps=4, eval_every=4,
+                      max_len=48, seed=0)
+    train_task_adapter(enc, pairs[:20], pairs[20:], vocab, cfg, "pair_classification")
+    assert sorted(enc.params.trainable_names()) == ["head.pair.b", "head.pair.w"]
+    assert all(np.array_equal(enc.params[name].data, v) for name, v in before.items())
+    initial = ParameterSet()
+    tasks.register_pair_head(initial, CFG.hidden_size)
+    assert not np.array_equal(enc.params["head.pair.w"].data, initial["head.pair.w"].data)
+
+
 def test_early_stopping_fires(corpus_and_vocab):
     """A ``patience`` alone turns early stopping on; without one, a flat
     validation curve runs to ``max_steps``."""
