@@ -24,6 +24,14 @@ adapterlab train-lang-adapter --out $R/la --seed 0 \
   --set vocab=$R/tok/vocab.txt --set backbone=$R/pre/backbone.ckpt \
   --set train.max_steps=30 --set synthetic.n=80
 
+# the L stage trains no task adapters, so a placement with T layers exits 1,
+# naming placement.t_layers
+if adapterlab train-lang-adapter --out $R/la-with-t --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set backbone=$R/pre/backbone.ckpt \
+  --set 'placement={"l_layers": [1], "t_layers": [1], "invertible": false}'; then
+  exit 1
+fi
+
 # the L-adapter checkpoint fixes its adapters' sizes: a T-adapter stage may
 # size only the task adapters it adds, so this exits 1, naming the key
 if adapterlab train-task-adapter --out $R/ta-sized --seed 0 \
@@ -78,6 +86,11 @@ fi
 
 adapterlab budget --paper-scale --out $R/budget
 
+# --paper-scale fixes every size, so that mode reads no encoder key
+if adapterlab budget --paper-scale --out $R/budget-sized --set encoder.num_layers=2; then
+  exit 1
+fi
+
 # each subcommand reads its own keys; one it never reads exits 1, naming it
 if adapterlab budget --out $R/budget-model --set model=$R/la/l_adapter.ckpt; then
   exit 1
@@ -86,6 +99,13 @@ fi
 adapterlab sweep-layers --out $R/sweep --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
   --set synthetic.n=30
+
+# truncating the trained stack trains nothing, so a train key exits 1
+if adapterlab sweep-layers --out $R/sweep-trained --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set synthetic.n=30 --set train.max_steps=2; then
+  exit 1
+fi
 
 # a sub-range of placements: each one a view of the one loaded model
 adapterlab sweep-layers --out $R/sweep-upper --seed 0 \

@@ -3,12 +3,15 @@ backbone training, adapter training, evaluations, budget reports, layer
 sweeps, and zero-shot transfer runs.
 
 Every run reads one JSON config (optional), applies ``--set key.path=value``
-overrides, checks the result once as a ``schema.RunConfig`` and against the
-keys its subcommand reads (``_KEYS``), and writes its artifacts under
-``--out``: the effective config, a JSON report, and any checkpoints. Exit
-codes: 0 success, 1 failed precondition (with an error JSON on stderr naming
-the exception class), 2 usage error. A training run that stops on a bad step
-still writes its ``train_report.json``.
+overrides, checks the result once as a ``schema.RunConfig``, and writes its
+artifacts under ``--out``: the effective config, a JSON report, and any
+checkpoints. A run mode is a subcommand, or a subcommand with the flag that
+changes what it reads (``budget --paper-scale``, ``sweep-layers
+--retrain-per-layer``); one table, ``_MODES``, gives the keys and the
+``synthetic`` fields each mode reads, and a key it would ignore is refused
+before any file is read. Exit codes: 0 success, 1 failed precondition (with
+an error JSON on stderr naming the exception class), 2 usage error. A
+training run that stops on a bad step still writes its ``train_report.json``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .adapters import BACKBONE_PREFIXES, AdapterConfig, PlacementPlan, placement
 from .budget import build_report, paper_scale_report
 from .checkpoint import build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
-from .schema import RunConfig, read_text
+from .schema import RunConfig, check, read_text
 from .tokenizer import Vocabulary, train_bpe
 from .training import TrainConfig
 
@@ -103,13 +106,18 @@ def _refuse(given: dict, keys, reason: str) -> None:
         raise CliError(f"config key(s) {ignored} do not apply: {reason}")
 
 
-def _refuse_sizes(run: RunConfig, added: PlacementPlan) -> None:
-    """An ``adapter`` size for a kind of adapter ``added`` does not place is
-    an error: the run adds no adapter it could size."""
-    sizes = {"adapter.l_bottleneck": added.l_layers, "adapter.t_bottleneck": added.t_layers,
-             "adapter.inv_coupling_dim": added.invertible}
+def _refuse_sizes(run: RunConfig, stored: PlacementPlan, plan: PlacementPlan) -> None:
+    """A stage's ``adapter`` keys may size only the kinds of adapter that
+    ``plan`` adds beyond the checkpoint's ``stored`` plan: the checkpoint
+    fixes the sizes of those it holds, and a kind the stage does not add has
+    none. A stage that adds no adapter reads no ``adapter`` section."""
+    added = {"l_bottleneck": plan.l_layers and not stored.l_layers,
+             "t_bottleneck": plan.t_layers and not stored.t_layers,
+             "inv_coupling_dim": plan.invertible and not stored.invertible}
+    if not any(added.values()):
+        _refuse(vars(run), ("adapter",), "the run adds no adapter")
     _refuse({f"adapter.{k}": v for k, v in (run.adapter or {}).items()},
-            [key for key, placed in sizes.items() if not placed],
+            [f"adapter.{k}" for k, new in added.items() if not new],
             "the run adds no adapter of that kind")
 
 
@@ -141,17 +149,19 @@ def cmd_pretrain(args, run, seed, out: Path) -> dict:
 
 
 def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
+    _refuse({"placement.t_layers": (run.placement or {}).get("t_layers") or None},
+            ("placement.t_layers",), "an L-adapter stage trains no task adapters")
     vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(run.backbone)
-    plan = adapter_cfg = None
-    if manifest.placement:
-        _refuse(vars(run), ("placement", "adapter"), "the backbone already has adapters")
+    plan = manifest.placement
+    if plan:
+        _refuse(vars(run), ("placement",), "the backbone already has adapters")
     else:
         plan = (_config(run, "placement") if run.placement else
                 PlacementPlan.full(manifest.config.num_layers, invertible=True))
-        _refuse_sizes(run, plan)
-        adapter_cfg = _config(run, "adapter")
+    _refuse_sizes(run, manifest.plan, plan)
+    adapter_cfg = _config(run, "adapter", (manifest.adapter_config or AdapterConfig()).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     records = synth.code_records(run.corpus, _config(run, "synthetic"), seed)
@@ -174,16 +184,12 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     task_kind = run.task
     manifest, state = load_checkpoint(run.model)
-    plan, adapter_cfg = manifest.plan, None
-    if plan.t_layers:
-        _refuse(vars(run), ("adapter",), "the model already has task adapters")
-    else:
-        # widen the plan with all-layer T-adapters
-        layers = frozenset(range(1, manifest.config.num_layers + 1))
-        _refuse_sizes(run, PlacementPlan(t_layers=layers))
-        plan = dataclasses.replace(plan, t_layers=layers)
-        adapter_cfg = _config(run, "adapter",
-                              (manifest.adapter_config or AdapterConfig()).to_dict())
+    plan = manifest.plan
+    if not plan.t_layers:  # widen the plan with all-layer T-adapters
+        plan = dataclasses.replace(
+            plan, t_layers=frozenset(range(1, manifest.config.num_layers + 1)))
+    _refuse_sizes(run, manifest.plan, plan)
+    adapter_cfg = _config(run, "adapter", (manifest.adapter_config or AdapterConfig()).to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     # one split rule for both task kinds: pairs never cross the class split
@@ -232,11 +238,8 @@ def cmd_eval_clone(args, run, seed, out: Path) -> dict:
 
 
 def cmd_budget(args, run, seed, out: Path) -> dict:
-    if args.paper_scale:
-        _refuse(vars(run), ("encoder", "adapter"), "--paper-scale fixes every size")
-        report = paper_scale_report()
-    else:
-        report = build_report(_config(run, "encoder"), _config(run, "adapter"))
+    report = (paper_scale_report() if args.paper_scale else
+              build_report(_config(run, "encoder"), _config(run, "adapter")))
     print(f"{'component':<12}{'parameters':>14}{'MB':>10}{'% of model':>12}")
     for name, count in report.counts.items():
         print(f"{name:<12}{count:>14,}{report.megabytes[name]:>10.2f}"
@@ -247,8 +250,6 @@ def cmd_budget(args, run, seed, out: Path) -> dict:
 
 
 def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
-    if not args.retrain_per_layer:
-        _refuse(vars(run), ("train", "corpus"), "only --retrain-per-layer trains")
     vocab = Vocabulary.load(run.vocab)
     manifest, state = load_checkpoint(run.model)
     if not manifest.placement:
@@ -293,16 +294,17 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
 
 
 def cmd_zero_shot(args, run, seed, out: Path) -> dict:
-    _refuse({"synthetic.language": (run.synthetic or {}).get("language")},
-            ("synthetic.language",), "the checkpoint and eval_language set the languages")
     vocab = Vocabulary.load(run.vocab)
     manifest, state = load_checkpoint(run.model)
-    if not manifest.language:
+    trained_on, unseen = manifest.language, run.eval_language
+    if not trained_on:
         raise CliError(f"{run.model}: the {manifest.kind} checkpoint records no training "
                        "language; zero-shot needs an adapter trained on one")
+    if unseen == trained_on:
+        raise CliError(f"config key 'eval_language' is {unseen!r}, and {run.model} was "
+                       f"trained on {trained_on!r}: zero-shot needs an unseen language")
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    trained_on, unseen = manifest.language, run.eval_language
     scores = {}
     for language in (trained_on, unseen):
         examples = _cloze_examples(run, vocab, seed, language=language)
@@ -324,40 +326,35 @@ _HANDLERS = {
     "zero-shot": cmd_zero_shot,
 }
 
-# The top-level run-config keys each subcommand reads. A key given a non-null
-# value that its subcommand does not read is an error, whatever the value:
-# the run would ignore it. zero-shot reads no ``data``: one probe file cannot
-# hold a probe set per language.
-_KEYS = {
-    "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
-    "pretrain": {"vocab", "corpus", "synthetic", "encoder", "train"},
-    "train-lang-adapter": {"vocab", "backbone", "corpus", "synthetic", "train",
-                           "adapter", "placement"},
-    "train-task-adapter": {"vocab", "model", "data", "synthetic", "task", "n_pairs",
-                           "train", "adapter"},
-    "eval-cloze": {"vocab", "model", "data", "synthetic"},
-    "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
-    "budget": {"encoder", "adapter"},
-    "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
-    "zero-shot": {"vocab", "model", "synthetic", "eval_language"},
+# The run modes: a subcommand, or a subcommand with the flag that changes what
+# it reads. Each row gives the top-level run-config keys the mode reads, and
+# the datasets it generates: each by the path key whose file replaces it
+# (None: no file does) and the ``synthetic`` fields its generator reads. Any
+# other key given a non-null value is an error, whatever the value: the run
+# would ignore it. zero-shot reads no ``data``: one probe file cannot hold a
+# probe set per language, and its languages are the checkpoint's and
+# ``eval_language``.
+_NL, _CODE = ("seed", "n_sentences"), ("seed", "n", "language")
+_CLASSES = ("seed", "n_classes", "per_class", "language")
+_MODES = {
+    "tokenizer-train": ({"corpus", "synthetic", "vocab_size"}, {"corpus": _NL}),
+    "pretrain": ({"vocab", "corpus", "synthetic", "encoder", "train"}, {"corpus": _NL}),
+    "train-lang-adapter": ({"vocab", "backbone", "corpus", "synthetic", "train", "adapter",
+                            "placement"}, {"corpus": _CODE}),
+    "train-task-adapter": ({"vocab", "model", "data", "synthetic", "task", "n_pairs",
+                            "train", "adapter"}, {"data": _CLASSES}),
+    "eval-cloze": ({"vocab", "model", "data", "synthetic"}, {"data": _CODE}),
+    "eval-clone": ({"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
+                   {"data": _CLASSES}),
+    "budget": ({"encoder", "adapter"}, {}),
+    "budget --paper-scale": (set(), {}),
+    "sweep-layers": ({"vocab", "model", "data", "synthetic", "layers"}, {"data": _CODE}),
+    "sweep-layers --retrain-per-layer": ({"vocab", "model", "data", "synthetic", "layers",
+                                          "corpus", "train"}, {"data": _CODE, "corpus": _CODE}),
+    "zero-shot": ({"vocab", "model", "synthetic", "eval_language"}, {None: ("seed", "n")}),
 }
 # keys that must be set wherever they are read
 _REQUIRED = {"vocab", "backbone", "model", "eval_language"}
-# The datasets each subcommand generates, by the path key whose file replaces
-# each; the ``synthetic`` fields a generator reads are its ``reads``.
-# sweep-layers generates a corpus only with --retrain-per-layer; zero-shot
-# refuses ``data`` (see _KEYS), so its probes are always generated.
-_SOURCES = {
-    "tokenizer-train": {"corpus": synth.nl_texts},
-    "pretrain": {"corpus": synth.nl_texts},
-    "train-lang-adapter": {"corpus": synth.code_records},
-    "train-task-adapter": {"data": synth.retrieval_records},
-    "eval-cloze": {"data": synth.cloze_examples},
-    "eval-clone": {"data": synth.retrieval_records},
-    "budget": {},
-    "sweep-layers": {"data": synth.cloze_examples, "corpus": synth.code_records},
-    "zero-shot": {"data": synth.cloze_examples},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,29 +394,30 @@ def dispatch(argv=None) -> int:
         given = load_run_config(args)
         try:
             run = RunConfig.from_dict({**RunConfig().to_dict(), **given})
+            check(run, f"null or one of {synth.LANGUAGES}",
+                  lambda v: v in (None, *synth.LANGUAGES), "eval_language")
         except ValueError as e:
             raise CliError(f"run config: {e}") from e
         for key in _SECTIONS:  # checked over the defaults; handlers lay their own bases
             if getattr(run, key) is not None:
                 _config(run, key)
-        reads = _KEYS[args.subcommand]
-        _refuse(given, given.keys() - reads, f"{args.subcommand} does not read them")
+        flags = [f for f in ("--paper-scale", "--retrain-per-layer")
+                 if getattr(args, f[2:].replace("-", "_"), False)]
+        mode = " ".join([args.subcommand, *flags])
+        reads, datasets = _MODES[mode]
+        _refuse(given, given.keys() - reads, f"{mode} does not read them")
         _refuse({"train.seed": (run.train or {}).get("seed")}, ("train.seed",),
                 "--seed is the run seed")
         missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
         if missing:
             raise CliError(f"config key(s) {missing} are required")
-        sources = dict(_SOURCES[args.subcommand])
-        if not getattr(args, "retrain_per_layer", True):
-            del sources["corpus"]
-        files = sorted(sources)
-        live = [source for key, source in sources.items() if not getattr(run, key)]
-        if files and not live:
-            _refuse(given, ("synthetic",), f"{args.subcommand} generates no dataset with "
-                    f"{' and '.join(map(repr, files))} given")
+        live = [fields for key, fields in datasets.items() if not (key and getattr(run, key))]
+        if datasets and not live:
+            _refuse(given, ("synthetic",), f"{mode} generates no dataset with "
+                    f"{' and '.join(map(repr, sorted(datasets)))} given")
         fields = {f"synthetic.{k}": v for k, v in (given.get("synthetic") or {}).items()}
-        _refuse(fields, fields.keys() - {f"synthetic.{f}" for src in live for f in src.reads},
-                f"no dataset that {args.subcommand} generates reads them")
+        _refuse(fields, fields.keys() - {f"synthetic.{f}" for fs in live for f in fs},
+                f"no dataset that {mode} generates reads them")
         out = Path(args.out)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)

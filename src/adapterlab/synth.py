@@ -78,6 +78,7 @@ _LANG_STYLES = {
     "beta": {"def": "proc", "open": "begin", "close": "finish", "ret": "yield",
              "hi": "upper", "lo": "lower"},
 }
+LANGUAGES = sorted(_LANG_STYLES)
 
 
 def synth_code_records(language: str = "alpha", n: int = 600,
@@ -86,7 +87,7 @@ def synth_code_records(language: str = "alpha", n: int = 600,
     ``big = max ( a , b ) ;`` / ``small = min ( a , b ) ;``."""
     if language not in _LANG_STYLES:
         raise ValueError(f"unknown synthetic language {language!r}; "
-                         f"choose from {sorted(_LANG_STYLES)}")
+                         f"choose from {LANGUAGES}")
     s = _LANG_STYLES[language]
     rng = np.random.default_rng(seed)
     records = []
@@ -229,7 +230,7 @@ class SyntheticSpec(JsonConfig):
         check(self, "null or >= 0", lambda v: v is None or v >= 0, "seed")
         check(self, "null or >= 1", lambda v: v is None or v >= 1, "n")
         check(self, ">= 1", lambda v: v >= 1, "n_sentences", "n_classes", "per_class")
-        check(self, f"one of {sorted(_LANG_STYLES)}", lambda v: v in _LANG_STYLES,
+        check(self, f"one of {LANGUAGES}", lambda v: v in LANGUAGES,
               "language")
 
     def seed_or(self, seed: int) -> int:
@@ -243,16 +244,6 @@ def held_out_seed(seed: int) -> int:
     return seed + 2 ** 31
 
 
-def _reads(*fields: str):
-    """Marks a data source with the ``SyntheticSpec`` fields its generator
-    reads (``reads``); a run config's other fields would be ignored."""
-    def mark(source):
-        source.reads = frozenset(fields)
-        return source
-    return mark
-
-
-@_reads("seed", "n_sentences")
 def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     """NL pretraining corpus: a text file (one document per line) or synthetic."""
     if path:
@@ -264,7 +255,6 @@ def nl_texts(path: str | None, spec: SyntheticSpec, seed: int) -> list[str]:
     return synth_nl_corpus(spec.n_sentences, seed=spec.seed_or(seed))
 
 
-@_reads("seed", "n", "language")
 def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[CorpusRecord]:
     """Code corpus: unlabeled JSON-lines or the synthetic toy language."""
     if path:
@@ -272,7 +262,6 @@ def code_records(path: str | None, spec: SyntheticSpec, seed: int) -> list[Corpu
     return synth_code_records(spec.language, spec.n or 600, seed=spec.seed_or(seed))
 
 
-@_reads("seed", "n_classes", "per_class", "language")
 def retrieval_records(path: str | None, spec: SyntheticSpec,
                       seed: int) -> list[RetrievalRecord]:
     """Clone-retrieval items: retrieval JSON-lines or synthetic classes."""
@@ -282,7 +271,6 @@ def retrieval_records(path: str | None, spec: SyntheticSpec,
                                seed=spec.seed_or(seed), language=spec.language)
 
 
-@_reads("seed", "n", "language")
 def cloze_examples(path: str | None, spec: SyntheticSpec, seed: int, vocab: Vocabulary,
                    language: str | None = None) -> list[ClozeRecord]:
     """Cloze probes: cloze JSON-lines, or built from synthetic programs

@@ -143,7 +143,7 @@ def test_train_seed_exits_1_naming_it(tmp_path, capsys, subcommand, flags):
     file is read (the paths name no file)."""
     argv = [subcommand, *flags, "--out", str(tmp_path / "o"), "--seed", "0",
             "--set", "train.seed=7"]
-    for key in sorted(READS[subcommand] & REQUIRED):
+    for key in sorted(READS[" ".join([subcommand, *flags])] & REQUIRED):
         argv += ["--set", f"{key}={VALUES[key]}"]
     assert _run(argv) == 1
     assert _one_error_line(capsys) == {
@@ -152,7 +152,9 @@ def test_train_seed_exits_1_naming_it(tmp_path, capsys, subcommand, flags):
     assert not (tmp_path / "o").exists()
 
 
-# The top-level keys each subcommand reads: 47 (subcommand, key) pairs.
+# The top-level keys each run mode reads: 52 (mode, key) pairs. A mode is a
+# subcommand, or a subcommand with the flag that changes what it reads; its
+# name is the argv that selects it.
 READS = {
     "tokenizer-train": {"corpus", "synthetic", "vocab_size"},
     "pretrain": {"vocab", "corpus", "synthetic", "encoder", "train"},
@@ -163,7 +165,10 @@ READS = {
     "eval-cloze": {"vocab", "model", "data", "synthetic"},
     "eval-clone": {"vocab", "model", "data", "synthetic", "task", "n_pairs", "max_len"},
     "budget": {"encoder", "adapter"},
-    "sweep-layers": {"vocab", "model", "data", "synthetic", "layers", "corpus", "train"},
+    "budget --paper-scale": set(),
+    "sweep-layers": {"vocab", "model", "data", "synthetic", "layers"},
+    "sweep-layers --retrain-per-layer": {"vocab", "model", "data", "synthetic", "layers",
+                                         "corpus", "train"},
     "zero-shot": {"vocab", "model", "synthetic", "eval_language"},
 }
 REQUIRED = {"vocab", "backbone", "model", "eval_language"}
@@ -181,9 +186,16 @@ VALUES = {
 
 def test_key_table_names_every_subcommand_and_every_key():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert cli._KEYS.keys() == cli._HANDLERS.keys() == READS.keys()
-    assert cli._KEYS == READS and sum(map(len, READS.values())) == 47
+    assert {mode: reads for mode, (reads, _) in cli._MODES.items()} == READS
+    assert {mode.split()[0] for mode in READS} == cli._HANDLERS.keys()
+    assert sum(map(len, READS.values())) == 52
     assert set().union(*READS.values()) == fields == VALUES.keys()
+    for mode, (reads, datasets) in cli._MODES.items():
+        cli.build_parser().parse_args(mode.split())  # each mode's flag exists
+        # a mode reads ``synthetic`` when it generates a dataset, and the
+        # path key of each dataset a file can replace
+        assert ("synthetic" in reads) == bool(datasets)
+        assert datasets.keys() - {None} <= reads
 
 
 # run-config keys that went (zero-shot reads the training language from its
@@ -191,21 +203,20 @@ def test_key_table_names_every_subcommand_and_every_key():
 GONE = {"train_language": "alpha"}
 
 
-@pytest.mark.parametrize("subcommand, key", [
-    (subcommand, key) for subcommand, reads in READS.items()
+@pytest.mark.parametrize("mode, key", [
+    (mode, key) for mode, reads in READS.items()
     for key in {**VALUES, **GONE} if key not in reads])
-def test_a_key_the_subcommand_does_not_read_exits_1_naming_it(tmp_path, capsys,
-                                                              subcommand, key):
+def test_a_key_the_subcommand_does_not_read_exits_1_naming_it(tmp_path, capsys, mode, key):
     """The run would ignore it: one error line names the key before any
-    file is read, and ``--out`` holds no report."""
+    file is read, and ``--out`` is not made."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: {**VALUES, **GONE}[key]}))
-    assert _run([subcommand, "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
+    assert _run([*mode.split(), "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
     err = _one_error_line(capsys)
     message = f"run config: unknown key(s) {key!r}" if key in GONE else \
-        f"config key(s) [{key!r}] do not apply: {subcommand} does not read them"
-    assert err == {"error": "CliError", "subcommand": subcommand, "message": message}
-    assert not (tmp_path / "o" / "report.json").exists()
+        f"config key(s) [{key!r}] do not apply: {mode} does not read them"
+    assert err == {"error": "CliError", "subcommand": mode.split()[0], "message": message}
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("subcommand, sets, named", [
@@ -231,16 +242,15 @@ def test_an_unread_key_set_to_null_is_the_default(tmp_path):
                  "--set", "layers=null"]) == 0
 
 
-@pytest.mark.parametrize("subcommand, key", [
-    (subcommand, key) for subcommand, reads in READS.items()
-    for key in sorted(reads & REQUIRED)])
-def test_a_missing_required_key_exits_1_naming_it(tmp_path, capsys, subcommand, key):
+@pytest.mark.parametrize("mode, key", [
+    (mode, key) for mode, reads in READS.items() for key in sorted(reads & REQUIRED)])
+def test_a_missing_required_key_exits_1_naming_it(tmp_path, capsys, mode, key):
     """Named before any file is read: the other required keys name no file."""
-    argv = [subcommand, "--out", str(tmp_path / "o")]
-    for other in sorted(READS[subcommand] & REQUIRED - {key}):
+    argv = [*mode.split(), "--out", str(tmp_path / "o")]
+    for other in sorted(READS[mode] & REQUIRED - {key}):
         argv += ["--set", f"{other}={VALUES[other]}"]
     assert _run(argv) == 1
-    assert _one_error_line(capsys) == {"error": "CliError", "subcommand": subcommand,
+    assert _one_error_line(capsys) == {"error": "CliError", "subcommand": mode.split()[0],
                                        "message": f"config key(s) [{key!r}] are required"}
     assert not (tmp_path / "o").exists()
 
@@ -262,8 +272,9 @@ def test_synthetic_is_refused_when_files_replace_every_dataset(tmp_path, capsys,
     """The run would ignore it: one error line names it and the path keys,
     before any file is read. Where it sizes a dataset, the run goes on and
     fails on reading the vocabulary file, which does not exist."""
+    mode = " ".join([subcommand, *flags])
     argv = [subcommand, *flags, "--out", str(tmp_path / "o"), "--set", "synthetic.n=5"]
-    for key in sorted(READS[subcommand] & REQUIRED | set(files)):
+    for key in sorted(READS[mode] & REQUIRED | set(files)):
         argv += ["--set", f"{key}={VALUES[key]}"]
     assert _run(argv) == 1
     err = _one_error_line(capsys)
@@ -272,7 +283,7 @@ def test_synthetic_is_refused_when_files_replace_every_dataset(tmp_path, capsys,
         return
     assert err == {"error": "CliError", "subcommand": subcommand,
                    "message": "config key(s) ['synthetic'] do not apply: "
-                              f"{subcommand} generates no dataset with "
+                              f"{mode} generates no dataset with "
                               f"{' and '.join(map(repr, files))} given"}
     assert not (tmp_path / "o").exists()
 
@@ -291,8 +302,9 @@ def test_synthetic_is_refused_when_files_replace_every_dataset(tmp_path, capsys,
 def test_synthetic_fields_no_generator_reads_are_refused(tmp_path, capsys, subcommand, flags,
                                                          files, fields, refused):
     """Each one named, before any file is read."""
+    mode = " ".join([subcommand, *flags])
     argv = [subcommand, *flags, "--out", str(tmp_path / "o")]
-    for key in sorted(READS[subcommand] & REQUIRED | set(files)):
+    for key in sorted(READS[mode] & REQUIRED | set(files)):
         argv += ["--set", f"{key}={VALUES[key]}"]
     for field, value in fields.items():
         argv += ["--set", f"synthetic.{field}={value}"]
@@ -301,7 +313,7 @@ def test_synthetic_fields_no_generator_reads_are_refused(tmp_path, capsys, subco
     assert _one_error_line(capsys) == {
         "error": "CliError", "subcommand": subcommand,
         "message": f"config key(s) {named} do not apply: "
-                   f"no dataset that {subcommand} generates reads them"}
+                   f"no dataset that {mode} generates reads them"}
     assert not (tmp_path / "o").exists()
 
 
@@ -314,7 +326,18 @@ def test_zero_shot_refuses_a_synthetic_language(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert err["error"] == "CliError"
     assert err["message"] == ("config key(s) ['synthetic.language'] do not apply: "
-                              "the checkpoint and eval_language set the languages")
+                              "no dataset that zero-shot generates reads them")
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_shot_refuses_an_unknown_eval_language(tmp_path, capsys):
+    """Named before any file is read and before ``--out`` is made."""
+    assert _run(["zero-shot", "--out", str(tmp_path / "o"), "--adapter", VALUES["model"],
+                 "--eval-language", "gamma", "--set", f"vocab={VALUES['vocab']}"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "zero-shot",
+        "message": "run config: key 'eval_language' must be null or one of "
+                   "['alpha', 'beta'], got 'gamma'"}
     assert not (tmp_path / "o").exists()
 
 
@@ -443,6 +466,21 @@ def test_zero_shot_refuses_a_probe_file(pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "CliError" and "'data'" in err["message"]
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_zero_shot_refuses_the_language_the_checkpoint_was_trained_on(pipeline, tmp_path,
+                                                                     capsys):
+    """Scoring one language twice would read as a transfer gap of 0."""
+    root, vocab = pipeline
+    ckpt = root / "la" / "l_adapter.ckpt"
+    assert _run(["zero-shot", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--adapter", str(ckpt), "--eval-language", "alpha",
+                 "--set", f"vocab={vocab}", "--set", "synthetic.n=20"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "zero-shot",
+        "message": f"config key 'eval_language' is 'alpha', and {ckpt} was trained on "
+                   "'alpha': zero-shot needs an unseen language"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_task_checkpoint_keeps_the_language_for_zero_shot(pipeline, tmp_path):
@@ -708,6 +746,20 @@ def test_a_size_for_an_adapter_the_run_does_not_add_exits_1_naming_it(
     assert not (tmp_path / "o").exists()
 
 
+def test_a_lang_adapter_placement_with_task_layers_exits_1_naming_it(tmp_path, capsys):
+    """The L stage never trains task adapters, so it refuses to add them,
+    before it reads the vocabulary or the backbone (neither file exists)."""
+    assert _run(["train-lang-adapter", "--out", str(tmp_path / "o"),
+                 "--set", f"vocab={VALUES['vocab']}", "--set", f"backbone={VALUES['backbone']}",
+                 "--set", 'placement={"l_layers": [1], "t_layers": [1], '
+                          '"invertible": false}']) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "train-lang-adapter",
+        "message": "config key(s) ['placement.t_layers'] do not apply: "
+                   "an L-adapter stage trains no task adapters"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_corpus_of_two_languages_exits_1_naming_them(pipeline, tmp_path, capsys):
     """An L-adapter checkpoint records one training language."""
     root, vocab = pipeline
@@ -854,27 +906,33 @@ def test_sweep_layers_without_retraining_refuses_training_keys(pipeline, tmp_pat
     err = _one_error_line(capsys)
     assert err["error"] == "CliError"
     assert err["message"] == (f"config key(s) [{key!r}] do not apply: "
-                              "only --retrain-per-layer trains")
+                              "sweep-layers does not read them")
     assert not (tmp_path / "o").exists()
 
 
 def test_a_failed_run_removes_only_the_empty_directories_it_made(pipeline, tmp_path):
-    """A refusal inside the subcommand comes after ``--out`` was made."""
+    """A refusal inside the subcommand comes after ``--out`` was made: the L
+    checkpoint fixes the size of its L-adapters."""
     root, vocab = pipeline
     kept = tmp_path / "kept"
     kept.mkdir()
     for out in (tmp_path / "a" / "b", kept):
-        assert _run(["sweep-layers", "--out", str(out), "--set", f"vocab={vocab}",
+        assert _run(["train-task-adapter", "--out", str(out), "--set", f"vocab={vocab}",
                      "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
-                     "--set", "train.max_steps=2"]) == 1
+                     "--set", "adapter.l_bottleneck=4"]) == 1
     assert not (tmp_path / "a").exists() and kept.is_dir()
 
 
 @pytest.mark.parametrize("key", ["encoder.num_layers=2", "adapter.l_bottleneck=4"])
 def test_budget_paper_scale_refuses_size_keys(tmp_path, capsys, key):
-    assert _run(["budget", "--paper-scale", "--out", str(tmp_path), "--set", key]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "CliError" and key.split(".")[0] in err["message"]
+    """It fixes every size, so it reads neither section; refused before
+    ``--out`` is made."""
+    assert _run(["budget", "--paper-scale", "--out", str(tmp_path / "o"), "--set", key]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "budget",
+        "message": f"config key(s) [{key.split('.')[0]!r}] do not apply: "
+                   "budget --paper-scale does not read them"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_pretrain_accepts_the_vocabulary_size(pipeline, tmp_path):

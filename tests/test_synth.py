@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adapterlab import synth
+from adapterlab import cli, synth
 from adapterlab.corpus import CorpusError
 from adapterlab.synth import (build_cloze_examples, pairs_from_retrieval,
                               synth_clone_classes, synth_code_records,
@@ -110,12 +110,36 @@ def test_pairs_need_two_classes_of_two_items(n_classes, per_class):
         pairs_from_retrieval(items, 10, seed=0)
 
 
+# How each run mode's handler calls the generator of each dataset that
+# ``cli._MODES`` lists for it, keyed by (mode, path key); zero-shot names
+# the language of each of its probe sets.
+CALLS = {
+    ("tokenizer-train", "corpus"): (synth.nl_texts, {}),
+    ("pretrain", "corpus"): (synth.nl_texts, {}),
+    ("train-lang-adapter", "corpus"): (synth.code_records, {}),
+    ("train-task-adapter", "data"): (synth.retrieval_records, {}),
+    ("eval-cloze", "data"): (synth.cloze_examples, {}),
+    ("eval-clone", "data"): (synth.retrieval_records, {}),
+    ("sweep-layers", "data"): (synth.cloze_examples, {}),
+    ("sweep-layers --retrain-per-layer", "data"): (synth.cloze_examples, {}),
+    ("sweep-layers --retrain-per-layer", "corpus"): (synth.code_records, {}),
+    ("zero-shot", None): (synth.cloze_examples, {"language": "beta"}),
+}
+
+
+def test_calls_cover_every_dataset_of_every_mode():
+    assert CALLS.keys() == {(mode, key) for mode, (_, datasets) in cli._MODES.items()
+                            for key in datasets}
+
+
 @pytest.mark.parametrize("source", [synth.nl_texts, synth.code_records,
-                                    synth.retrieval_records, synth.cloze_examples])
+                                    synth.retrieval_records, synth.cloze_examples],
+                         ids=lambda source: source.__name__)
 def test_each_source_reads_the_spec_fields_it_declares(vocab, source):
-    """The CLI refuses every ``synthetic`` field outside the ``reads`` of the
-    sources a run generates from, so ``reads`` must be what the generator
-    reads of its spec, at small sizes."""
+    """The CLI refuses every ``synthetic`` field outside those that
+    ``cli._MODES`` lists for the datasets a run generates, so each list must
+    be what the generator reads of its spec, called as the mode calls it, at
+    small sizes."""
     read = set()
     fields = {f.name for f in dataclasses.fields(synth.SyntheticSpec)}
 
@@ -126,6 +150,10 @@ def test_each_source_reads_the_spec_fields_it_declares(vocab, source):
             return super().__getattribute__(name)
 
     spec = Recording(n=12, n_sentences=12, n_classes=3, per_class=2)
-    read.clear()
-    source(None, spec, 0, *([vocab] if source is synth.cloze_examples else []))
-    assert read == source.reads
+    calls = [(mode, key, kwargs) for (mode, key), (called, kwargs) in CALLS.items()
+             if called is source]
+    assert calls
+    for mode, key, kwargs in calls:
+        read.clear()
+        source(None, spec, 0, *([vocab] if source is synth.cloze_examples else []), **kwargs)
+        assert read == set(cli._MODES[mode][1][key]), (mode, key)
