@@ -5,6 +5,14 @@ set -e
 cd "$(dirname "$0")"
 R=runs
 
+# without an installed console script, run the CLI from this checkout's src/
+if ! command -v adapterlab >/dev/null 2>&1; then
+  SRC="$(cd .. && pwd)/src"
+  adapterlab() {
+    PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m adapterlab.cli "$@"
+  }
+fi
+
 adapterlab tokenizer-train --out $R/tok --seed 0 \
   --set vocab_size=512 --set synthetic.n_sentences=400
 

@@ -16,13 +16,16 @@ import copy
 import dataclasses
 import enum
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import Encoder
 from .schema import JsonConfig, check
 from .tensor import ParameterSet, Tensor
+
+if TYPE_CHECKING:  # the encoder builds its own (empty) stack
+    from .encoder import Encoder
 
 
 class FreezeMode(enum.Enum):
@@ -89,7 +92,7 @@ class PlacementPlan(JsonConfig):
                 "invertible": self.invertible}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AdapterConfig(JsonConfig):
     """Bottleneck sizes. Defaults: reduction 2 for L-adapters, 16 for T-adapters."""
     l_bottleneck: int | None = None     # default max(1, hidden/2)
@@ -115,8 +118,15 @@ def bottleneck_param_count(hidden: int, bottleneck: int) -> int:
     return 2 * hidden * bottleneck + bottleneck + hidden
 
 
+def invertible_half(hidden: int) -> int:
+    """The width of each half the invertible adapter splits ``hidden`` into."""
+    if hidden % 2 != 0:
+        raise ValueError("invertible adapter needs an even hidden size")
+    return hidden // 2
+
+
 def invertible_param_count(hidden: int, coupling_dim: int) -> int:
-    return INV_STEPS * bottleneck_param_count(hidden // 2, coupling_dim)
+    return INV_STEPS * bottleneck_param_count(invertible_half(hidden), coupling_dim)
 
 
 def bottleneck_forward(x: Tensor, down_w: Tensor, down_b: Tensor,
@@ -138,20 +148,21 @@ task_adapter_forward = language_adapter_forward
 
 
 class AdapterStack:
-    """Adapter parameters registered into the host encoder's ParameterSet."""
+    """Adapter parameters registered into the host encoder's ParameterSet.
+    Every encoder carries one; a bare backbone's places nothing."""
 
     def __init__(self, encoder: Encoder, plan: PlacementPlan,
-                 config: AdapterConfig | None = None, seed: int = 0):
+                 config: AdapterConfig = AdapterConfig(), seed: int = 0):
         c = encoder.config
         self.plan = plan
-        self.config = (config or AdapterConfig()).resolved(c.hidden_size)
+        self.config = config.resolved(c.hidden_size)
         self.params = encoder.params
         self.hidden = c.hidden_size
         bad = (plan.l_layers | plan.t_layers) - set(range(1, c.num_layers + 1))
         if bad:
             raise ValueError(f"adapter layers {sorted(bad)} outside [1, {c.num_layers}]")
-        if plan.invertible and c.hidden_size % 2 != 0:
-            raise ValueError("invertible adapter needs an even hidden size")
+        if plan.invertible:
+            invertible_half(c.hidden_size)  # refused before any parameter is added
         rng = np.random.default_rng(seed)
         self._init_params(rng)
 
@@ -180,9 +191,7 @@ class AdapterStack:
 
     # -- hooks called by the encoder forward pass --------------------------
     def embed_forward(self, x: Tensor) -> Tensor:
-        if not self.plan.invertible:
-            return x
-        return self.invertible_forward(x)
+        return self.invertible_forward(x) if self.plan.invertible else x
 
     def _couple(self, x: Tensor, inverse: bool) -> Tensor:
         """Step ``k`` shifts half ``k % 2`` of ``x`` by the bottleneck
@@ -203,9 +212,7 @@ class AdapterStack:
         return self._couple(y, inverse=True)
 
     def output_inverse(self, x: Tensor) -> Tensor:
-        if not self.plan.invertible:
-            return x
-        return self.invertible_inverse(x)
+        return self.invertible_inverse(x) if self.plan.invertible else x
 
     def layer_slot(self, l: int, h_l: Tensor, r_l: Tensor) -> Tensor:
         """The L-adapter on ``h_l``, then the T-adapter on its output (on
@@ -219,13 +226,13 @@ class AdapterStack:
 
 
 def attach(encoder: Encoder, plan: PlacementPlan,
-           config: AdapterConfig | None = None, seed: int = 0) -> AdapterStack:
-    """Compose adapters into ``encoder``; layers outside the plan are untouched."""
-    if encoder.adapters is not None:
-        raise ValueError("encoder already has an adapter stack attached")
-    stack = AdapterStack(encoder, plan, config, seed)
-    encoder.adapters = stack
-    return stack
+           config: AdapterConfig = AdapterConfig(), seed: int = 0) -> AdapterStack:
+    """Replace ``encoder``'s empty stack by one placing ``plan``; layers
+    outside the plan are untouched."""
+    if encoder.adapters.plan != PlacementPlan():
+        raise ValueError("encoder already places adapters")
+    encoder.adapters = AdapterStack(encoder, plan, config, seed)
+    return encoder.adapters
 
 
 def placement_view(encoder: Encoder, plan: PlacementPlan) -> Encoder:
@@ -233,16 +240,14 @@ def placement_view(encoder: Encoder, plan: PlacementPlan) -> Encoder:
     plan. The view shares the encoder's config and ``ParameterSet``: it
     computes what a model built from the same checkpoint with ``plan``
     computes, and holds no copy of a parameter."""
-    stack = encoder.adapters
-    held = stack.plan if stack is not None else PlacementPlan()
+    held = encoder.adapters.plan
     if not (plan.l_layers <= held.l_layers and plan.t_layers <= held.t_layers
             and held.invertible >= plan.invertible):
         raise ValueError(f"placement {plan.to_dict()} is not a part of the "
                          f"encoder's {held.to_dict()}")
     view = copy.copy(encoder)
-    if stack is not None:
-        view.adapters = copy.copy(stack)
-        view.adapters.plan = plan
+    view.adapters = copy.copy(encoder.adapters)
+    view.adapters.plan = plan
     return view
 
 
@@ -261,9 +266,8 @@ def forward_placements(encoders: list[Encoder], ids: np.ndarray,
         """``group`` by its ``ParameterSet`` and the adapters of step ``l``."""
         branches: dict[tuple, list[int]] = {}
         for i in group:
-            stack = encoders[i].adapters
-            plan = stack.plan if stack is not None else PlacementPlan()
-            branches.setdefault((id(encoders[i].params),) + plan.step(l), []).append(i)
+            branches.setdefault((id(encoders[i].params),) + encoders[i].adapters.plan.step(l),
+                                []).append(i)
         return branches.values()
 
     # (encoders that share steps 0..l-1, step l, the state and mask bias it starts from)

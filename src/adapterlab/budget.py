@@ -50,22 +50,19 @@ def count_backbone(config: EncoderConfig) -> int:
     return emb + L * per_layer + mlm_head
 
 
-def count_component(kind: str, config: EncoderConfig,
-                    plan: PlacementPlan | None = None,
-                    adapter_config: AdapterConfig | None = None) -> int:
+def count_component(kind: str, config: EncoderConfig, plan: PlacementPlan = PlacementPlan(),
+                    adapter_config: AdapterConfig = AdapterConfig()) -> int:
     """Closed-form parameter count for one component kind.
 
     Kinds: backbone, l_adapter (includes the invertible adapter when the
-    plan carries one), t_adapter, pair_head.
+    plan carries one), t_adapter, pair_head. The empty plan places none.
     """
     h = config.hidden_size
     if kind == "backbone":
         return count_backbone(config)
     if kind == "pair_head":
         return 4 * h + 1
-    if plan is None:
-        plan = PlacementPlan.full(config.num_layers, t_adapters=True, invertible=True)
-    ac = (adapter_config or AdapterConfig()).resolved(h)
+    ac = adapter_config.resolved(h)
     if kind == "l_adapter":
         n = len(plan.l_layers) * bottleneck_param_count(h, ac.l_bottleneck)
         if plan.invertible:

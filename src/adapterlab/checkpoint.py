@@ -3,9 +3,9 @@ model.
 
 A checkpoint is a zip archive holding ``manifest.json`` plus one raw
 little-endian binary blob per parameter. The manifest, a ``Manifest``,
-records the format version, the component kind (backbone / l_adapter /
-t_adapter), the configs, every parameter's shape and the training language
-and task; ``load_checkpoint`` checks all of it before it reads a blob.
+records the format version, the configs, the adapter placement (the empty
+plan for a bare backbone), every parameter's shape and the training
+language; ``load_checkpoint`` checks all of it before it reads a blob.
 ``build_model`` composes an encoder, its adapter stack and any pair head
 from a checkpoint by parameter name; ``save_model`` writes one.
 """
@@ -25,8 +25,7 @@ from .encoder import Encoder, EncoderConfig
 from .schema import JsonConfig, check
 from .tasks import register_pair_head
 
-FORMAT = "adapterlab-ckpt v3"
-KINDS = ("backbone", "l_adapter", "t_adapter")
+FORMAT = "adapterlab-ckpt v4"
 
 
 class CheckpointError(ValueError):
@@ -42,27 +41,19 @@ _DAMAGED = (zipfile.BadZipFile, zlib.error)
 class Manifest(JsonConfig):
     """``manifest.json``; ``params`` maps each parameter name to its shape."""
     format: str = FORMAT
-    kind: str = "backbone"
     dtype: str = "<f8"
     config: EncoderConfig = dataclasses.field(default_factory=EncoderConfig)
-    placement: PlacementPlan | None = None
-    adapter_config: AdapterConfig | None = None
+    placement: PlacementPlan = PlacementPlan()
+    adapter_config: AdapterConfig = AdapterConfig()
     params: dict[str, list[int]] = dataclasses.field(default_factory=dict)
     language: str | None = None
-    task: str | None = None
 
     def __post_init__(self):
         super().__post_init__()
         check(self, repr(FORMAT), lambda v: v == FORMAT, "format")
-        check(self, f"one of {KINDS}", lambda v: v in KINDS, "kind")
         check(self, "'<f8'", lambda v: v == "<f8", "dtype")
         check(self, "shapes of sizes >= 0",
               lambda v: all(d >= 0 for s in v.values() for d in s), "params")
-
-    @property
-    def plan(self) -> PlacementPlan:
-        """The stored placement; empty for a bare backbone."""
-        return self.placement or PlacementPlan()
 
 
 def save_checkpoint(path, manifest: Manifest, params: dict[str, np.ndarray]) -> None:
@@ -129,10 +120,9 @@ def build_model(manifest: Manifest, state: dict[str, np.ndarray],
     model's adapters runs as ``adapters.placement_view`` of the whole.
     """
     encoder = Encoder(manifest.config, seed=0)
-    stored = manifest.plan
+    stored = manifest.placement
     plan = stored if plan is None else plan
-    if plan.l_layers or plan.t_layers or plan.invertible:
-        attach(encoder, plan, adapter_config or manifest.adapter_config, seed=seed)
+    attach(encoder, plan, adapter_config or manifest.adapter_config, seed=seed)
     if "head.pair.w" in state:
         register_pair_head(encoder.params, encoder.config.hidden_size)
 
@@ -150,11 +140,9 @@ def build_model(manifest: Manifest, state: dict[str, np.ndarray],
     return encoder
 
 
-def save_model(path, kind: str, encoder: Encoder, language: str | None = None,
-               task: str | None = None) -> None:
+def save_model(path, encoder: Encoder, language: str | None = None) -> None:
     """Checkpoint of the whole model with the configs ``build_model`` needs."""
-    stack = encoder.adapters
     save_checkpoint(path, Manifest(
-        kind=kind, config=encoder.config, placement=stack.plan if stack else None,
-        adapter_config=stack.config if stack else None, language=language, task=task),
+        config=encoder.config, placement=encoder.adapters.plan,
+        adapter_config=encoder.adapters.config, language=language),
         encoder.params.state_dict())

@@ -8,10 +8,11 @@ artifacts under ``--out``: the effective config, a JSON report, and any
 checkpoints. A run mode is a subcommand, or a subcommand with the flag that
 changes what it reads (``budget --paper-scale``, ``sweep-layers
 --retrain-per-layer``); one table, ``_MODES``, gives the keys and the
-``synthetic`` fields each mode reads, and a key it would ignore is refused
-before any file is read. Exit codes: 0 success, 1 failed precondition (with
-an error JSON on stderr naming the exception class), 2 usage error. A
-training run that stops on a bad step still writes its ``train_report.json``.
+``synthetic`` fields each mode reads, ``training.READS`` the ``train``
+fields of each trainer, and a key the run would ignore is refused before any
+file is read. Exit codes: 0 success, 1 failed precondition (with an error
+JSON on stderr naming the exception class), 2 usage error. A training run
+that stops on a bad step still writes its ``train_report.json``.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def cmd_pretrain(args, run, seed, out: Path) -> dict:
     texts = synth.nl_texts(run.corpus, _config(run, "synthetic"), seed)
     encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
     report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
-    save_model(out / "backbone.ckpt", "backbone", encoder)
+    save_model(out / "backbone.ckpt", encoder)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "backbone.ckpt"), "steps": report.steps,
             "final_val_loss": report.val_curve[-1],
@@ -155,13 +156,13 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(run.backbone)
     plan = manifest.placement
-    if plan:
+    if plan != PlacementPlan():
         _refuse(vars(run), ("placement",), "the backbone already has adapters")
     else:
         plan = (_config(run, "placement") if run.placement else
                 PlacementPlan.full(manifest.config.num_layers, invertible=True))
-    _refuse_sizes(run, manifest.plan, plan)
-    adapter_cfg = _config(run, "adapter", (manifest.adapter_config or AdapterConfig()).to_dict())
+    _refuse_sizes(run, manifest.placement, plan)
+    adapter_cfg = _config(run, "adapter", manifest.adapter_config.to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     records = synth.code_records(run.corpus, _config(run, "synthetic"), seed)
@@ -172,7 +173,7 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     report = training.train_language_adapter(encoder, [r.code for r in records],
                                              vocab, train_cfg)
     language = records[0].language
-    save_model(out / "l_adapter.ckpt", "l_adapter", encoder, language=language)
+    save_model(out / "l_adapter.ckpt", encoder, language=language)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "l_adapter.ckpt"), "language": language,
             "steps": report.steps, "final_val_loss": report.val_curve[-1],
@@ -184,12 +185,12 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     task_kind = run.task
     manifest, state = load_checkpoint(run.model)
-    plan = manifest.plan
+    plan = manifest.placement
     if not plan.t_layers:  # widen the plan with all-layer T-adapters
         plan = dataclasses.replace(
             plan, t_layers=frozenset(range(1, manifest.config.num_layers + 1)))
-    _refuse_sizes(run, manifest.plan, plan)
-    adapter_cfg = _config(run, "adapter", (manifest.adapter_config or AdapterConfig()).to_dict())
+    _refuse_sizes(run, manifest.placement, plan)
+    adapter_cfg = _config(run, "adapter", manifest.adapter_config.to_dict())
     encoder = build_model(manifest, state, plan, adapter_cfg, seed=seed)
     del state  # the model holds its own copy; free this one before training
     # one split rule for both task kinds: pairs never cross the class split
@@ -202,8 +203,7 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
         val_data = synth.pairs_from_retrieval(val_data, n_pairs - n_train, seed=seed)
     report = training.train_task_adapter(encoder, train_data, val_data, vocab,
                                          train_cfg, task_kind)
-    save_model(out / "t_adapter.ckpt", "t_adapter", encoder, language=manifest.language,
-               task=task_kind)
+    save_model(out / "t_adapter.ckpt", encoder, language=manifest.language)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "t_adapter.ckpt"), "task": task_kind,
             "steps": report.steps,
@@ -252,7 +252,7 @@ def cmd_budget(args, run, seed, out: Path) -> dict:
 def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
     manifest, state = load_checkpoint(run.model)
-    if not manifest.placement:
+    if manifest.placement == PlacementPlan():
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan, L = manifest.placement, manifest.config.num_layers
     lo, hi = map(int, (run.layers or f"0..{L}").split(".."))
@@ -268,7 +268,7 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
         # sized by the manifest's adapter config, as train-lang-adapter does
         # on a bare backbone; task adapters are no part of it, and no
         # placement shares a layer prefix with another
-        start = dataclasses.replace(manifest, placement=None)
+        start = dataclasses.replace(manifest, placement=PlacementPlan())
         state = {n: v for n, v in state.items() if n.startswith(BACKBONE_PREFIXES)}
         results = []
         for i, plan in placements:
@@ -298,8 +298,8 @@ def cmd_zero_shot(args, run, seed, out: Path) -> dict:
     manifest, state = load_checkpoint(run.model)
     trained_on, unseen = manifest.language, run.eval_language
     if not trained_on:
-        raise CliError(f"{run.model}: the {manifest.kind} checkpoint records no training "
-                       "language; zero-shot needs an adapter trained on one")
+        raise CliError(f"{run.model}: the checkpoint records no training language; "
+                       "zero-shot needs an adapter trained on one")
     if unseen == trained_on:
         raise CliError(f"config key 'eval_language' is {unseen!r}, and {run.model} was "
                        f"trained on {trained_on!r}: zero-shot needs an unseen language")
@@ -408,6 +408,11 @@ def dispatch(argv=None) -> int:
         _refuse(given, given.keys() - reads, f"{mode} does not read them")
         _refuse({"train.seed": (run.train or {}).get("seed")}, ("train.seed",),
                 "--seed is the run seed")
+        if "train" in reads:  # the fields its trainer reads, by ``training.READS``
+            objective = run.task if args.subcommand == "train-task-adapter" else "mlm"
+            fields = {f"train.{k}": v for k, v in (run.train or {}).items()}
+            _refuse(fields, fields.keys() - {f"train.{f}" for f in training.READS[objective]},
+                    f"the {objective} trainer of {mode} does not read them")
         missing = sorted(k for k in reads & _REQUIRED if not getattr(run, k))
         if missing:
             raise CliError(f"config key(s) {missing} are required")

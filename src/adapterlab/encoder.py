@@ -2,9 +2,9 @@
 
 Post-layer-norm layers: attention -> add&norm -> feed-forward -> (adapter
 slot) -> add&norm. The MLM output projection is tied to the input token
-embeddings. An attached adapter stack (see adapters module) hooks into the
-embedding output, each layer's feed-forward slot, and the pre-projection
-point of the MLM head.
+embeddings. Its adapter stack (adapters module; empty until ``attach``
+replaces it) hooks into the embedding output, each layer's feed-forward
+slot, and the pre-projection point of the MLM head.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .adapters import AdapterStack, PlacementPlan
 from .schema import JsonConfig, check
 from .tensor import ParameterSet, Tensor
 
@@ -51,8 +52,8 @@ class Encoder:
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
         self.params = ParameterSet()
-        self.adapters = None  # set by adapters.attach
         self._init_params(np.random.default_rng(seed))
+        self.adapters = AdapterStack(self, PlacementPlan())  # adapters.attach replaces it
 
     # -- parameters --------------------------------------------------------
     def _init_params(self, rng: np.random.Generator) -> None:
@@ -153,9 +154,7 @@ class Encoder:
         positions = np.arange(ids.shape[1])
         x = T.add(T.embedding(p["emb.tok"], ids),
                   T.embedding(p["emb.pos"], positions))
-        x = T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"])
-        if self.adapters is not None:
-            x = self.adapters.embed_forward(x)
+        x = self.adapters.embed_forward(T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"]))
         return T.dropout(x, c.dropout, rng), mask_bias
 
     def layer_backbone(self, l: int, x: Tensor, mask_bias: np.ndarray,
@@ -181,8 +180,7 @@ class Encoder:
         """The rest of layer ``l``: the adapter slot, residual and LN2. The
         last layer's states must be finite."""
         p = self.params
-        if self.adapters is not None:
-            f = self.adapters.layer_slot(l, h1, f)
+        f = self.adapters.layer_slot(l, h1, f)
         x = T.layer_norm(T.add(h1, f), p[f"layer.{l}.ln2.w"], p[f"layer.{l}.ln2.b"])
         if l == self.config.num_layers and not np.isfinite(x.data).all():
             raise T.NumericError("non-finite hidden states")
@@ -192,14 +190,12 @@ class Encoder:
         """[..., V] logits of hidden states [..., h] through the tied output
         projection.
 
-        When an invertible adapter is attached, its inverse runs immediately
-        before the tied projection.
+        When the stack places an invertible adapter, its inverse runs
+        immediately before the tied projection.
         """
         p = self.params
         x = T.linear_gelu(hidden, p["mlm.dense.w"], p["mlm.dense.b"])
-        x = T.layer_norm(x, p["mlm.ln.w"], p["mlm.ln.b"])
-        if self.adapters is not None:
-            x = self.adapters.output_inverse(x)
+        x = self.adapters.output_inverse(T.layer_norm(x, p["mlm.ln.w"], p["mlm.ln.b"]))
         return T.linear(x, T.transpose(p["emb.tok"], (1, 0)), p["mlm.bias"])
 
     def sequence_embedding(self, hidden: Tensor, attention_mask: np.ndarray) -> Tensor:

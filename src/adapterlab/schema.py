@@ -3,11 +3,11 @@ and the one JSON type table for everything read from outside.
 
 ``from_dict`` takes exactly the keys ``to_dict`` writes. Every field is
 checked on construction, however the config is built: its type by
-``JsonConfig.__post_init__`` (a field whose type is a config class, or that
-class ``| None``, nests that class's own ``to_dict`` and ``from_dict``), then
-its range by each class's own ``__post_init__`` (via ``check``). Both raise
-``ValueError`` naming the key, for run configs, checkpoint manifests and
-dataset records alike.
+``JsonConfig.__post_init__`` (a field whose type is a config class nests
+that class's own ``to_dict`` and ``from_dict``), then its range by each
+class's own ``__post_init__`` (via ``check``). Both raise ``ValueError``
+naming the key, for run configs, checkpoint manifests and dataset records
+alike.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ def checked(name: str, annotation: str, value):
         if not test(value):
             raise ValueError(f"key {name!r} must be {rule}, got {value!r}")
         return convert(value) if convert else value
-    nested = next(c for c in JsonConfig.__subclasses__()
-                  if c.__name__ == annotation.removesuffix(" | None"))
-    if value is None and annotation.endswith(" | None") or isinstance(value, nested):
+    nested = next(c for c in JsonConfig.__subclasses__() if c.__name__ == annotation)
+    if isinstance(value, nested):
         return value
     try:
         return nested.from_dict(value)

@@ -63,6 +63,16 @@ class TrainConfig(JsonConfig):
         check(self, "in [0, 1]", lambda v: 0 <= v <= 1, "mask_rate")
 
 
+# The ``TrainConfig`` fields each trainer reads: by MLM (``pretrain_mlm``,
+# ``train_language_adapter``), and by each task kind of ``train_task_adapter``.
+_LOOP = ("learning_rate", "max_steps", "patience", "eval_every", "seed", "max_len")
+READS = {
+    "mlm": _LOOP + ("batch_size", "mask_rate"),
+    "retrieval": _LOOP + ("temperature", "classes_per_batch", "items_per_class"),
+    "pair_classification": _LOOP + ("batch_size",),
+}
+
+
 @dataclasses.dataclass
 class TrainReport:
     loss_curve: list[float] = dataclasses.field(default_factory=list)
@@ -285,9 +295,9 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
                 best, bad_evals = val, 0
             else:
                 bad_evals += 1
-                if cfg.patience is not None and bad_evals >= cfg.patience:
-                    report.stopping_reason = f"early stop after {bad_evals} flat evals"
-                    break
+            if cfg.patience is not None and bad_evals >= cfg.patience:
+                report.stopping_reason = f"early stop after {bad_evals} flat evals"
+                break
     if not report.stopping_reason:
         report.stopping_reason = "max steps"
     report.seconds = time.perf_counter() - start_time

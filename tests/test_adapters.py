@@ -148,12 +148,17 @@ def test_placement_plan_dict_round_trip():
 
 
 def test_attach_validates_layers_and_double_attach():
+    """Every encoder carries a stack: ``attach`` replaces one that places
+    nothing, and refuses one that places adapters."""
     enc = _fresh()
+    assert enc.adapters.plan == PlacementPlan()
     with pytest.raises(ValueError):
         attach(enc, PlacementPlan(frozenset({9}), frozenset(), False))
+    attach(enc, PlacementPlan())
     attach(enc, PlacementPlan.full(3))
-    with pytest.raises(ValueError):
-        attach(enc, PlacementPlan.full(3))
+    for plan in (PlacementPlan.full(3), PlacementPlan()):
+        with pytest.raises(ValueError, match="^encoder already places adapters$"):
+            attach(enc, plan)
 
 
 def test_param_count_formulas():
@@ -310,8 +315,7 @@ def test_shared_prefixes_equal_one_model_per_placement(num_layers, l_layers, t_l
     for name, t in enc.params.items():
         if name.startswith(("l_adapter.", "t_adapter.", "inv.")):
             t.data = rng.normal(0.0, 0.5, t.shape)
-    manifest = Manifest(kind="l_adapter", config=cfg, placement=plan,
-                        adapter_config=enc.adapters.config)
+    manifest = Manifest(config=cfg, placement=plan, adapter_config=enc.adapters.config)
     state = enc.params.state_dict()
     plans = [plan.truncated(i, num_layers) for i in range(lo, hi + 1)]
     model = build_model(manifest, state)
@@ -319,8 +323,7 @@ def test_shared_prefixes_equal_one_model_per_placement(num_layers, l_layers, t_l
     alone = []  # each placement's own model: its adapters' parameters alone
     for p in plans:
         single = Encoder(cfg, seed=0)
-        if p != PlacementPlan():
-            attach(single, p, seed=1)
+        attach(single, p, seed=1)
         single.params.load_state_dict(state, strict=False)
         alone.append(single)
 

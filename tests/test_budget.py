@@ -63,6 +63,19 @@ def test_count_respects_partial_placement():
         tally_instantiated(enc.params, ("t_adapter.",))
 
 
+def test_an_odd_width_invertible_adapter_is_counted_as_attach_refuses_it():
+    """The even-width rule is one rule: the closed-form count refuses the
+    model that ``attach`` refuses, with the same message."""
+    cfg = EncoderConfig(num_layers=1, hidden_size=33, num_heads=3, ffn_size=8,
+                        vocab_size=10, max_positions=8)
+    plan = PlacementPlan.full(1, invertible=True)
+    with pytest.raises(ValueError, match="^invertible adapter needs an even hidden size$"):
+        attach(Encoder(cfg, seed=0), plan)
+    with pytest.raises(ValueError, match="^invertible adapter needs an even hidden size$"):
+        count_component("l_adapter", cfg, plan)
+    assert count_component("l_adapter", cfg, PlacementPlan.full(1, invertible=False)) > 0
+
+
 def test_unknown_component_kind():
     with pytest.raises(BudgetError):
         count_component("decoder", PAPER_SCALE_CONFIG)

@@ -1,12 +1,16 @@
 """Checkpoint container: round-trip fidelity, the manifest checked in full
 at load, format validation, and the composition rule of ``build_model``."""
 
+import io
 import json
 import re
+import struct
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterlab.adapters import AdapterConfig, PlacementPlan, attach
 from adapterlab.checkpoint import (FORMAT, CheckpointError, Manifest, build_model,
@@ -54,14 +58,18 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded[name].dtype == np.float64
 
 
-def test_unknown_kind_rejected(tmp_path):
-    for kind in ("decoder", "head"):  # "head" was never written
-        with pytest.raises(ValueError, match="'kind'"):
-            Manifest(kind=kind)
-    p = tmp_path / "m.ckpt"
-    save_checkpoint(p, Manifest(), {})
-    with pytest.raises(CheckpointError, match=r"x\.ckpt: manifest key 'kind'.*'decoder'"):
-        load_checkpoint(_edited(p, tmp_path / "x.ckpt", lambda m: m.update(kind="decoder")))
+def test_v3_manifest_rejected_naming_both_formats(tmp_path):
+    """v3 stored a ``kind`` and a ``task``, and a null placement for a bare
+    backbone; a v3 file fails on its format, naming v4 and v3."""
+    def v3(m):
+        m.update(format="adapterlab-ckpt v3", kind="backbone", placement=None,
+                 adapter_config=None, task=None)
+
+    save_checkpoint(tmp_path / "m.ckpt", Manifest(config=CFG), {})
+    with pytest.raises(CheckpointError, match=re.escape(
+            "v3.ckpt: manifest key 'format' must be 'adapterlab-ckpt v4', "
+            "got 'adapterlab-ckpt v3'")):
+        load_checkpoint(_edited(tmp_path / "m.ckpt", tmp_path / "v3.ckpt", v3))
 
 
 def test_wrong_format_rejected(tmp_path):
@@ -71,9 +79,9 @@ def test_wrong_format_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="'other v9'"):
         load_checkpoint(p)
 
-    def v1(m):  # v1 wrote no language or task key when it was unknown
+    def v1(m):  # v1 wrote no language key when it was unknown
         m["format"] = "adapterlab-ckpt v1"
-        del m["language"], m["task"]
+        del m["language"]
 
     save_checkpoint(tmp_path / "m.ckpt", Manifest(), {})
     with pytest.raises(CheckpointError, match=r"v1\.ckpt: manifest key 'format'.*'adapterlab-ckpt v1'"):
@@ -102,20 +110,32 @@ def test_placement_and_adapter_config_stored(tmp_path):
     plan = PlacementPlan(frozenset({2, 1}), frozenset(), invertible=True)
     attach(enc, plan, AdapterConfig(l_bottleneck=2))
     p = tmp_path / "a.ckpt"
-    save_model(p, "l_adapter", enc, language="alpha")
+    save_model(p, enc, language="alpha")
     manifest, _ = load_checkpoint(p)
-    assert manifest.placement == manifest.plan == plan
+    assert manifest.placement == plan
     assert manifest.adapter_config == AdapterConfig(2, 1, 2)  # sizes resolved for h=8
     with zipfile.ZipFile(p) as zf:
         raw = json.loads(zf.read("manifest.json"))
-    assert raw == {"format": FORMAT, "kind": "l_adapter", "dtype": "<f8",
+    assert raw == {"format": FORMAT, "dtype": "<f8",
                    "config": CFG.to_dict(),
                    "placement": {"l_layers": [1, 2], "t_layers": [], "invertible": True},
                    "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1,
                                       "inv_coupling_dim": 2},
                    "params": {n: list(enc.params[n].data.shape) for n in enc.params.names()},
-                   "language": "alpha", "task": None}
-    assert Manifest().plan == PlacementPlan()  # a bare backbone places nothing
+                   "language": "alpha"}
+
+
+def test_a_bare_backbone_records_the_empty_plan(tmp_path):
+    """Every encoder carries a stack: a bare backbone's places nothing, and
+    its manifest records that plan and the default sizes, never null."""
+    p = tmp_path / "b.ckpt"
+    save_model(p, Encoder(CFG, seed=0))
+    with zipfile.ZipFile(p) as zf:
+        raw = json.loads(zf.read("manifest.json"))
+    assert raw["placement"] == {"l_layers": [], "t_layers": [], "invertible": False}
+    assert raw["adapter_config"] == {"l_bottleneck": 4, "t_bottleneck": 1,
+                                     "inv_coupling_dim": 2}  # the defaults for h=8
+    assert build_model(*load_checkpoint(p)).adapters.plan == PlacementPlan()
 
 
 @pytest.mark.parametrize("blobs", [
@@ -152,7 +172,7 @@ def saved_path(tmp_path):
     rng = np.random.default_rng(3)
     for name in enc.params.names():
         enc.params[name].data = rng.normal(size=enc.params[name].data.shape)
-    save_model(tmp_path / "m.ckpt", "l_adapter", enc, language="alpha")
+    save_model(tmp_path / "m.ckpt", enc, language="alpha")
     return tmp_path / "m.ckpt"
 
 
@@ -236,11 +256,11 @@ def test_malformed_manifest_rejected(tmp_path, manifest, match):
     ("placement", {"l_layers": [1]}, "t_layers"),
     ("placement", {"l_layers": [1], "t_layers": [], "invertible": "yes"}, "invertible"),
     ("adapter_config", {"rank": 2}, "rank"),
-    ("kind", "decoder", "decoder"),
+    ("placement", None, "must be an object"),  # v3 wrote null for a bare backbone
     ("dtype", "<f4", "<f4"),
     ("language", ["alpha"], "string or null"),
     ("language", 5, "string or null"),
-    ("task", 7, "string or null"),
+    ("adapter_config", None, "must be an object"),
     ("config", None, "must be an object"),
 ])
 def test_build_model_names_bad_manifest_key(saved_path, tmp_path, key, value, named):
@@ -257,3 +277,73 @@ def test_build_model_rejects_blob_of_wrong_shape(saved):
     state["l_adapter.1.down.w"] = np.zeros((8, 3))
     with pytest.raises(CheckpointError, match=r"l_adapter\.1\.down\.w has shape \[8, 3\]"):
         build_model(manifest, state)
+
+
+# -- the round trip as a property -------------------------------------------
+
+@st.composite
+def models(draw):
+    """A tiny encoder with random weights and a random placement, the empty
+    plan included; sometimes a pair head and a training language."""
+    heads, per_head = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cfg = EncoderConfig(num_layers=draw(st.integers(1, 3)), hidden_size=2 * heads * per_head,
+                        num_heads=heads, ffn_size=3, vocab_size=5, max_positions=4)
+    layers = st.frozensets(st.integers(1, cfg.num_layers))
+    sizes = st.none() | st.integers(1, 3)
+    enc = Encoder(cfg, seed=0)
+    attach(enc, draw(st.builds(PlacementPlan, layers, layers, st.booleans())),
+           draw(st.builds(AdapterConfig, sizes, sizes, sizes)), seed=1)
+    if draw(st.booleans()):
+        register_pair_head(enc.params, cfg.hidden_size)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _, t in enc.params.items():
+        t.data = rng.normal(size=t.shape)
+    return enc, draw(st.none() | st.sampled_from(["alpha", "beta"]))
+
+
+def _members(archive: io.BytesIO) -> dict[str, bytes]:
+    with zipfile.ZipFile(archive) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(models(), st.data())
+def test_a_saved_model_round_trips_bit_exactly(model, data):
+    """``save_model`` -> ``load_checkpoint`` -> ``build_model`` restores every
+    parameter bit for bit with the same placement and sizes; saving the
+    rebuilt model writes the same members; and a blob whose stored bytes are
+    flipped, or that is cut short, is a ``CheckpointError`` naming it."""
+    enc, language = model
+    first = io.BytesIO()
+    save_model(first, enc, language=language)
+    manifest, state = load_checkpoint(first)
+    assert (manifest.placement, manifest.language) == (enc.adapters.plan, language)
+    rebuilt = build_model(manifest, state)
+    assert rebuilt.adapters.plan == enc.adapters.plan
+    assert rebuilt.adapters.config == enc.adapters.config
+    assert list(rebuilt.params.names()) == list(enc.params.names())
+    for name, t in enc.params.items():
+        assert rebuilt.params[name].data.tobytes() == t.data.tobytes(), name
+    second = io.BytesIO()
+    save_model(second, rebuilt, language=language)
+    assert _members(second) == _members(first)
+
+    name = data.draw(st.sampled_from(sorted(enc.params.names())))
+    member = f"params/{name}.bin"
+    flipped = bytearray(first.getvalue())
+    with zipfile.ZipFile(first) as zf:
+        at = zf.getinfo(member).header_offset
+    # the first byte of the member's stored data: its local header is 30
+    # bytes, then the file name and the extra field, whose lengths it gives
+    name_len, extra_len = struct.unpack("<HH", flipped[at + 26:at + 30])
+    flipped[at + 30 + name_len + extra_len] ^= 0xFF
+    with pytest.raises(CheckpointError, match=rf"blob of parameter {re.escape(name)} is corrupt"):
+        load_checkpoint(io.BytesIO(bytes(flipped)))
+
+    cut = data.draw(st.integers(0, enc.params[name].data.size * 8 - 1))
+    short = io.BytesIO()
+    with zipfile.ZipFile(short, "w") as zf:
+        for member_name, blob in _members(first).items():
+            zf.writestr(member_name, blob[:cut] if member_name == member else blob)
+    with pytest.raises(CheckpointError, match=rf"blob of parameter {re.escape(name)} holds {cut} "):
+        load_checkpoint(short)

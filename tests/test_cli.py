@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from adapterlab import cli, synth, training
-from adapterlab.adapters import attach
-from adapterlab.checkpoint import load_checkpoint
+from adapterlab.adapters import PlacementPlan, attach
+from adapterlab.checkpoint import load_checkpoint, save_model
 from adapterlab.cli import dispatch
 from adapterlab.encoder import Encoder
 from adapterlab.schema import RunConfig
@@ -149,6 +149,43 @@ def test_train_seed_exits_1_naming_it(tmp_path, capsys, subcommand, flags):
     assert _one_error_line(capsys) == {
         "error": "CliError", "subcommand": subcommand,
         "message": "config key(s) ['train.seed'] do not apply: --seed is the run seed"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode, sets, objective", [
+    ("train-task-adapter", ["train.mask_rate=0.9", "train.batch_size=3"], "retrieval"),
+    ("train-task-adapter", ["task=pair_classification", "train.mask_rate=0.9",
+                            "train.temperature=0.5", "train.classes_per_batch=9",
+                            "train.items_per_class=7"], "pair_classification"),
+    ("pretrain", ["train.temperature=0.5", "train.classes_per_batch=9",
+                  "train.items_per_class=7"], "mlm"),
+    ("train-lang-adapter", ["train.temperature=0.5"], "mlm"),
+    ("sweep-layers --retrain-per-layer", ["train.items_per_class=7"], "mlm"),
+])
+def test_a_train_field_the_trainer_does_not_read_exits_1_naming_it(tmp_path, capsys, mode,
+                                                                   sets, objective):
+    """Each trainer reads the ``train`` fields of its ``training.READS`` row;
+    any other is refused before any file is read (the paths name no file)."""
+    argv = [*mode.split(), "--out", str(tmp_path / "o"), "--seed", "0"]
+    for key in sorted(READS[mode] & REQUIRED):
+        argv += ["--set", f"{key}={VALUES[key]}"]
+    for s in sets:
+        argv += ["--set", s]
+    assert _run(argv) == 1
+    named = sorted(s.split("=")[0] for s in sets if s.startswith("train."))
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": mode.split()[0],
+        "message": f"config key(s) {named} do not apply: the {objective} trainer of "
+                   f"{mode} does not read them"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_budget_refuses_a_hidden_size_the_invertible_adapter_cannot_split(tmp_path, capsys):
+    """``attach`` refuses such a model, so its budget is refused alike."""
+    assert _run(["budget", "--out", str(tmp_path / "o"), "--set", "encoder.hidden_size=33",
+                 "--set", "encoder.num_heads=3"]) == 1
+    assert _one_error_line(capsys) == {"error": "ValueError", "subcommand": "budget",
+                                       "message": "invertible adapter needs an even hidden size"}
     assert not (tmp_path / "o").exists()
 
 
@@ -448,9 +485,51 @@ def test_zero_shot_on_a_backbone_exits_1_naming_it(pipeline, tmp_path, capsys):
                  "--set", f"vocab={vocab}", "--set", "synthetic.n=20"]) == 1
     err = _one_error_line(capsys)
     assert err["error"] == "CliError"
-    assert err["message"].startswith(f"{backbone}: the backbone checkpoint records no "
+    assert err["message"].startswith(f"{backbone}: the checkpoint records no "
                                      "training language")
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.fixture
+def attached_backbone(pipeline, tmp_path):
+    """The pipeline's backbone, saved again from ``attach(enc, PlacementPlan())``."""
+    manifest, state = load_checkpoint(pipeline[0] / "pre" / "backbone.ckpt")
+    enc = Encoder(manifest.config, seed=0)
+    attach(enc, PlacementPlan())
+    enc.params.load_state_dict(state)
+    save_model(tmp_path / "attached.ckpt", enc)
+    return tmp_path / "attached.ckpt"
+
+
+def test_an_empty_plan_backbone_trains_as_a_plain_one(pipeline, attached_backbone, tmp_path):
+    """A model without adapters has one form: the L stage gives a backbone
+    saved with the empty plan the default placement, and the same bytes it
+    gives the plain backbone."""
+    root, vocab = pipeline
+    ckpts = []
+    for name, backbone in (("plain", root / "pre" / "backbone.ckpt"),
+                           ("attached", attached_backbone)):
+        assert _run(["train-lang-adapter", "--out", str(tmp_path / name), "--seed", "0",
+                     "--set", f"vocab={vocab}", "--set", f"backbone={backbone}",
+                     "--set", "train.max_steps=2", "--set", "synthetic.n=40"]) == 0
+        ckpts.append(load_checkpoint(tmp_path / name / "l_adapter.ckpt"))
+    (plain, plain_state), (attached, attached_state) = ckpts
+    assert attached.placement == PlacementPlan.full(2, invertible=True)
+    assert attached == plain and attached_state.keys() == plain_state.keys()
+    assert all(np.array_equal(attached_state[n], plain_state[n]) for n in plain_state)
+
+
+@pytest.mark.parametrize("which", ["plain", "attached"])
+def test_sweep_layers_refuses_a_backbone(pipeline, attached_backbone, tmp_path, capsys, which):
+    root, vocab = pipeline
+    backbone = {"plain": root / "pre" / "backbone.ckpt", "attached": attached_backbone}[which]
+    assert _run(["sweep-layers", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={backbone}",
+                 "--set", "synthetic.n=20"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "sweep-layers",
+        "message": "sweep-layers needs a checkpoint with a trained adapter stack"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_shot_refuses_a_probe_file(pipeline, tmp_path, capsys):
@@ -644,9 +723,9 @@ def _edited_copy(src, dst, edit):
 
 
 def _v1(manifest):
-    """The manifest as format v1 wrote it: no language or task key when unknown."""
+    """The manifest as format v1 wrote it: no language key when unknown."""
     manifest["format"] = "adapterlab-ckpt v1"
-    del manifest["task"]
+    del manifest["language"]
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -656,7 +735,7 @@ def _v1(manifest):
     (lambda m: m.pop("params"), "params"),
     (lambda m: m.update(language=["alpha"]), "language"),
     (lambda m: m.update(language=5), "language"),
-    (lambda m: m.update(kind="decoder"), "kind"),
+    (lambda m: m.update(kind="decoder"), "kind"),  # v4 knows no kind or task key
     (lambda m: m.update(dtype="<f4"), "dtype"),
     (lambda m: m.update(task=7), "task"),
     (_v1, "format"),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterlab.adapters import AdapterConfig, PlacementPlan
-from adapterlab.checkpoint import FORMAT, KINDS, Manifest
+from adapterlab.checkpoint import FORMAT, Manifest
 from adapterlab.encoder import EncoderConfig
 from adapterlab.schema import RunConfig
 from adapterlab.synth import SyntheticSpec
@@ -61,12 +61,11 @@ run_configs = st.builds(
     train=sections, adapter=sections, placement=sections)
 
 manifests = st.builds(
-    Manifest, format=st.just(FORMAT), kind=st.sampled_from(KINDS), dtype=st.just("<f8"),
-    config=encoder_configs, placement=st.none() | plans,
-    adapter_config=st.none() | adapter_configs,
+    Manifest, format=st.just(FORMAT), dtype=st.just("<f8"), config=encoder_configs,
+    placement=plans, adapter_config=adapter_configs,
     params=st.dictionaries(st.text(max_size=8), st.lists(st.integers(0, 64), max_size=3),
                            max_size=3),
-    language=strings, task=strings)
+    language=strings)
 
 CONFIGS = [(EncoderConfig, encoder_configs), (TrainConfig, train_configs),
            (AdapterConfig, adapter_configs), (PlacementPlan, plans),
@@ -197,7 +196,7 @@ def test_python_values_convert_as_json_values_do():
     (RunConfig, "layers", "1-2"),
     (RunConfig, "layers", "..2"),
     (Manifest, "format", "adapterlab-ckpt v1"),
-    (Manifest, "kind", "head"),
+    (Manifest, "format", "adapterlab-ckpt v3"),
     (Manifest, "dtype", "<f4"),
     (Manifest, "params", {"w": [2, -1]}),
 ])
@@ -224,8 +223,9 @@ def test_from_dict_keeps_json_types_apart():
 
 
 def test_nested_config_is_read_and_written_by_its_own_class():
-    """A field typed with a config class (or that class | None) goes through
-    the class's ``to_dict`` and ``from_dict``; an error names the outer key."""
+    """A field typed with a config class goes through the class's
+    ``to_dict`` and ``from_dict``; an error names the outer key, and null is
+    no config: a bare backbone's placement is the empty plan."""
     m = Manifest(placement=PlacementPlan(frozenset({2, 1})))
     assert m.to_dict()["placement"] == {"l_layers": [1, 2], "t_layers": [], "invertible": False}
     assert m.to_dict()["config"] == EncoderConfig().to_dict()
@@ -234,7 +234,9 @@ def test_nested_config_is_read_and_written_by_its_own_class():
         Manifest.from_dict({**m.to_dict(), "placement": {"l_layers": [1]}})
     with pytest.raises(ValueError, match=r"^key 'config': must be an object"):
         Manifest.from_dict({**m.to_dict(), "config": None})  # not optional
-    assert Manifest.from_dict({**m.to_dict(), "placement": None}).plan == PlacementPlan()
+    with pytest.raises(ValueError, match=r"^key 'placement': must be an object"):
+        Manifest.from_dict({**m.to_dict(), "placement": None})
+    assert Manifest().placement == PlacementPlan()
 
 
 def test_run_config_defaults_leave_every_section_and_path_unset():

@@ -182,12 +182,13 @@ def test_skipped_batch_is_counted_and_still_validated(corpus_and_vocab, monkeypa
     assert [row["loss"] for row in doc["loss"]] == report.loss_curve
 
 
-def _trainer(kind, corpus_and_vocab, max_len=32):
+def _trainer(kind, corpus_and_vocab, max_len=32, config=TrainConfig):
     """(encoder, run) for one short run of a trainer: ``pretrain``, the
-    L-adapter MLM loop ``lang``, or a ``retrieval`` or ``pair`` T-adapter."""
+    L-adapter MLM loop ``lang``, or a ``retrieval`` or ``pair`` T-adapter;
+    ``config`` is the class of its ``TrainConfig``."""
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
-    cfg = TrainConfig(learning_rate=1e-3, max_steps=2, eval_every=2, max_len=max_len, seed=0,
+    cfg = config(learning_rate=1e-3, max_steps=2, eval_every=2, max_len=max_len, seed=0,
                       batch_size=4, classes_per_batch=3, items_per_class=2)
     if kind == "pretrain":
         return enc, lambda: pretrain_mlm(enc, texts, vocab, cfg)
@@ -247,6 +248,28 @@ def test_trainer_steps_in_float32_over_float64_masters(corpus_and_vocab, monkeyp
     assert all(enc.params[name].data.tobytes() == before[name] for name in frozen)
     assert any(enc.params[name].data.tobytes() != before[name]
                for name in enc.params.trainable_names())
+
+
+@pytest.mark.parametrize("kind, objective", [("pretrain", "mlm"), ("lang", "mlm"),
+                                             ("retrieval", "retrieval"),
+                                             ("pair", "pair_classification")])
+def test_each_trainer_reads_the_train_fields_it_declares(corpus_and_vocab, kind, objective):
+    """The CLI refuses every ``train`` field outside the ``training.READS``
+    row of the run's trainer, so each row must be what the trainer reads of
+    its config in a run."""
+    read = set()
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+
+    class Recording(TrainConfig):
+        def __getattribute__(self, name):
+            if name in fields:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    _, run = _trainer(kind, corpus_and_vocab, config=Recording)
+    read.clear()  # construction checks every field
+    run()
+    assert read == set(training.READS[objective])
 
 
 @pytest.mark.parametrize("kind", ["pretrain", "lang", "retrieval", "pair"])
