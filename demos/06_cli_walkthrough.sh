@@ -61,6 +61,14 @@ adapterlab eval-clone --out $R/clone --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/ta/t_adapter.ckpt \
   --set synthetic.n_classes=6 --set synthetic.per_class=5
 
+# an L-adapter is trained beneath no task adapters, so a backbone that places
+# them exits 1, naming the file and its T layers
+if adapterlab train-lang-adapter --out $R/la-on-t --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set backbone=$R/ta/t_adapter.ckpt \
+  --set train.max_steps=3 --set synthetic.n=80; then
+  exit 1
+fi
+
 # pair mode: a T-adapter with a pair head, scored by F1 on held-out pairs
 adapterlab train-task-adapter --out $R/ta-pair --seed 0 \
   --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \

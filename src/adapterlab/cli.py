@@ -156,6 +156,9 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     manifest, state = load_checkpoint(run.backbone)
     plan = manifest.placement
+    if plan.t_layers:
+        raise CliError(f"backbone {run.backbone} places task adapters at layers "
+                       f"{sorted(plan.t_layers)}: an L-adapter is trained beneath none")
     if plan != PlacementPlan():
         _refuse(vars(run), ("placement",), "the backbone already has adapters")
     else:

@@ -1,6 +1,11 @@
 """Cloze-test evaluation, clone-detection heads and losses, and metrics
 (accuracy, F1, MAP@R).
 
+Every evaluation computes in ``tensor.STEP_DTYPE`` (float32), as a training
+step does: ``eval_cloze_placements``, ``embed_corpus`` and ``eval_pairs``
+each run their passes inside one ``tensor.cast_weights`` per model, and the
+float64 master weights come back unchanged.
+
 Retrieval uses cosine similarity on unit-norm mean-pooled embeddings with
 deterministic tie-break by ascending item id. Pair classification feeds
 [e_a; e_b; |e_a - e_b|; e_a * e_b] through one linear layer to a clone logit;
@@ -9,6 +14,7 @@ a pair is predicted a clone when its logit is > 0.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from collections import Counter
 from typing import Sequence
@@ -60,7 +66,8 @@ def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeR
                           mask_id: int) -> list[ClozeResult]:
     """``eval_cloze`` of each encoder, such as the placement views of one
     model (``adapters.placement_view``), which share every step prefix their
-    plans share (``adapters.forward_placements``)."""
+    plans share (``adapters.forward_placements``). Each distinct
+    ``ParameterSet`` is cast once for the whole call."""
     if not examples:
         raise TaskError("empty cloze example set")
     vocab_size = min(e.config.vocab_size for e in encoders)
@@ -80,12 +87,15 @@ def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeR
             raise TaskError(f"example {ex.id}: expected exactly one mask "
                             f"at position {ex.mask_index}")
     predictions: list[list[dict]] = [[] for _ in encoders]
-    for start in range(0, len(examples), EVAL_BATCH):
-        chunk = examples[start:start + EVAL_BATCH]
-        # ids are pre-tokenized; pad with 0 and mask it out
-        ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
-        rows = (np.arange(len(chunk)), np.array([ex.mask_index for ex in chunk]))
-        with T.no_grad():
+    with contextlib.ExitStack() as stack:
+        for params in {id(e.params): e.params for e in encoders}.values():
+            stack.enter_context(T.cast_weights(params))
+        stack.enter_context(T.no_grad())
+        for start in range(0, len(examples), EVAL_BATCH):
+            chunk = examples[start:start + EVAL_BATCH]
+            # ids are pre-tokenized; pad with 0 and mask it out
+            ids, attn = pad_batch([ex.tokens for ex in chunk], 0)
+            rows = (np.arange(len(chunk)), np.array([ex.mask_index for ex in chunk]))
             finals = forward_placements(list(encoders), ids, attn, rows)
             for encoder, hidden, preds in zip(encoders, finals, predictions):
                 logits = encoder.mlm_logits(hidden).data
@@ -124,18 +134,22 @@ def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray,
 
 def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
                  vocab: Vocabulary, max_len: int | None = None) -> EmbedResult:
+    """``embed_ids`` of each item, computed in ``T.STEP_DTYPE`` and returned
+    as float64 rows renormalised in float64, so each is unit-norm to float64
+    precision; equal rows stay equal."""
     max_len = fitted_max_len(encoder, max_len)
     rows, n_truncated = [], 0
-    for start in range(0, len(items), EVAL_BATCH):
-        encoded = [vocab.encode(it.code) for it in items[start:start + EVAL_BATCH]]
-        n_truncated += sum(len(e) > max_len for e in encoded)
-        with T.no_grad():
+    with T.cast_weights(encoder.params), T.no_grad():
+        for start in range(0, len(items), EVAL_BATCH):
+            encoded = [vocab.encode(it.code) for it in items[start:start + EVAL_BATCH]]
+            n_truncated += sum(len(e) > max_len for e in encoded)
             rows.append(embed_ids(encoder, *pad_batch([e[:max_len] for e in encoded],
                                                       vocab.pad_id)).data)
+    embeddings = np.concatenate(rows, axis=0).astype(np.float64)
+    embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
     return EmbedResult(ids=[it.id for it in items],
                        labels=[it.label for it in items],
-                       embeddings=np.concatenate(rows, axis=0),
-                       n_truncated=n_truncated)
+                       embeddings=embeddings, n_truncated=n_truncated)
 
 
 @dataclasses.dataclass
@@ -228,8 +242,12 @@ def pair_features(e_a: Tensor, e_b: Tensor) -> Tensor:
 
 
 def pair_logits(params: ParameterSet, e_a: Tensor, e_b: Tensor) -> Tensor:
+    """Clone logits [k, 1]: each row's features dotted with the head's
+    weights by a row-wise sum, so a pair's logit does not depend on the
+    other rows of its batch (a GEMV's rounding does, in float32)."""
+    w, b = params["head.pair.w"], params["head.pair.b"]
     feats = pair_features(e_a, e_b)
-    return T.linear(feats, params["head.pair.w"], params["head.pair.b"])
+    return T.add(T.tsum(T.mul(feats, T.reshape(w, (w.shape[0],))), axis=-1, keepdims=True), b)
 
 
 def pair_batch_logits(encoder: Encoder, pairs: Sequence[PairRecord],
@@ -253,11 +271,11 @@ def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
         raise TaskError("the model has no pair-classification head")
     max_len = fitted_max_len(encoder, max_len)
     seen: Counter = Counter()  # (is a clone, predicted a clone) -> count
-    for start in range(0, len(pairs), EVAL_BATCH // 2):
-        chunk = pairs[start:start + EVAL_BATCH // 2]
-        with T.no_grad():
+    with T.cast_weights(encoder.params), T.no_grad():
+        for start in range(0, len(pairs), EVAL_BATCH // 2):
+            chunk = pairs[start:start + EVAL_BATCH // 2]
             logits = pair_batch_logits(encoder, chunk, vocab, max_len).data[:, 0]
-        seen.update((bool(pair.label), bool(z > 0)) for pair, z in zip(chunk, logits))
+            seen.update((bool(pair.label), bool(z > 0)) for pair, z in zip(chunk, logits))
     tp, fn, fp, tn = seen[True, True], seen[True, False], seen[False, True], seen[False, False]
     res = f1_score(tp, fp, tn, fn)
     return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,

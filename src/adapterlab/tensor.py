@@ -17,6 +17,15 @@ Float data is float64 (``DEFAULT_DTYPE``, the dtype of every parameter)
 except inside ``compute_dtype(dtype)``, where every tensor built from float
 data, op outputs and constants alike, holds ``dtype``; no op promotes an
 operand of that dtype back to float64.
+
+One precision rule: the model computes in ``STEP_DTYPE`` (float32), and
+float64 holds the master weights, the optimizer's update, checkpoints, the
+finite-difference checker and every oracle. ``cast_weights(params)`` is the
+one way in: every training step and every evaluation pass runs inside it, on
+checked float32 copies of the weights. Outside it, a forward pass runs in
+float64. Under float32, ``linear_gelu`` computes its normal CDF with a
+float32-native kernel (Abramowitz & Stegun 7.1.26); float64 keeps scipy's
+``erf``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
+STEP_DTYPE = np.float32  # the dtype the model computes in (see ``cast_weights``)
 _compute_dtype = DEFAULT_DTYPE
 
 
@@ -301,17 +311,52 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), _linear_grads(x, w, b))
 
 
+# Abramowitz & Stegun 7.1.26: for x >= 0, erfc(x) = poly(t) exp(-x^2) with
+# t = 1 / (1 + p x), |error| <= 1.5e-7; p is folded with 1/sqrt(2) for x = z/sqrt(2)
+_AS_P = 0.3275911 / math.sqrt(2.0)
+_AS_POLY = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _normal_cdf32(z: np.ndarray) -> np.ndarray:
+    """Phi(z) = (1 + erf(z / sqrt(2))) / 2 of a float32 ``z`` by A&S 7.1.26,
+    in place on two work arrays: the tail mass q = erfc(|z| / sqrt(2)) / 2,
+    then Phi = 1/2 + sign(z) (1/2 - q)."""
+    t = np.abs(z)
+    t *= _AS_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    q = t * _AS_POLY[0]
+    for a in _AS_POLY[1:]:
+        q += a
+        q *= t
+    e = np.square(z, out=t)
+    e *= -0.5
+    q *= np.exp(e, out=e)  # exp(-z^2 / 2)
+    q *= -0.5
+    q += 0.5
+    np.copysign(q, z, out=q)
+    q += 0.5
+    return q
+
+
 def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Exact (erf) GELU of ``linear(x, w, b)`` in one node; its derivative is
-    computed once per backward, for all three parents."""
+    computed once per backward, for all three parents. In float32 the normal
+    CDF is ``_normal_cdf32``'s; in float64 it is scipy's ``erf``."""
     z = x.data @ w.data
     z += b.data
-    cdf = erf(z / math.sqrt(2.0))  # Python floats: a NumPy scalar would promote float32
-    cdf += 1.0
-    cdf *= 0.5
+    if z.dtype == np.float32:
+        cdf = _normal_cdf32(z)
+    else:
+        cdf = erf(z / math.sqrt(2.0))  # Python floats: a NumPy scalar would promote float32
+        cdf += 1.0
+        cdf *= 0.5
 
     def dz(g):
-        d = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
+        d = np.square(z)
+        d *= -0.5
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi)
         d *= z
         d += cdf
         return g * d
@@ -501,6 +546,36 @@ class ParameterSet:
 
     def count(self, prefix: str = "") -> int:
         return sum(t.size for n, t in self._params.items() if n.startswith(prefix))
+
+
+@contextlib.contextmanager
+def cast_weights(params: ParameterSet, frozen: dict[str, np.ndarray] | None = None):
+    """Run ``params`` in ``STEP_DTYPE`` inside the block: every parameter
+    holds a ``STEP_DTYPE`` copy of its float64 master, under
+    ``compute_dtype(STEP_DTYPE)``. With ``frozen``, the copy of a parameter
+    that does not require a gradient is kept there and reused by later
+    blocks; every other copy is made afresh. Each copy is checked when it is
+    made: the first that is not finite raises ``NumericError`` naming its
+    parameter. The masters come back however the block ends."""
+    masters = {name: t.data for name, t in params.items()}
+    try:
+        for name, t in params.items():
+            keep = frozen is not None and not t.requires_grad
+            copy = frozen.get(name) if keep else None
+            if copy is None:
+                with np.errstate(over="ignore"):  # an overflow is the error below
+                    copy = t.data.astype(STEP_DTYPE)
+                if not np.isfinite(copy).all():
+                    raise NumericError(f"parameter {name} is not finite in "
+                                       f"{np.dtype(STEP_DTYPE).name}")
+                if keep:
+                    frozen[name] = copy
+            t.data = copy
+        with compute_dtype(STEP_DTYPE):
+            yield
+    finally:
+        for name, data in masters.items():
+            params[name].data = data
 
 
 def gradients(loss: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:

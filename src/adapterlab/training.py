@@ -4,9 +4,9 @@ differ only in their batch loss and validation metric. Adam with bias
 correction, inverted dropout, early stopping on a validation metric.
 
 Each step is mixed precision: the forward and backward passes run in
-float32 over float32 copies of the weights, and Adam updates the float64
-master weights with the float64 gradients. Validation, and every call made
-outside a step, stays float64.
+float32 over float32 copies of the weights (``tensor.cast_weights``), and
+Adam updates the float64 master weights with the float64 gradients.
+Validation computes in float32 too, as every evaluation does.
 
 All randomness flows from TrainConfig.seed through one generator, so a fixed
 seed and data order reproduce checkpoints bit-exactly.
@@ -14,7 +14,6 @@ seed and data order reproduce checkpoints bit-exactly.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import time
@@ -174,39 +173,21 @@ _EVAL_MASK_SEED = 12345
 
 def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                   cfg: TrainConfig) -> float:
-    """Deterministic masked-LM loss: fixed mask seed, dropout off, no tape."""
+    """Deterministic masked-LM loss: fixed mask seed, dropout off, no tape,
+    in ``T.STEP_DTYPE`` (``T.cast_weights``)."""
     losses = []
-    for start in range(0, len(texts), cfg.batch_size):
-        chunk = list(texts[start:start + cfg.batch_size])
-        ids, attn = encode_batch(chunk, vocab, cfg.max_len)
-        batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate,
-                               seed=_EVAL_MASK_SEED + start)
-        if (batch.labels == MaskedBatch.IGNORE).all():
-            continue
-        with T.no_grad():
+    with T.cast_weights(encoder.params), T.no_grad():
+        for start in range(0, len(texts), cfg.batch_size):
+            chunk = list(texts[start:start + cfg.batch_size])
+            ids, attn = encode_batch(chunk, vocab, cfg.max_len)
+            batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate,
+                                   seed=_EVAL_MASK_SEED + start)
+            if (batch.labels == MaskedBatch.IGNORE).all():
+                continue
             losses.append(mlm_loss(encoder, batch).item())
     if not losses:
         raise TrainingError("no maskable validation tokens")
     return float(np.mean(losses))
-
-
-STEP_DTYPE = np.float32  # the dtype a training step computes in
-
-
-@contextlib.contextmanager
-def _step_weights(params: ParameterSet, frozen: dict[str, np.ndarray]):
-    """Every parameter holds its ``STEP_DTYPE`` copy inside the block: the
-    frozen ones the copies in ``frozen``, the trainable ones a fresh cast of
-    their masters. The float64 masters come back however the block ends."""
-    masters = {name: t.data for name, t in params.items()}
-    try:
-        for name, t in params.items():
-            t.data = frozen[name] if name in frozen else t.data.astype(STEP_DTYPE)
-        with T.compute_dtype(STEP_DTYPE):
-            yield
-    finally:
-        for name, t in params.items():
-            t.data = masters[name]
 
 
 def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainReport,
@@ -215,25 +196,24 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
     """The one training loop of every trainer. Freezes per ``mode``, then
     takes ``cfg.max_steps`` Adam steps on ``batch_loss(rng)``; a batch with
     nothing to learn returns None and is counted, not stepped. The loss and
-    its gradients are computed in ``STEP_DTYPE`` (see ``_step_weights``),
-    the update in float64. ``validate()`` runs in float64 at step 0, every
-    ``cfg.eval_every`` steps and at the last step. With a ``cfg.patience``,
-    that many validations in a row that do not beat the best so far (step 0
-    included) stop the run; without one, it runs ``cfg.max_steps`` steps.
+    its gradients are computed in ``T.STEP_DTYPE`` (``T.cast_weights``, with
+    the frozen copies cast once per run), the update in float64.
+    ``validate()`` runs at step 0, every ``cfg.eval_every`` steps and at the
+    last step. With a ``cfg.patience``, that many validations in a row that
+    do not beat the best so far (step 0 included) stop the run; without
+    one, it runs ``cfg.max_steps`` steps.
 
-    A step that cannot be taken (a non-finite forward pass, loss or
-    gradient) stops the run before any weight changes and raises
-    ``TrainingError`` carrying the closed report; a weight that is not
-    finite in ``STEP_DTYPE`` is named as its cause. A ``cfg.max_len`` above
-    the model's ``max_positions``, or a model in which ``mode`` trains no
-    parameter, is refused before step 0.
+    A validation or a step that cannot be taken (a weight not finite in
+    ``T.STEP_DTYPE``, a non-finite forward pass, loss or gradient) stops the
+    run before any weight changes and raises ``TrainingError`` carrying the
+    closed report. A ``cfg.max_len`` above the model's ``max_positions``, or
+    a model in which ``mode`` trains no parameter, is refused before step 0.
     """
     tasks.fitted_max_len(encoder, cfg.max_len, TrainingError)
     params = encoder.params
     if not apply_freeze(params, mode):
         raise TrainingError(f"freeze mode {mode.value} trains no parameter of this model")
-    frozen = {name: t.data.astype(STEP_DTYPE) for name, t in params.items()
-              if not t.requires_grad}
+    frozen: dict[str, np.ndarray] = {}  # the frozen weights' copies, filled by step 1
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
     start_time = time.perf_counter()
@@ -246,17 +226,6 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
         err.report = report
         return err
 
-    def step_failed(step: int, reason: str, detail: str | None = None) -> TrainingError:
-        """``abort`` for a step, naming a weight whose ``STEP_DTYPE`` copy
-        is not finite as the cause; checked only once a step has failed."""
-        for name, t in params.items():
-            copy = frozen[name] if name in frozen else t.data.astype(STEP_DTYPE)
-            if not np.isfinite(copy).all():
-                detail = (f"{reason}: parameter {name} is not finite in "
-                          f"{np.dtype(STEP_DTYPE).name}")
-                break
-        return abort(step, reason, detail)
-
     def evaluate(step: int) -> float:
         try:
             val = validate()
@@ -268,15 +237,15 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
 
     best, bad_evals = evaluate(0), 0
     for step in range(1, cfg.max_steps + 1):
-        with _step_weights(params, frozen):
-            try:
+        try:
+            with T.cast_weights(params, frozen):
                 loss = batch_loss(rng)
-            except T.NumericError as e:
-                raise step_failed(step, "non-finite forward pass", str(e)) from e
-            if loss is not None:
-                if not np.isfinite(loss.item()):
-                    raise step_failed(step, "non-finite loss")
-                grads = T.gradients(loss, params)
+                if loss is not None:
+                    if not np.isfinite(loss.item()):
+                        raise abort(step, "non-finite loss")
+                    grads = T.gradients(loss, params)
+        except T.NumericError as e:
+            raise abort(step, "non-finite forward pass", str(e)) from e
         if loss is None:
             report.skipped_batches += 1
         else:
@@ -286,7 +255,7 @@ def _fit(encoder: Encoder, cfg: TrainConfig, mode: FreezeMode, report: TrainRepo
             try:
                 adam_step(params, grads, state, cfg)
             except TrainingError as e:
-                raise step_failed(step, "non-finite gradient", str(e)) from e
+                raise abort(step, "non-finite gradient", str(e)) from e
         report.steps = step
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:

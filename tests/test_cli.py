@@ -11,7 +11,7 @@ import pytest
 
 from adapterlab import cli, synth, training
 from adapterlab.adapters import PlacementPlan, attach
-from adapterlab.checkpoint import load_checkpoint, save_model
+from adapterlab.checkpoint import build_model, load_checkpoint, save_model
 from adapterlab.cli import dispatch
 from adapterlab.encoder import Encoder
 from adapterlab.schema import RunConfig
@@ -837,6 +837,28 @@ def test_a_lang_adapter_placement_with_task_layers_exits_1_naming_it(tmp_path, c
         "message": "config key(s) ['placement.t_layers'] do not apply: "
                    "an L-adapter stage trains no task adapters"}
     assert not (tmp_path / "o").exists()
+
+
+def test_a_backbone_with_task_adapters_exits_1_naming_it(pipeline, tmp_path, capsys,
+                                                        monkeypatch):
+    """An L-adapter retrained beneath trained T-adapters would leave them
+    fitted to other L outputs, so the L stage refuses such a backbone,
+    naming the file and its T layers, before any training."""
+    root, vocab = pipeline
+    manifest, state = load_checkpoint(root / "la" / "l_adapter.ckpt")
+    plan = dataclasses.replace(manifest.placement, t_layers=frozenset({1, 2}))
+    backbone = tmp_path / "t_adapter.ckpt"
+    save_model(backbone, build_model(manifest, state, plan), language=manifest.language)
+    called = []
+    monkeypatch.setattr(training, "train_language_adapter", lambda *args: called.append(args))
+    assert _run(["train-lang-adapter", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"backbone={backbone}",
+                 "--set", "train.max_steps=1", "--set", "synthetic.n=20"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CliError", "subcommand": "train-lang-adapter",
+        "message": f"backbone {backbone} places task adapters at layers [1, 2]: "
+                   "an L-adapter is trained beneath none"}
+    assert called == [] and not (tmp_path / "o").exists()
 
 
 def test_a_corpus_of_two_languages_exits_1_naming_them(pipeline, tmp_path, capsys):

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from adapterlab import tasks
+from adapterlab import tasks, training
 from adapterlab import tensor as T
+from adapterlab.adapters import PlacementPlan, placement_view
 from adapterlab.corpus import ClozeRecord, PairRecord, RetrievalRecord
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.tasks import (EVAL_BATCH, TaskError, embed_corpus, eval_cloze,
-                              eval_pairs, f1_score, in_batch_negative_loss,
+                              eval_cloze_placements, eval_pairs, f1_score, in_batch_negative_loss,
                               map_at_r, pair_batch_logits, register_pair_head)
 from adapterlab.tokenizer import pad_batch, train_bpe
 
@@ -340,8 +341,9 @@ def test_eval_pairs_refuses_a_model_without_a_pair_head(vocab):
 
 def test_eval_pairs_chunks_score_as_one_pair_per_pass(encoder, vocab, monkeypatch):
     """Pairs of several lengths, in chunks of ``EVAL_BATCH // 2`` and a
-    ragged last one, score as they do one pair per pass: the logits agree to
-    1e-12 and the confusion counts of the logit > 0 rule are the same."""
+    ragged last one, score as they do one pair per pass under the same
+    ``T.cast_weights``: the logits agree to 1e-12 and the confusion counts of
+    the logit > 0 rule are the same."""
     if "head.pair.w" not in encoder.params:
         register_pair_head(encoder.params, CFG.hidden_size)
     rng = np.random.default_rng(3)
@@ -350,7 +352,7 @@ def test_eval_pairs_chunks_score_as_one_pair_per_pass(encoder, vocab, monkeypatc
                         code_a=" ".join(rng.choice(words, size=1 + i % 9)),
                         code_b=" ".join(rng.choice(words, size=1 + i % 5)))
              for i in range(2 * (EVAL_BATCH // 2) + 3)]
-    with T.no_grad():
+    with T.cast_weights(encoder.params), T.no_grad():
         one = np.array([pair_batch_logits(encoder, [p], vocab, CFG.max_positions).data[0, 0]
                         for p in pairs])
     chunks = []
@@ -368,6 +370,112 @@ def test_eval_pairs_chunks_score_as_one_pair_per_pass(encoder, vocab, monkeypatc
     want = {"tp": int((label & (one > 0)).sum()), "fp": int((~label & (one > 0)).sum()),
             "tn": int((~label & (one <= 0)).sum()), "fn": int((label & (one <= 0)).sum())}
     assert {k: got[k] for k in want} == want
+
+
+# -- evaluation precision --------------------------------------------------
+
+EVAL_ENTRY_POINTS = ["eval_cloze", "eval_cloze_placements", "embed_corpus", "eval_pairs",
+                     "eval_mlm_loss"]
+
+
+def _evaluation(name, encoder, vocab):
+    """A call of one evaluation entry point on ``encoder``."""
+    words = "a b c d e f g h".split()
+    items = [RetrievalRecord(id=str(i), label="xy"[i % 2], code=" ".join(words[:2 + i]),
+                             language="l") for i in range(6)]
+    pairs = [PairRecord(id_a="a", id_b="b", code_a="a b c", code_b="g h", label=0),
+             PairRecord(id_a="c", id_b="d", code_a="x = max ( a , b ) ;", code_b="a b",
+                        label=1)]
+    cloze = [_cloze_example(encoder, 10, 11)]
+    return {
+        "eval_cloze": lambda: eval_cloze(encoder, cloze, mask_id=4),
+        "eval_cloze_placements": lambda: eval_cloze_placements(
+            [encoder, placement_view(encoder, PlacementPlan())], cloze, mask_id=4),
+        "embed_corpus": lambda: embed_corpus(encoder, items, vocab),
+        "eval_pairs": lambda: eval_pairs(encoder, pairs, vocab),
+        "eval_mlm_loss": lambda: training.eval_mlm_loss(
+            encoder, ["a b c d e f g h", "x = max ( a , b ) ;"] * 3, vocab,
+            training.TrainConfig(mask_rate=0.5, max_len=16)),
+    }[name]
+
+
+def _paired_encoder():
+    encoder = Encoder(CFG, seed=0)
+    register_pair_head(encoder.params, CFG.hidden_size)
+    return encoder
+
+
+def _masters(encoder):
+    return {name: (t.data.dtype, t.data.tobytes()) for name, t in encoder.params.items()}
+
+
+@pytest.mark.parametrize("name", EVAL_ENTRY_POINTS)
+def test_every_evaluation_computes_in_float32_over_unchanged_masters(vocab, name,
+                                                                     monkeypatch):
+    """Each evaluation entry point runs its passes in float32, and every
+    float64 master is byte-identical afterwards; a forward pass outside an
+    evaluation still computes in float64."""
+    encoder = _paired_encoder()
+    before = _masters(encoder)
+    seen, layer_norm = set(), T.layer_norm
+
+    def recording(*args, **kwargs):
+        out = layer_norm(*args, **kwargs)
+        seen.add(out.data.dtype)
+        return out
+    monkeypatch.setattr(T, "layer_norm", recording)
+    _evaluation(name, encoder, vocab)()
+    assert seen == {np.dtype(np.float32)}
+    assert _masters(encoder) == before
+    ids = np.array([[0, 7, 9, 2]])
+    assert encoder.forward(ids, np.ones_like(ids)).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("fault", ["overflow", "mid-pass"])
+@pytest.mark.parametrize("name", EVAL_ENTRY_POINTS)
+def test_an_evaluation_that_raises_keeps_the_float64_masters(vocab, name, fault,
+                                                             monkeypatch):
+    """A weight beyond float32's range is named before any pass runs, and an
+    error inside a pass propagates; either way every float64 master comes
+    back byte for byte."""
+    encoder = _paired_encoder()
+    if fault == "overflow":
+        encoder.params["head.pair.b"].data[0] = 1e39  # the last parameter cast
+        error, match = T.NumericError, r"^parameter head\.pair\.b is not finite in float32$"
+    else:
+        def failing(*args, **kwargs):
+            raise RuntimeError("inside a pass")
+        monkeypatch.setattr(T, "layer_norm", failing)
+        error, match = RuntimeError, "^inside a pass$"
+    before = _masters(encoder)
+    with pytest.raises(error, match=match):
+        _evaluation(name, encoder, vocab)()
+    assert _masters(encoder) == before
+
+
+def test_cloze_casts_each_distinct_parameter_set_once(vocab, monkeypatch):
+    """Placement views of one model share one cast; another model gets its own."""
+    casts, cast_weights = [], T.cast_weights
+
+    def counting(params, *args):
+        casts.append(params)
+        return cast_weights(params, *args)
+    monkeypatch.setattr(T, "cast_weights", counting)
+    encoder, other = _paired_encoder(), Encoder(CFG, seed=1)
+    views = [placement_view(encoder, PlacementPlan()) for _ in range(3)]
+    examples = [_cloze_example(encoder, 10, 11)]
+    eval_cloze_placements([encoder, *views, other, encoder], examples, mask_id=4)
+    assert casts == [encoder.params, other.params]
+
+
+def test_embed_corpus_rows_are_float64_and_unit_norm(encoder, vocab):
+    """Rows computed in float32 come back as float64 rows renormalised in
+    float64."""
+    items = [RetrievalRecord(id=str(i), label="c", code=" ".join("abcdefgh"[:1 + i]),
+                             language="l") for i in range(EVAL_BATCH + 3)]
+    emb = embed_corpus(encoder, items, vocab).embeddings
+    assert emb.dtype == np.float64
+    assert np.abs(np.linalg.norm(emb, axis=1) - 1.0).max() <= 1e-12
 
 
 # -- contrastive loss ------------------------------------------------------

@@ -203,6 +203,78 @@ def test_gelu_matches_erf_form():
     assert np.allclose(got, want, atol=1e-12)
 
 
+# measured before the float32 kernel went in: max |Phi32 - Phi64| 3.04e-7 and
+# max GELU error 4.64e-7 (scipy's float32 erf: 4.47e-7) on the grid below
+PHI32_ATOL, GELU32_ATOL = 3.5e-7, 5e-7
+
+
+def test_float32_gelu_stays_within_its_measured_bound():
+    """On a dense float32 grid over [-10, 10], the float32 normal CDF and
+    the float32 ``linear_gelu`` stay within the bounds measured against
+    scipy's float64 ``erf`` at the same points, and stay float32."""
+    from scipy.special import erf
+    z = np.linspace(-10.0, 10.0, 2_000_001).astype(np.float32)
+    z64 = z.astype(np.float64)
+    phi64 = 0.5 * (1.0 + erf(z64 / np.sqrt(2.0)))
+    phi32 = T._normal_cdf32(z)
+    assert phi32.dtype == np.float32
+    assert np.abs(phi32 - phi64).max() <= PHI32_ATOL
+    with T.compute_dtype(np.float32):
+        gelu = T.linear_gelu(Tensor(z[:, None]), Tensor(np.eye(1)), Tensor(np.zeros(1))).data
+    assert gelu.dtype == np.float32
+    assert np.abs(gelu[:, 0] - z64 * phi64).max() <= GELU32_ATOL
+
+
+def test_float64_linear_gelu_is_the_scipy_erf_form_bit_for_bit():
+    """Outside ``compute_dtype`` the GELU node keeps scipy's ``erf``: its
+    output and every parent gradient are byte-identical to the erf form."""
+    import math
+    from scipy.special import erf
+    x, w, b, g = (RNG.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,), (2, 3, 5)))
+    out = T.linear_gelu(*(Tensor(v, requires_grad=True) for v in (x, w, b)))
+    z = x @ w
+    z += b
+    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    d = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi) * z + cdf
+    gz = g * d
+    want = (gz @ w.T, x.reshape(-1, 4).T @ gz.reshape(-1, 5), gz.sum(axis=0).sum(axis=0))
+    assert out.data.tobytes() == (z * cdf).tobytes()
+    for got, expected in zip(out._backward(g), want):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_cast_weights_runs_checked_float32_copies_and_restores_the_masters():
+    """Inside ``cast_weights`` every parameter holds a float32 copy under
+    ``compute_dtype(float32)``; the frozen copies go into ``frozen`` once and
+    are reused. A copy that is not finite raises ``NumericError`` naming
+    its parameter. The float64 masters come back, byte for byte, however
+    the block ends."""
+    ps = ParameterSet()
+    for name in ("a", "b", "c"):
+        ps.add(name, RNG.normal(size=(2, 3)))
+    ps.set_trainable("b", False)
+    masters = {n: t.data for n, t in ps.items()}
+    frozen = {}
+    with T.cast_weights(ps, frozen):
+        assert all(t.data.dtype == np.float32 for _, t in ps.items())
+        assert Tensor(1.0).data.dtype == np.float32
+        assert list(frozen) == ["b"] and ps["b"].data is frozen["b"]
+    assert all(t.data is masters[n] for n, t in ps.items())
+    with pytest.raises(KeyError):
+        with T.cast_weights(ps, frozen):
+            assert ps["b"].data is frozen["b"]
+            raise KeyError("inside")
+    assert all(t.data is masters[n] for n, t in ps.items())
+    assert Tensor(1.0).data.dtype == np.float64
+    ps["a"].data[0, 0] = ps["c"].data[1, 2] = 1e39  # finite in float64 only
+    before = {n: t.data.tobytes() for n, t in ps.items()}
+    with pytest.raises(T.NumericError, match=r"^parameter a is not finite in float32$"):
+        with T.cast_weights(ps):
+            raise AssertionError("the block ran")
+    assert {n: t.data.tobytes() for n, t in ps.items()} == before
+    assert all(t.data.dtype == np.float64 for _, t in ps.items())
+
+
 def test_linear_is_matmul_plus_bias_and_leaves_its_inputs_alone():
     x, w, b = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)
     copies = [v.copy() for v in (x, w, b)]

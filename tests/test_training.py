@@ -292,16 +292,16 @@ def test_max_len_above_max_positions_is_refused_before_step_0(corpus_and_vocab, 
                                           ("lang", "mlm.bias")])  # frozen
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
 def test_weight_that_overflows_float32_stops_the_run(corpus_and_vocab, kind, weight):
-    """A weight of 1e39 is finite in float64 and inf in float32: the first
-    step fails naming it, whether it is trainable (cast each step) or frozen
-    (cast once per run), and every parameter keeps its float64 bytes."""
+    """A weight of 1e39 is finite in float64 and inf in float32: the step-0
+    validation, which computes in float32 too, fails naming it, whether it
+    is trainable or frozen, and every parameter keeps its float64 bytes."""
     enc, run = _trainer(kind, corpus_and_vocab)
     enc.params[weight].data[0] = 1e39
     before = {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()}
     with pytest.raises(TrainingError, match=re.escape(
-            f"parameter {weight} is not finite in float32 at step 1")) as info:
+            f"parameter {weight} is not finite in float32 at step 0")) as info:
         run()
-    assert info.value.report.steps == 1 and info.value.report.loss_curve == []
+    assert info.value.report.steps == 0 and info.value.report.loss_curve == []
     assert {name: (t.data.dtype, t.data.tobytes()) for name, t in enc.params.items()} == before
 
 
