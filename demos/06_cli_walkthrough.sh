@@ -137,4 +137,36 @@ adapterlab zero-shot --out $R/zs --seed 0 \
   --adapter $R/la/l_adapter.ckpt --eval-language beta \
   --set vocab=$R/tok/vocab.txt --set synthetic.n=30
 
+# an adapter checkpoint stores only what its run trained, and names the
+# checkpoint it was trained on by path and digest: with another seed's
+# pretrain in place of pre/backbone.ckpt, the L-adapter exits 1, naming both
+adapterlab pretrain --out $R/pre-other --seed 1 --set vocab=$R/tok/vocab.txt \
+  --set encoder.num_layers=2 --set encoder.hidden_size=32 \
+  --set encoder.num_heads=2 --set encoder.ffn_size=64 \
+  --set train.max_steps=50 --set train.max_len=32 \
+  --set synthetic.n_sentences=400
+mv $R/pre/backbone.ckpt $R/pre/backbone.ckpt.kept
+cp $R/pre-other/backbone.ckpt $R/pre/backbone.ckpt
+if adapterlab eval-cloze --out $R/cloze-other-backbone --seed 0 \
+  --set vocab=$R/tok/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set synthetic.n=50 2> $R/error.json; then
+  exit 1
+fi
+mv $R/pre/backbone.ckpt.kept $R/pre/backbone.ckpt
+cat $R/error.json
+grep -q "$R/la/l_adapter.ckpt: its parent .*/$R/pre/backbone.ckpt holds other weights" \
+  $R/error.json
+
+# a checkpoint records its vocabulary: another seed's vocabulary of the same
+# size exits 1, naming both files
+adapterlab tokenizer-train --out $R/tok-other --seed 1 \
+  --set vocab_size=512 --set synthetic.n_sentences=400
+if adapterlab eval-cloze --out $R/cloze-other-vocab --seed 0 \
+  --set vocab=$R/tok-other/vocab.txt --set model=$R/la/l_adapter.ckpt \
+  --set synthetic.n=50 2> $R/error.json; then
+  exit 1
+fi
+cat $R/error.json
+grep -q "$R/la/l_adapter.ckpt: .* and $R/tok-other/vocab.txt is vocabulary" $R/error.json
+
 echo "done; reports under demos/$R/*/report.json"

@@ -2,21 +2,33 @@
 model.
 
 A checkpoint is a zip archive holding ``manifest.json`` plus one raw
-little-endian binary blob per parameter. The manifest, a ``Manifest``,
-records the format version, the configs, the adapter placement (the empty
-plan for a bare backbone), every parameter's shape and the training
-language; ``load_checkpoint`` checks all of it before it reads a blob.
-``build_model`` composes an encoder, its adapter stack and any pair head
-from a checkpoint by parameter name; ``save_model`` writes one.
+little-endian binary blob per stored parameter. The manifest, a
+``Manifest``, records the format version, the configs, the whole model's
+adapter placement (the empty plan for a bare backbone), the shape of each
+parameter the file stores, the training language and the vocabulary's
+digest; ``load_checkpoint`` checks all of it before it reads a blob.
+
+A backbone stores every parameter. A component (an L- or a T-adapter run)
+stores only what its run trained or added, and names the checkpoint it was
+trained on as its ``parent``: the path relative to its own directory, and
+the digest of the parameters it takes from that chain. ``load_checkpoint``
+resolves the chain and checks every link. ``build_model`` composes an
+encoder, its adapter stack and any pair head from the resolved state by
+parameter name; ``save_model`` writes one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import re
 import zipfile
 import zlib
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +37,7 @@ from .encoder import Encoder, EncoderConfig
 from .schema import JsonConfig, check
 from .tasks import register_pair_head
 
-FORMAT = "adapterlab-ckpt v4"
+FORMAT = "adapterlab-ckpt v5"
 
 
 class CheckpointError(ValueError):
@@ -37,9 +49,29 @@ class CheckpointError(ValueError):
 _DAMAGED = (zipfile.BadZipFile, zlib.error)
 
 
+def _is_sha256(v) -> bool:
+    return v is None or re.fullmatch(r"[0-9a-f]{64}", v) is not None
+
+
+@dataclasses.dataclass(frozen=True)
+class Parent(JsonConfig):
+    """The checkpoint a component was trained on: its ``path``, relative to
+    the component's directory, and the ``sha256`` (``digest``) of the
+    parameters the component takes from that checkpoint's chain."""
+    path: str
+    sha256: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        check(self, "a relative path", lambda v: v != "" and not os.path.isabs(v), "path")
+        check(self, "64 lowercase hex digits", _is_sha256, "sha256")
+
+
 @dataclasses.dataclass(frozen=True)
 class Manifest(JsonConfig):
-    """``manifest.json``; ``params`` maps each parameter name to its shape."""
+    """``manifest.json``; ``params`` maps each parameter this file stores to
+    its shape, ``vocab`` is the vocabulary's ``Vocabulary.sha256``, and
+    ``parent`` is null for a file that stores a whole model."""
     format: str = FORMAT
     dtype: str = "<f8"
     config: EncoderConfig = dataclasses.field(default_factory=EncoderConfig)
@@ -47,6 +79,8 @@ class Manifest(JsonConfig):
     adapter_config: AdapterConfig = AdapterConfig()
     params: dict[str, list[int]] = dataclasses.field(default_factory=dict)
     language: str | None = None
+    vocab: str | None = None
+    parent: Parent | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -54,6 +88,38 @@ class Manifest(JsonConfig):
         check(self, "'<f8'", lambda v: v == "<f8", "dtype")
         check(self, "shapes of sizes >= 0",
               lambda v: all(d >= 0 for s in v.values() for d in s), "params")
+        check(self, "null or 64 lowercase hex digits", _is_sha256, "vocab")
+
+
+@dataclasses.dataclass(frozen=True)
+class Origin:
+    """The checkpoint chain a model was built from (the file it named
+    first), the vocabulary digest it records, and each parameter's
+    ``blob_sha256`` at load."""
+    chain: tuple[Path, ...]
+    vocab: str | None
+    sums: dict[str, str]
+
+
+class State(dict):
+    """Parameter name -> array, as ``load_checkpoint`` resolved it, with the
+    ``origin`` ``build_model`` gives the model (None for a stream)."""
+    origin: Origin | None = None
+
+
+def blob_sha256(array: np.ndarray) -> str:
+    """SHA-256 of ``array``'s blob: its raw little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8")).hexdigest()
+
+
+def digest(sums: Mapping[str, str]) -> str:
+    """SHA-256 over each parameter name in sorted order, each followed by its
+    ``blob_sha256`` in ``sums``: a digest of the parameters by name and
+    bytes, as ``adapters.checksum``, that reuses the sums taken at load."""
+    sha = hashlib.sha256()
+    for name in sorted(sums):
+        sha.update(f"{name}\n{sums[name]}\n".encode())
+    return sha.hexdigest()
 
 
 def save_checkpoint(path, manifest: Manifest, params: dict[str, np.ndarray]) -> None:
@@ -67,8 +133,9 @@ def save_checkpoint(path, manifest: Manifest, params: dict[str, np.ndarray]) -> 
             zf.writestr(f"params/{name}.bin", blob)
 
 
-def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
-    """Returns (manifest, params); the whole manifest is checked first."""
+def _read(path) -> tuple[Manifest, dict[str, np.ndarray], dict[str, str]]:
+    """(manifest, blobs, their ``blob_sha256``) of the one file ``path``; the
+    whole manifest is checked first."""
     try:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
@@ -91,7 +158,7 @@ def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
             manifest = Manifest.from_dict(raw)
         except ValueError as e:
             raise CheckpointError(f"{path}: manifest {e}") from e
-        params = {}
+        params, sums = {}, {}
         for name, shape in manifest.params.items():
             try:
                 blob = zf.read(f"params/{name}.bin")
@@ -104,7 +171,50 @@ def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
                     f"{path}: blob of parameter {name} holds {len(blob)} bytes, "
                     f"shape {shape} needs {math.prod(shape) * 8}")
             params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    return manifest, params
+            sums[name] = hashlib.sha256(blob).hexdigest()
+    return manifest, params, sums
+
+
+def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
+    """Returns (manifest, state): the manifest of ``path``, and the
+    parameters of its whole chain of parents, later files winning. Each file
+    is read and checked in full before its parent is opened; a parent that
+    is missing, already in the chain, or holds other weights than its child
+    was trained on is a ``CheckpointError`` naming both files."""
+    on_file = isinstance(path, (str, os.PathLike))
+    files = [(path, *_read(path))]  # (path, manifest, blobs, sums), the named file first
+    chain = [Path(path).resolve()] if on_file else []
+    while (link := files[-1][1].parent) is not None:
+        child = files[-1][0]
+        if not on_file:
+            raise CheckpointError(f"{child}: a checkpoint read from a stream cannot "
+                                  f"resolve its parent {link.path}")
+        parent = (Path(child).resolve().parent / link.path).resolve()
+        if parent in chain:
+            raise CheckpointError(f"{child}: its parent {parent} is already in its "
+                                  "chain of parents")
+        if not parent.is_file():
+            raise CheckpointError(f"{child}: its parent checkpoint {parent} is missing")
+        chain.append(parent)
+        try:
+            files.append((parent, *_read(parent)))
+        except CheckpointError as e:
+            raise CheckpointError(f"{e} (the parent of {child})") from e
+    state, sums = State(), {}
+    for i in reversed(range(len(files))):  # the backbone first
+        child, manifest, blobs, file_sums = files[i]
+        if manifest.parent is not None:
+            got = digest({n: s for n, s in sums.items() if n not in blobs})
+            if got != manifest.parent.sha256:
+                raise CheckpointError(
+                    f"{child}: its parent {files[i + 1][0]} holds other weights than "
+                    f"the ones it was trained on (SHA-256 {got[:12]}, recorded "
+                    f"{manifest.parent.sha256[:12]})")
+        state.update(blobs)
+        sums.update(file_sums)
+    if on_file:
+        state.origin = Origin(tuple(chain), files[0][1].vocab, sums)
+    return files[0][1], state
 
 
 def build_model(manifest: Manifest, state: dict[str, np.ndarray],
@@ -137,12 +247,41 @@ def build_model(manifest: Manifest, state: dict[str, np.ndarray],
         if not (plan.places(name) and not stored.places(name)):
             raise CheckpointError(f"model parameter {name} is missing from the checkpoint")
     encoder.params.load_state_dict(state)
+    encoder.origin = getattr(state, "origin", None)
     return encoder
 
 
-def save_model(path, encoder: Encoder, language: str | None = None) -> None:
-    """Checkpoint of the whole model with the configs ``build_model`` needs."""
+def save_model(path, encoder: Encoder, language: str | None = None,
+               vocab: str | None = None) -> None:
+    """Checkpoint of ``encoder`` with the configs ``build_model`` needs.
+
+    A model built from a checkpoint file (``encoder.origin``) is saved as a
+    component of it: the file stores each parameter that is trainable or did
+    not come from the origin, and names the origin as its ``parent``, with
+    the digest of the rest. Those must hold the bytes they were loaded
+    with: a frozen weight the run changed is a ``CheckpointError`` naming
+    it, and nothing is written. So is a ``path`` in the origin's chain,
+    which the file would replace with one naming itself. Any other model is
+    stored whole. ``vocab`` (a ``Vocabulary.sha256``) defaults to the origin's.
+    """
+    params, origin = encoder.params, encoder.origin
+    stored = {n for n in params.names() if origin is None or params.is_trainable(n)
+              or n not in origin.sums}
+    parent = None
+    if origin is not None:
+        if Path(path).resolve() in origin.chain:
+            raise CheckpointError(f"{path}: not written: the model was loaded from this "
+                                  "file's chain, and a component cannot replace its own parent")
+        taken = {n: blob_sha256(t.data) for n, t in params.items() if n not in stored}
+        changed = sorted(n for n, s in taken.items() if s != origin.sums[n])
+        if changed:
+            raise CheckpointError(f"{path}: not written: the run changed {len(changed)} "
+                                  f"frozen parameter(s) loaded from {origin.chain[0]}, "
+                                  f"e.g. {changed[:3]}")
+        parent = Parent(os.path.relpath(origin.chain[0], Path(path).resolve().parent),
+                        digest(taken))
+        vocab = vocab or origin.vocab
     save_checkpoint(path, Manifest(
         config=encoder.config, placement=encoder.adapters.plan,
-        adapter_config=encoder.adapters.config, language=language),
-        encoder.params.state_dict())
+        adapter_config=encoder.adapters.config, language=language, vocab=vocab,
+        parent=parent), {n: t.data for n, t in params.items() if n in stored})

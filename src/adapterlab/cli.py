@@ -26,7 +26,7 @@ from pathlib import Path
 from . import synth, tasks, training
 from .adapters import BACKBONE_PREFIXES, AdapterConfig, PlacementPlan, placement_view
 from .budget import build_report, paper_scale_report
-from .checkpoint import build_model, load_checkpoint, save_model
+from .checkpoint import CheckpointError, Manifest, build_model, load_checkpoint, save_model
 from .encoder import Encoder, EncoderConfig
 from .schema import RunConfig, check, read_text
 from .tokenizer import Vocabulary, train_bpe
@@ -100,6 +100,20 @@ def _cloze_examples(run: RunConfig, vocab: Vocabulary, seed: int, **kwargs) -> l
                                 vocab, **kwargs)
 
 
+def _load(run: RunConfig, key: str, vocab: Vocabulary) -> tuple[Manifest, dict]:
+    """The checkpoint at config key ``key``, resolved through its parents;
+    it must record ``vocab``, read from ``run.vocab``, as the vocabulary it
+    was trained with."""
+    path = getattr(run, key)
+    manifest, state = load_checkpoint(path)
+    if manifest.vocab != vocab.sha256:
+        recorded = f"vocabulary {manifest.vocab[:12]}" if manifest.vocab else "no vocabulary"
+        raise CheckpointError(f"{path}: the checkpoint records {recorded}, and {run.vocab} "
+                              f"is vocabulary {vocab.sha256[:12]}: a model runs with the "
+                              "vocabulary it was trained with")
+    return manifest, state
+
+
 def _refuse(given: dict, keys, reason: str) -> None:
     """A config key that ``given`` sets and the run would ignore is an error."""
     ignored = sorted(k for k in keys if given.get(k) is not None)
@@ -142,7 +156,7 @@ def cmd_pretrain(args, run, seed, out: Path) -> dict:
     texts = synth.nl_texts(run.corpus, _config(run, "synthetic"), seed)
     encoder = Encoder(dataclasses.replace(enc_cfg, vocab_size=vocab.size), seed=seed)
     report = training.pretrain_mlm(encoder, texts, vocab, train_cfg)
-    save_model(out / "backbone.ckpt", encoder)
+    save_model(out / "backbone.ckpt", encoder, vocab=vocab.sha256)
     (out / "train_report.json").write_text(report.to_json())
     return {"checkpoint": str(out / "backbone.ckpt"), "steps": report.steps,
             "final_val_loss": report.val_curve[-1],
@@ -154,7 +168,7 @@ def cmd_train_lang_adapter(args, run, seed, out: Path) -> dict:
             ("placement.t_layers",), "an L-adapter stage trains no task adapters")
     vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
-    manifest, state = load_checkpoint(run.backbone)
+    manifest, state = _load(run, "backbone", vocab)
     plan = manifest.placement
     if plan.t_layers:
         raise CliError(f"backbone {run.backbone} places task adapters at layers "
@@ -187,7 +201,7 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
     train_cfg = _config(run, "train", TrainConfig(seed=seed).to_dict())
     task_kind = run.task
-    manifest, state = load_checkpoint(run.model)
+    manifest, state = _load(run, "model", vocab)
     plan = manifest.placement
     if not plan.t_layers:  # widen the plan with all-layer T-adapters
         plan = dataclasses.replace(
@@ -217,7 +231,7 @@ def cmd_train_task_adapter(args, run, seed, out: Path) -> dict:
 
 def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
-    encoder = build_model(*load_checkpoint(run.model))
+    encoder = build_model(*_load(run, "model", vocab))
     examples = _cloze_examples(run, vocab, seed)
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
@@ -226,7 +240,7 @@ def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
 
 def cmd_eval_clone(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
-    encoder = build_model(*load_checkpoint(run.model))
+    encoder = build_model(*_load(run, "model", vocab))
     task_kind, max_len = run.task, run.max_len
     records = synth.retrieval_records(run.data, _config(run, "synthetic"),
                                       synth.held_out_seed(seed))
@@ -254,7 +268,7 @@ def cmd_budget(args, run, seed, out: Path) -> dict:
 
 def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
-    manifest, state = load_checkpoint(run.model)
+    manifest, state = _load(run, "model", vocab)
     if manifest.placement == PlacementPlan():
         raise CliError("sweep-layers needs a checkpoint with a trained adapter stack")
     full_plan, L = manifest.placement, manifest.config.num_layers
@@ -298,7 +312,7 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
 
 def cmd_zero_shot(args, run, seed, out: Path) -> dict:
     vocab = Vocabulary.load(run.vocab)
-    manifest, state = load_checkpoint(run.model)
+    manifest, state = _load(run, "model", vocab)
     trained_on, unseen = manifest.language, run.eval_language
     if not trained_on:
         raise CliError(f"{run.model}: the checkpoint records no training language; "

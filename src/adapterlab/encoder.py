@@ -54,6 +54,7 @@ class Encoder:
         self.params = ParameterSet()
         self._init_params(np.random.default_rng(seed))
         self.adapters = AdapterStack(self, PlacementPlan())  # adapters.attach replaces it
+        self.origin = None  # the checkpoint chain it was built from: checkpoint.build_model
 
     # -- parameters --------------------------------------------------------
     def _init_params(self, rng: np.random.Generator) -> None:

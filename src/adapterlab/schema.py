@@ -54,13 +54,16 @@ _TYPES = {
 
 def checked(name: str, annotation: str, value):
     """``value`` as a field ``name`` of type ``annotation`` holds it (a
-    config class's instance as it is, its dict through its ``from_dict``);
+    config class's instance as it is, its dict through its ``from_dict``;
+    null too where the annotation allows it);
     ``ValueError`` naming ``name`` if it is wrong."""
     if annotation in _TYPES:
         rule, test, convert = _TYPES[annotation]
         if not test(value):
             raise ValueError(f"key {name!r} must be {rule}, got {value!r}")
         return convert(value) if convert else value
+    if annotation.endswith(" | None"):  # a config class, or null
+        return None if value is None else checked(name, annotation[:-len(" | None")], value)
     nested = next(c for c in JsonConfig.__subclasses__() if c.__name__ == annotation)
     if isinstance(value, nested):
         return value

@@ -10,6 +10,7 @@ alphabet covers the text.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
@@ -80,6 +81,13 @@ class Vocabulary:
     @property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.token_to_id[t] for t in SPECIAL_TOKENS)
+
+    @property
+    def sha256(self) -> str:
+        """SHA-256 of the token list in id order, one escaped token per
+        line: what a checkpoint records of the vocabulary it was trained with."""
+        tokens = (_escape(self.id_to_token[i]) for i in range(self.size))
+        return hashlib.sha256("".join(t + "\n" for t in tokens).encode("ascii")).hexdigest()
 
     # -- encode / decode ---------------------------------------------------
     def _bpe_run(self, run: str) -> list[str]:

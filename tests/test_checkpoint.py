@@ -1,20 +1,23 @@
 """Checkpoint container: round-trip fidelity, the manifest checked in full
 at load, format validation, and the composition rule of ``build_model``."""
 
+import dataclasses
 import io
 import json
 import re
 import struct
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapterlab.adapters import AdapterConfig, PlacementPlan, attach
-from adapterlab.checkpoint import (FORMAT, CheckpointError, Manifest, build_model,
-                                   load_checkpoint, save_checkpoint, save_model)
+from adapterlab.adapters import AdapterConfig, FreezeMode, PlacementPlan, apply_freeze, attach
+from adapterlab.checkpoint import (FORMAT, CheckpointError, Manifest, blob_sha256, build_model,
+                                   digest, load_checkpoint, save_checkpoint, save_model)
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.tasks import register_pair_head
 
@@ -60,16 +63,30 @@ def test_round_trip_bit_exact(tmp_path):
 
 def test_v3_manifest_rejected_naming_both_formats(tmp_path):
     """v3 stored a ``kind`` and a ``task``, and a null placement for a bare
-    backbone; a v3 file fails on its format, naming v4 and v3."""
+    backbone; a v3 file fails on its format, naming v5 and v3."""
     def v3(m):
         m.update(format="adapterlab-ckpt v3", kind="backbone", placement=None,
                  adapter_config=None, task=None)
 
     save_checkpoint(tmp_path / "m.ckpt", Manifest(config=CFG), {})
     with pytest.raises(CheckpointError, match=re.escape(
-            "v3.ckpt: manifest key 'format' must be 'adapterlab-ckpt v4', "
+            "v3.ckpt: manifest key 'format' must be 'adapterlab-ckpt v5', "
             "got 'adapterlab-ckpt v3'")):
         load_checkpoint(_edited(tmp_path / "m.ckpt", tmp_path / "v3.ckpt", v3))
+
+
+def test_v4_manifest_rejected_naming_both_formats(tmp_path):
+    """v4 stored every parameter in every file and recorded no vocabulary and
+    no parent; a v4 file fails on its format, naming v5 and v4."""
+    def v4(m):
+        m["format"] = "adapterlab-ckpt v4"
+        del m["vocab"], m["parent"]
+
+    save_checkpoint(tmp_path / "m.ckpt", Manifest(config=CFG), {})
+    with pytest.raises(CheckpointError, match=re.escape(
+            "v4.ckpt: manifest key 'format' must be 'adapterlab-ckpt v5', "
+            "got 'adapterlab-ckpt v4'")):
+        load_checkpoint(_edited(tmp_path / "m.ckpt", tmp_path / "v4.ckpt", v4))
 
 
 def test_wrong_format_rejected(tmp_path):
@@ -104,25 +121,46 @@ def test_v2_manifest_rejected_naming_its_format(tmp_path):
         load_checkpoint(p)
 
 
+def _raw_manifest(path) -> dict:
+    with zipfile.ZipFile(path) as zf:
+        return json.loads(zf.read("manifest.json"))
+
+
 def test_placement_and_adapter_config_stored(tmp_path):
-    """The manifest keeps the layout that readers outside the library parse."""
-    enc = Encoder(CFG, seed=0)
+    """The manifest keeps the layout that readers outside the library parse:
+    the whole model's placement and sizes, and ``params`` for the blobs the
+    file holds. A model built from no file is stored whole, with no parent;
+    an L-adapter trained on a backbone file stores its own parameters alone
+    and names the backbone, relative to its own directory, with the digest
+    of the parameters it takes from it."""
+    vocab = "ab" * 32
+    save_model(tmp_path / "b.ckpt", Encoder(CFG, seed=0), vocab=vocab)
+    manifest, state = load_checkpoint(tmp_path / "b.ckpt")
     plan = PlacementPlan(frozenset({2, 1}), frozenset(), invertible=True)
-    attach(enc, plan, AdapterConfig(l_bottleneck=2))
-    p = tmp_path / "a.ckpt"
+    enc = build_model(manifest, state, plan, AdapterConfig(l_bottleneck=2))
+    apply_freeze(enc.params, FreezeMode.TRAIN_L_ADAPTER)
+    (tmp_path / "la").mkdir()
+    p = tmp_path / "la" / "a.ckpt"
     save_model(p, enc, language="alpha")
     manifest, _ = load_checkpoint(p)
     assert manifest.placement == plan
     assert manifest.adapter_config == AdapterConfig(2, 1, 2)  # sizes resolved for h=8
-    with zipfile.ZipFile(p) as zf:
-        raw = json.loads(zf.read("manifest.json"))
-    assert raw == {"format": FORMAT, "dtype": "<f8",
-                   "config": CFG.to_dict(),
-                   "placement": {"l_layers": [1, 2], "t_layers": [], "invertible": True},
-                   "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1,
-                                      "inv_coupling_dim": 2},
-                   "params": {n: list(enc.params[n].data.shape) for n in enc.params.names()},
-                   "language": "alpha"}
+    own = [n for n in enc.params.names() if n.startswith(("l_adapter.", "inv."))]
+    backbone = {n: t.data for n, t in enc.params.items() if n not in own}
+    assert _raw_manifest(p) == {
+        "format": FORMAT, "dtype": "<f8", "config": CFG.to_dict(),
+        "placement": {"l_layers": [1, 2], "t_layers": [], "invertible": True},
+        "adapter_config": {"l_bottleneck": 2, "t_bottleneck": 1, "inv_coupling_dim": 2},
+        "params": {n: list(enc.params[n].data.shape) for n in own},
+        "language": "alpha", "vocab": vocab,
+        "parent": {"path": "../b.ckpt",
+                   "sha256": digest({n: blob_sha256(a) for n, a in backbone.items()})}}
+    assert _raw_manifest(tmp_path / "b.ckpt") == {
+        "format": FORMAT, "dtype": "<f8", "config": CFG.to_dict(),
+        "placement": {"l_layers": [], "t_layers": [], "invertible": False},
+        "adapter_config": {"l_bottleneck": 4, "t_bottleneck": 1, "inv_coupling_dim": 2},
+        "params": {n: list(t.shape) for n, t in backbone.items()},
+        "language": None, "vocab": vocab, "parent": None}
 
 
 def test_a_bare_backbone_records_the_empty_plan(tmp_path):
@@ -311,8 +349,9 @@ def _members(archive: io.BytesIO) -> dict[str, bytes]:
 def test_a_saved_model_round_trips_bit_exactly(model, data):
     """``save_model`` -> ``load_checkpoint`` -> ``build_model`` restores every
     parameter bit for bit with the same placement and sizes; saving the
-    rebuilt model writes the same members; and a blob whose stored bytes are
-    flipped, or that is cut short, is a ``CheckpointError`` naming it."""
+    rebuilt model writes the same members; a blob whose stored bytes are
+    flipped, or that is cut short, is a ``CheckpointError`` naming it; and
+    so does the model saved as a chain of files (``_chain_round_trip``)."""
     enc, language = model
     first = io.BytesIO()
     save_model(first, enc, language=language)
@@ -347,3 +386,95 @@ def test_a_saved_model_round_trips_bit_exactly(model, data):
             zf.writestr(member_name, blob[:cut] if member_name == member else blob)
     with pytest.raises(CheckpointError, match=rf"blob of parameter {re.escape(name)} holds {cut} "):
         load_checkpoint(short)
+
+    _chain_round_trip(enc, data)
+
+
+# -- the chain as a property: backbone -> L -> T ------------------------------
+
+_STAGES = ((None, "emb.", "layer.", "mlm."), (FreezeMode.TRAIN_L_ADAPTER, "l_adapter.", "inv."),
+           (FreezeMode.TRAIN_T_ADAPTER, "t_adapter.", "head."))
+
+
+def _save_chain(enc, root: Path) -> list[Path]:
+    """``enc`` saved as three files, each in a directory of its own, as the
+    CLI's stages write them: a whole backbone, then an L and a T component,
+    each built from the file before it and trained (here: given ``enc``'s
+    values) in its own freeze mode."""
+    plan, h = enc.adapters.plan, enc.config.hidden_size
+    backbone = Encoder(enc.config, seed=0)
+    backbone.params.load_state_dict({n: t.data for n, t in enc.params.items()
+                                     if n in backbone.params})
+    paths = [root / "b" / "backbone.ckpt", root / "l" / "l.ckpt", root / "t" / "t.ckpt"]
+    for path in paths:
+        path.parent.mkdir()
+    save_model(paths[0], backbone, vocab="0" * 64)
+    plans = [dataclasses.replace(plan, t_layers=frozenset()), plan]
+    for (mode, *prefixes), parent, path, stage_plan in zip(_STAGES[1:], paths, paths[1:], plans):
+        model = build_model(*load_checkpoint(parent), stage_plan, enc.adapters.config, seed=9)
+        if mode is FreezeMode.TRAIN_T_ADAPTER and "head.pair.w" in enc.params:
+            register_pair_head(model.params, h)
+        model.params.load_state_dict({n: t.data for n, t in enc.params.items()
+                                      if n.startswith(tuple(prefixes))})
+        apply_freeze(model.params, mode)
+        save_model(path, model)
+    return paths
+
+
+def _rewritten(path: Path, manifest=lambda m: None, member=lambda name: name) -> None:
+    """``path`` rewritten with its manifest through ``manifest`` and each
+    member renamed by ``member``."""
+    members = _members(io.BytesIO(path.read_bytes()))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            if name == "manifest.json":
+                raw = json.loads(data)
+                manifest(raw)
+                data = json.dumps(raw)
+            zf.writestr(member(name), data)
+
+
+def _chain_round_trip(enc, data) -> None:
+    """``enc`` saved as a backbone -> L -> T chain resolves to every
+    parameter bit for bit, with its placement and sizes; each file stores
+    only its own stage's prefixes. A swapped, edited, missing or
+    self-referencing parent, or a renamed blob, is a ``CheckpointError``
+    naming the file at fault."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _save_chain(enc, Path(tmp).resolve())  # resolved: as errors name parents
+        for (_, *prefixes), path in zip(_STAGES, paths):
+            assert load_checkpoint(path)[0].params.keys() == {
+                n for n in enc.params.names() if n.startswith(tuple(prefixes))}
+        manifest, state = load_checkpoint(paths[2])
+        rebuilt = build_model(manifest, state)
+        assert (rebuilt.adapters.plan, rebuilt.adapters.config) == (enc.adapters.plan,
+                                                                   enc.adapters.config)
+        assert list(rebuilt.params.names()) == list(enc.params.names())
+        for name, t in enc.params.items():
+            assert rebuilt.params[name].data.tobytes() == t.data.tobytes(), name
+
+        fault = data.draw(st.sampled_from(["swapped", "edited", "missing", "self", "renamed"]))
+        child = data.draw(st.sampled_from(paths[1:]))  # the file whose link breaks
+        parent = paths[paths.index(child) - 1]
+        if fault == "swapped":  # another model of the same shapes in the parent's place
+            other = build_model(*load_checkpoint(parent))
+            for _, t in other.params.items():
+                t.data = t.data + 1.0
+            other.origin = None
+            save_model(parent, other)
+        elif fault == "edited":
+            _rewritten(child, lambda m: m["parent"].update(sha256="f" * 64))
+        elif fault == "missing":
+            parent.unlink()
+        elif fault == "self":
+            _rewritten(child, lambda m: m["parent"].update(path=child.name))
+        else:
+            names = sorted(load_checkpoint(child)[0].params)
+            if not names:
+                return
+            gone = data.draw(st.sampled_from(names))
+            _rewritten(child, member=lambda n: n.replace(f"/{gone}.bin", f"/{gone}.x.bin"))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(paths[2])
+        named = [child] if fault in ("renamed", "self") else [child, parent]
+        assert all(f"{path}" in str(err.value) for path in named), (fault, str(err.value))

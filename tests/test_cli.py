@@ -492,19 +492,21 @@ def test_zero_shot_on_a_backbone_exits_1_naming_it(pipeline, tmp_path, capsys):
 
 @pytest.fixture
 def attached_backbone(pipeline, tmp_path):
-    """The pipeline's backbone, saved again from ``attach(enc, PlacementPlan())``."""
+    """The pipeline's backbone, saved again from ``attach(enc, PlacementPlan())``
+    with the vocabulary it records."""
     manifest, state = load_checkpoint(pipeline[0] / "pre" / "backbone.ckpt")
     enc = Encoder(manifest.config, seed=0)
     attach(enc, PlacementPlan())
     enc.params.load_state_dict(state)
-    save_model(tmp_path / "attached.ckpt", enc)
+    save_model(tmp_path / "attached.ckpt", enc, vocab=manifest.vocab)
     return tmp_path / "attached.ckpt"
 
 
 def test_an_empty_plan_backbone_trains_as_a_plain_one(pipeline, attached_backbone, tmp_path):
     """A model without adapters has one form: the L stage gives a backbone
     saved with the empty plan the default placement, and the same bytes it
-    gives the plain backbone."""
+    gives the plain backbone. Each L checkpoint stores its own adapters
+    alone and names its own backbone, with the same digest of its weights."""
     root, vocab = pipeline
     ckpts = []
     for name, backbone in (("plain", root / "pre" / "backbone.ckpt"),
@@ -513,9 +515,15 @@ def test_an_empty_plan_backbone_trains_as_a_plain_one(pipeline, attached_backbon
                      "--set", f"vocab={vocab}", "--set", f"backbone={backbone}",
                      "--set", "train.max_steps=2", "--set", "synthetic.n=40"]) == 0
         ckpts.append(load_checkpoint(tmp_path / name / "l_adapter.ckpt"))
+        parent = ckpts[-1][0].parent
+        assert (tmp_path / name / parent.path).resolve() == backbone.resolve()
     (plain, plain_state), (attached, attached_state) = ckpts
     assert attached.placement == PlacementPlan.full(2, invertible=True)
-    assert attached == plain and attached_state.keys() == plain_state.keys()
+    assert set(attached.params) == {n for n in attached_state
+                                    if n.startswith(("l_adapter.", "inv."))}
+    assert attached.parent.sha256 == plain.parent.sha256
+    assert dataclasses.replace(attached, parent=None) == dataclasses.replace(plain, parent=None)
+    assert attached_state.keys() == plain_state.keys()
     assert all(np.array_equal(attached_state[n], plain_state[n]) for n in plain_state)
 
 
@@ -610,8 +618,8 @@ def test_checkpoint_missing_blob_exits_1_naming_it(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("member, method, named", [
-    ("params/layer.1.attn.q.b.bin", zipfile.ZIP_STORED, "parameter layer.1.attn.q.b"),
-    ("params/layer.1.attn.q.b.bin", zipfile.ZIP_DEFLATED, "parameter layer.1.attn.q.b"),
+    ("params/l_adapter.1.up.b.bin", zipfile.ZIP_STORED, "parameter l_adapter.1.up.b"),
+    ("params/l_adapter.1.up.b.bin", zipfile.ZIP_DEFLATED, "parameter l_adapter.1.up.b"),
     ("manifest.json", zipfile.ZIP_DEFLATED, "manifest.json"),
 ], ids=["stored-blob", "deflated-blob", "deflated-manifest"])
 def test_checkpoint_corrupt_member_exits_1_naming_it(pipeline, tmp_path, capsys,
@@ -1169,3 +1177,179 @@ def test_non_utf8_input_file_exits_1_naming_it(pipeline, tmp_path, capsys, subco
     err = _one_error_line(capsys)
     assert err["error"] == error
     assert str(bad) in err["message"] and "not UTF-8" in err["message"]
+
+
+# -- component checkpoints: a chain of files, checked at load and at save ----
+
+def _own_blobs(path) -> dict[str, np.ndarray]:
+    """The parameters the file ``path`` itself stores, read from its zip."""
+    with zipfile.ZipFile(path) as zf:
+        shapes = json.loads(zf.read("manifest.json"))["params"]
+        return {n: np.frombuffer(zf.read(f"params/{n}.bin"), "<f8").reshape(s)
+                for n, s in shapes.items()}
+
+
+def _foreign_vocab(vocab, path):
+    """``vocab`` with two ordinary tokens' ids swapped: as large, and not the
+    vocabulary a checkpoint of ``vocab`` was trained with."""
+    v = Vocabulary.load(vocab)
+    a, b = v.id_to_token[10], v.id_to_token[11]
+    Vocabulary({**v.token_to_id, a: 11, b: 10}, v.merges).save(path)
+    return path
+
+
+@pytest.mark.parametrize("subcommand, key, argv", [
+    ("eval-cloze", "la", ["--set", "model={la}", "--set", "synthetic.n=20"]),
+    ("eval-clone", "la", ["--set", "model={la}", "--set", "synthetic.n_classes=5",
+                          "--set", "synthetic.per_class=5"]),
+    ("sweep-layers", "la", ["--set", "model={la}", "--set", "synthetic.n=20"]),
+    ("zero-shot", "la", ["--adapter", "{la}", "--eval-language", "beta",
+                         "--set", "synthetic.n=20"]),
+    ("train-lang-adapter", "pre", ["--set", "backbone={pre}", "--set", "synthetic.n=20",
+                                   "--set", "train.max_steps=1"]),
+    ("train-task-adapter", "la", ["--set", "model={la}", "--set", "synthetic.n_classes=5",
+                                  "--set", "synthetic.per_class=5", "--set", "train.max_steps=1"]),
+], ids=["eval-cloze", "eval-clone", "sweep-layers", "zero-shot", "train-lang-adapter",
+        "train-task-adapter"])
+def test_a_foreign_vocabulary_exits_1_naming_both_files(pipeline, tmp_path, capsys,
+                                                        subcommand, key, argv):
+    """A checkpoint records the digest of the vocabulary it was trained with,
+    and every subcommand that reads a vocabulary with a checkpoint compares
+    the two: a vocabulary of the same size with two ids swapped exits 1."""
+    root, vocab = pipeline
+    ckpts = {"pre": root / "pre" / "backbone.ckpt", "la": root / "la" / "l_adapter.ckpt"}
+    foreign = _foreign_vocab(vocab, tmp_path / "vocab.txt")
+    recorded = load_checkpoint(ckpts[key])[0].vocab
+    assert recorded == Vocabulary.load(vocab).sha256
+    assert _run([subcommand, "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={foreign}", *[a.format(**ckpts) for a in argv]]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CheckpointError", "subcommand": subcommand,
+        "message": f"{ckpts[key]}: the checkpoint records vocabulary {recorded[:12]}, "
+                   f"and {foreign} is vocabulary {Vocabulary.load(foreign).sha256[:12]}: "
+                   "a model runs with the vocabulary it was trained with"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_adapter_checkpoint_stores_only_what_its_run_trained(pipeline):
+    """The L checkpoint holds its L- and invertible adapters and names the
+    backbone beside it; resolved, it is the backbone's weights plus its own."""
+    root, _ = pipeline
+    ckpt = root / "la" / "l_adapter.ckpt"
+    manifest, state = load_checkpoint(ckpt)
+    own = _own_blobs(ckpt)
+    assert own.keys() == {n for n in state if n.startswith(("l_adapter.", "inv."))} != set()
+    assert manifest.parent.path == "../pre/backbone.ckpt"
+    backbone = load_checkpoint(root / "pre" / "backbone.ckpt")[1]
+    assert state.keys() == backbone.keys() | own.keys()
+    assert all(np.array_equal(state[n], v) for n, v in [*backbone.items(), *own.items()])
+
+
+def test_a_component_copied_alone_exits_1_naming_its_missing_parent(pipeline, tmp_path,
+                                                                   capsys):
+    root, vocab = pipeline
+    alone = tmp_path / "elsewhere" / "l_adapter.ckpt"
+    alone.parent.mkdir()
+    alone.write_bytes((root / "la" / "l_adapter.ckpt").read_bytes())
+    assert _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={alone}",
+                 "--set", "synthetic.n=20"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CheckpointError", "subcommand": "eval-cloze",
+        "message": f"{alone}: its parent checkpoint "
+                   f"{(tmp_path / 'pre' / 'backbone.ckpt').resolve()} is missing"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_replaced_parent_exits_1_naming_both_files(pipeline, tmp_path, capsys):
+    """A backbone of the same shapes and vocabulary, but other weights, in
+    the place of the one the L-adapter was trained on."""
+    root, vocab = pipeline
+    for name in ("pre/backbone.ckpt", "la/l_adapter.ckpt"):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_bytes((root / name).read_bytes())
+    manifest, state = load_checkpoint(tmp_path / "pre" / "backbone.ckpt")
+    state["layer.1.ffn.b1"][0] += 1e-9
+    save_model(tmp_path / "pre" / "backbone.ckpt", build_model(manifest, dict(state)),
+               vocab=manifest.vocab)
+    ckpt = tmp_path / "la" / "l_adapter.ckpt"
+    assert _run(["eval-cloze", "--out", str(tmp_path / "o"), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"model={ckpt}",
+                 "--set", "synthetic.n=20"]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "CheckpointError"
+    assert err["message"].startswith(
+        f"{ckpt}: its parent {(tmp_path / 'pre' / 'backbone.ckpt').resolve()} holds other "
+        "weights than the ones it was trained on")
+
+
+def test_a_run_that_changes_a_frozen_weight_writes_no_checkpoint(pipeline, tmp_path, capsys,
+                                                                 monkeypatch):
+    """The save checks the freeze at run time: a frozen weight whose bytes
+    differ from those it was loaded with fails the run, naming the weight
+    and the file it came from, before anything is written."""
+    root, vocab = pipeline
+    train = training.train_language_adapter
+
+    def tampering(encoder, *args):
+        report = train(encoder, *args)
+        encoder.params["layer.1.ffn.b1"].data[0] += 1e-12
+        return report
+    monkeypatch.setattr(training, "train_language_adapter", tampering)
+    out = tmp_path / "o"
+    assert _run(["train-lang-adapter", "--out", str(out), "--seed", "0",
+                 "--set", f"vocab={vocab}", "--set", f"backbone={root / 'pre' / 'backbone.ckpt'}",
+                 "--set", "train.max_steps=1", "--set", "synthetic.n=20"]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CheckpointError", "subcommand": "train-lang-adapter",
+        "message": f"{out / 'l_adapter.ckpt'}: not written: the run changed 1 frozen "
+                   f"parameter(s) loaded from {(root / 'pre' / 'backbone.ckpt').resolve()}, "
+                   "e.g. ['layer.1.ffn.b1']"}
+    assert not out.exists()
+
+
+def test_a_task_adapter_retrained_on_its_checkpoint_resolves_to_the_new_weights(pipeline,
+                                                                               tmp_path):
+    """T on T: the child stores the retrained T-adapters, which win over its
+    parent's, and takes the backbone and the L-adapters through the chain."""
+    root, vocab = pipeline
+    small = ["--set", f"vocab={vocab}", "--set", "synthetic.n_classes=5",
+             "--set", "synthetic.per_class=5", "--set", "train.max_steps=2"]
+    first = tmp_path / "ta" / "t_adapter.ckpt"
+    assert _run(["train-task-adapter", "--out", str(first.parent), "--seed", "0",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}", *small]) == 0
+    again = tmp_path / "again" / "t_adapter.ckpt"
+    assert _run(["train-task-adapter", "--out", str(again.parent), "--seed", "1",
+                 "--set", f"model={first}", *small]) == 0
+    before = load_checkpoint(first)[1]
+    manifest, state = load_checkpoint(again)
+    own = _own_blobs(again)
+    assert manifest.parent.path == "../ta/t_adapter.ckpt"
+    assert own.keys() == {n for n in state if n.startswith(("t_adapter.", "head."))} != set()
+    assert state.keys() == before.keys()
+    assert all(np.array_equal(state[n], v) for n, v in own.items())
+    assert not all(np.array_equal(state[n], before[n]) for n in own)
+    assert all(np.array_equal(state[n], before[n]) for n in state.keys() - own.keys())
+
+
+def test_a_component_written_over_its_own_parent_exits_1_and_keeps_it(pipeline, tmp_path,
+                                                                      capsys):
+    """T retrained with ``--out`` the directory of the T checkpoint it reads
+    would replace its parent with a file naming itself: it exits 1, and the
+    parent keeps its bytes."""
+    root, vocab = pipeline
+    ckpt = tmp_path / "ta" / "t_adapter.ckpt"
+    small = ["--set", f"vocab={vocab}", "--set", "synthetic.n_classes=5",
+             "--set", "synthetic.per_class=5", "--set", "train.max_steps=1"]
+    assert _run(["train-task-adapter", "--out", str(ckpt.parent), "--seed", "0",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}", *small]) == 0
+    capsys.readouterr()
+    before = ckpt.read_bytes()
+    assert _run(["train-task-adapter", "--out", str(ckpt.parent), "--seed", "1",
+                 "--set", f"model={ckpt}", *small]) == 1
+    assert _one_error_line(capsys) == {
+        "error": "CheckpointError", "subcommand": "train-task-adapter",
+        "message": f"{ckpt}: not written: the model was loaded from this file's chain, "
+                   "and a component cannot replace its own parent"}
+    assert ckpt.read_bytes() == before
+    load_checkpoint(ckpt)
