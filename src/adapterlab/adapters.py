@@ -12,10 +12,12 @@ the model.
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import dataclasses
 import enum
 import hashlib
+import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -251,45 +253,123 @@ def placement_view(encoder: Encoder, plan: PlacementPlan) -> Encoder:
     return view
 
 
+PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = concurrent.futures.ThreadPoolExecutor(PARTS, thread_name_prefix="adapterlab-part")
+
+
 def forward_placements(encoders: list[Encoder], ids: np.ndarray,
                        attention_mask: np.ndarray, rows: tuple | None = None) -> list[Tensor]:
     """``forward(ids, attention_mask, rows=rows)`` of each encoder, without
-    dropout. Encoders that share a ``ParameterSet`` and place the same
-    adapters in steps 0..k (``PlacementPlan.step``) hold the same states
-    after step k, so each distinct prefix of steps runs once, and so does
-    the backbone's part of each layer (``Encoder.layer_backbone``) on each
-    distinct state. The prefixes run depth first; a state lives while a
-    step that starts from it is pending."""
-    finals: list[Tensor | None] = [None] * len(encoders)
+    dropout and without tape: the one evaluation forward pass.
 
-    def split(group, l: int):
-        """``group`` by its ``ParameterSet`` and the adapters of step ``l``."""
-        branches: dict[tuple, list[int]] = {}
-        for i in group:
-            branches.setdefault((id(encoders[i].params),) + encoders[i].adapters.plan.step(l),
-                                []).append(i)
-        return branches.values()
+    Encoders that share a ``ParameterSet`` and place the same adapters in
+    steps 0..k (``PlacementPlan.step``) hold the same states after step k,
+    so each distinct prefix of steps runs once, and so does the backbone's
+    part of each layer (``Encoder.layer_backbone``) on each distinct state.
+    The prefixes run depth first; a state lives while a step that starts
+    from it is pending.
 
+    The batch runs as ``PARTS`` parts (at most one per sequence), runs of
+    whole sequences, on a thread pool. numpy computes each step
+    sequence by sequence (a 3-D matmul is one GEMM per sequence), so a
+    part's states are bit for bit those of one pass. With ``rows``, each
+    part stops at the last layer's ``Encoder.layer_attention`` and hands
+    its rows over; the last layer's per-row work (``Encoder.layer_ffn``,
+    ``layer_adapters``) runs on 2-D operands, whose GEMM may round a row by
+    its place in the block, so it runs once on all the batch's rows, in the
+    calling thread. The inputs are checked whole first, so a bad batch
+    raises what one pass raises, and every part ends before an error
+    propagates."""
+    ids, attention_mask = np.asarray(ids), np.asarray(attention_mask)
+    for encoder in {id(e.config): e for e in encoders}.values():
+        encoder.mask_bias(ids, attention_mask)
+    n = len(ids)
+    k = max(1, min(PARTS, n))
+    edges = [i * n // k for i in range(k + 1)]
+    if rows is not None:
+        part_of_row = np.searchsorted(edges, rows[0], side="right") - 1
+        picked = [np.flatnonzero(part_of_row == j) for j in range(k)]
+    with T.no_grad():
+        futures = [_POOL.submit(_forward_part, encoders, ids[lo:hi], attention_mask[lo:hi],
+                                None if rows is None else (rows[0][picked[j]] - lo,
+                                                           rows[1][picked[j]]))
+                   for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
+        concurrent.futures.wait(futures)  # no part outlives the caller's contexts
+        parts = [f.result() for f in futures]  # the first part's error, if any
+        finals: list[Tensor | None] = [None] * len(encoders)
+        for ends in zip(*parts):  # one group of encoders: its result in each part
+            group = ends[0][0]
+            results = [result for _, result in ends]
+            l = encoders[group[0]].config.num_layers
+            if rows is None:  # each branch's final states, part by part
+                branches = [(branch, T.Tensor(np.concatenate([r[b][1].data for r in results])))
+                            for b, (branch, _) in enumerate(results[0])]
+            else:  # the rows of the last layer's input and attention, part by part
+                x, attn = (T.Tensor(_in_order([r[m].data for r in results], picked))
+                           for m in (0, 1))
+                branches = _last_adapters(encoders, group, l,
+                                          *encoders[group[0]].layer_ffn(l, x, attn))
+            for branch, y in branches:
+                for i in branch:
+                    finals[i] = y
+    return finals
+
+
+def _split(encoders: list[Encoder], group, l: int):
+    """``group`` by its ``ParameterSet`` and the adapters of step ``l``."""
+    branches: dict[tuple, list[int]] = {}
+    for i in group:
+        branches.setdefault((id(encoders[i].params),) + encoders[i].adapters.plan.step(l),
+                            []).append(i)
+    return list(branches.values())
+
+
+def _last_adapters(encoders: list[Encoder], group, l: int, h1: Tensor, f: Tensor) -> list:
+    """(branch, final states) of each branch of ``group`` in the last layer ``l``."""
+    return [(branch, encoders[branch[0]].layer_adapters(l, h1, f))
+            for branch in _split(encoders, group, l)]
+
+
+def _in_order(blocks: list[np.ndarray], picked: list[np.ndarray]) -> np.ndarray:
+    """The rows of ``blocks`` put back in the batch's row order: block j
+    holds the rows at the positions ``picked[j]``."""
+    stacked = np.concatenate(blocks)
+    out = np.empty_like(stacked)
+    out[np.concatenate(picked)] = stacked
+    return out
+
+
+def _forward_part(encoders: list[Encoder], ids: np.ndarray, attention_mask: np.ndarray,
+                  rows: tuple | None) -> list[tuple]:
+    """One part of ``forward_placements``: a (group, result) per group of
+    encoders that reach the last layer together, in depth-first order. The
+    result is the group's ``_last_adapters`` or, with ``rows``, the
+    ``rows`` of the states the last layer starts from and of its
+    attention."""
+    out = []
     # (encoders that share steps 0..l-1, step l, the state and mask bias it starts from)
-    pending = [(group, 0, None, None) for group in split(range(len(encoders)), 0)]
+    pending = [(group, 0, None, None) for group in _split(encoders, range(len(encoders)), 0)]
     while pending:
         group, l, x, mask_bias = pending.pop()
         encoder = encoders[group[0]]
         if l == 0:
             x, mask_bias = encoder.embed_step(ids, attention_mask)
             pending.append((group, 1, x, mask_bias))
-            continue
-        last = encoder.config.num_layers
-        h1, f = encoder.layer_backbone(l, x, mask_bias, rows=rows if l == last else None)
-        for branch in split(group, l):
-            y = encoders[branch[0]].layer_adapters(l, h1, f)
-            if l == last:
-                for i in branch:
-                    finals[i] = y
-            else:
-                pending.append((branch, l + 1, y, mask_bias))
-        del h1, f  # not alive beside the next layer's: one encoder holds what forward holds
-    return finals
+        elif l < encoder.config.num_layers:
+            h1, f = encoder.layer_backbone(l, x, mask_bias)
+            for branch in _split(encoders, group, l):
+                pending.append((branch, l + 1, encoders[branch[0]].layer_adapters(l, h1, f),
+                                mask_bias))
+            del h1, f  # not alive beside the next layer's: one encoder holds what forward holds
+        elif rows is None:
+            out.append((group, _last_adapters(encoders, group, l,
+                                              *encoder.layer_backbone(l, x, mask_bias))))
+        else:
+            attn = encoder.layer_attention(l, x, mask_bias)
+            out.append((group, (T.tslice(x, rows), T.tslice(attn, rows))))
+            del attn
+        del x
+    return out
 
 
 def trainable_parameters(params: ParameterSet, mode: FreezeMode) -> list[str]:

@@ -235,7 +235,8 @@ def cmd_eval_cloze(args, run, seed, out: Path) -> dict:
     examples = _cloze_examples(run, vocab, seed)
     result = tasks.eval_cloze(encoder, examples, vocab.mask_id)
     (out / "predictions.json").write_text(json.dumps(result.predictions, indent=2))
-    return {"accuracy": result.accuracy, "n_examples": result.n}
+    return {"accuracy": result.accuracy, "chance_accuracy": result.chance_accuracy,
+            "n_examples": result.n}
 
 
 def cmd_eval_clone(args, run, seed, out: Path) -> dict:
@@ -248,6 +249,7 @@ def cmd_eval_clone(args, run, seed, out: Path) -> dict:
         res = tasks.embed_corpus(encoder, records, vocab, max_len)
         ev = tasks.map_at_r(res.embeddings, res.labels, res.ids)
         return {"task": task_kind, "map_at_r": ev.map_at_r,
+                "chance_map_at_r": ev.chance_map_at_r,
                 "n_items": len(records), "n_truncated": res.n_truncated}
     pairs = synth.pairs_from_retrieval(records, run.n_pairs or 200, seed=seed)
     scores = tasks.eval_pairs(encoder, pairs, vocab, max_len=max_len)

@@ -141,8 +141,21 @@ class Encoder:
         invertible adapter and dropout (with ``rng``), and the attention
         mask bias that every ``layer_backbone`` of the pass takes."""
         ids = np.asarray(ids)
-        attention_mask = np.asarray(attention_mask)
         c, p = self.config, self.params
+        mask_bias = self.mask_bias(ids, attention_mask)
+        positions = np.arange(ids.shape[1])
+        x = T.add(T.embedding(p["emb.tok"], ids),
+                  T.embedding(p["emb.pos"], positions))
+        x = self.adapters.embed_forward(T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"]))
+        return T.dropout(x, c.dropout, rng), mask_bias
+
+    def mask_bias(self, ids: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
+        """The attention mask bias of a pass over ``ids``, once the inputs
+        pass ``embed_step``'s checks, in this order: the length, the ids'
+        range, the mask's shape, a key kept in every row."""
+        ids = np.asarray(ids)
+        attention_mask = np.asarray(attention_mask)
+        c = self.config
         if ids.shape[1] > c.max_positions:
             raise ValueError(f"sequence length {ids.shape[1]} exceeds "
                              f"max_positions {c.max_positions}")
@@ -150,28 +163,36 @@ class Encoder:
             raise ValueError("token id out of vocabulary range")
         if attention_mask.shape != ids.shape:
             raise ValueError("attention mask shape must match ids")
-        mask_bias = T.key_mask_bias(attention_mask)[:, None, None, :]
-
-        positions = np.arange(ids.shape[1])
-        x = T.add(T.embedding(p["emb.tok"], ids),
-                  T.embedding(p["emb.pos"], positions))
-        x = self.adapters.embed_forward(T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"]))
-        return T.dropout(x, c.dropout, rng), mask_bias
+        return T.key_mask_bias(attention_mask)[:, None, None, :]
 
     def layer_backbone(self, l: int, x: Tensor, mask_bias: np.ndarray,
                        rng: np.random.Generator | None = None,
                        rows: tuple | None = None) -> tuple[Tensor, Tensor]:
         """The backbone's part of layer ``l`` on the states ``x`` that layer
-        l-1 (0: ``embed_step``) gave: attention, residual and LN1, then the
-        feed-forward network; returns LN1's output and the feed-forward
-        output, which ``layer_adapters`` takes. ``rows`` as in ``forward``."""
-        c, p = self.config, self.params
-        attn = self._attention(x, mask_bias, l, rng)
-        attn = T.dropout(attn, c.dropout, rng)
+        l-1 (0: ``embed_step``) gave: ``layer_attention``, then
+        ``layer_ffn``, on the ``rows`` of both when ``rows`` is given (as in
+        ``forward``); returns LN1's output and the feed-forward output,
+        which ``layer_adapters`` takes."""
+        attn = self.layer_attention(l, x, mask_bias, rng)
         drawn_as = None
         if rows is not None:
             drawn_as = (x.shape, rows)
             x, attn = T.tslice(x, rows), T.tslice(attn, rows)
+        return self.layer_ffn(l, x, attn, rng, drawn_as)
+
+    def layer_attention(self, l: int, x: Tensor, mask_bias: np.ndarray,
+                        rng: np.random.Generator | None = None) -> Tensor:
+        """Layer ``l``'s attention over every position of ``x``, with
+        dropout (with ``rng``)."""
+        return T.dropout(self._attention(x, mask_bias, l, rng), self.config.dropout, rng)
+
+    def layer_ffn(self, l: int, x: Tensor, attn: Tensor,
+                  rng: np.random.Generator | None = None,
+                  drawn_as: tuple | None = None) -> tuple[Tensor, Tensor]:
+        """Layer ``l``'s per-position work up to the adapter slot: residual
+        and LN1, then the feed-forward network and its dropout (drawn as
+        ``T.dropout``'s ``drawn_as`` says)."""
+        c, p = self.config, self.params
         h1 = T.layer_norm(T.add(x, attn), p[f"layer.{l}.ln1.w"], p[f"layer.{l}.ln1.b"])
         f = T.linear(T.linear_gelu(h1, p[f"layer.{l}.ffn.w1"], p[f"layer.{l}.ffn.b1"]),
                      p[f"layer.{l}.ffn.w2"], p[f"layer.{l}.ffn.b2"])

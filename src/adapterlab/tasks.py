@@ -4,7 +4,9 @@
 Every evaluation computes in ``tensor.STEP_DTYPE`` (float32), as a training
 step does: ``eval_cloze_placements``, ``embed_corpus`` and ``eval_pairs``
 each run their passes inside one ``tensor.cast_weights`` per model, and the
-float64 master weights come back unchanged.
+float64 master weights come back unchanged. Each pass is
+``adapters.forward_placements``, which runs the batch's sequences as
+parallel parts, bit for bit as one pass.
 
 Retrieval uses cosine similarity on unit-norm mean-pooled embeddings with
 deterministic tie-break by ascending item id. Pair classification feeds
@@ -54,6 +56,7 @@ class ClozeResult:
     accuracy: float
     n: int
     predictions: list[dict]
+    chance_accuracy: float  # a uniform pick among each probe's candidates
 
 
 def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
@@ -104,8 +107,10 @@ def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeR
                     pred = int(cand[np.argmax(row[cand])])
                     preds.append({"id": ex.id, "prediction": pred,
                                   "answer": ex.answer, "correct": bool(pred == ex.answer)})
+    chance = float(np.mean([1.0 / len(set(ex.candidates)) for ex in examples]))
     return [ClozeResult(accuracy=sum(p["correct"] for p in preds) / len(examples),
-                        n=len(examples), predictions=preds) for preds in predictions]
+                        n=len(examples), predictions=preds, chance_accuracy=chance)
+            for preds in predictions]
 
 
 # -- retrieval -------------------------------------------------------------
@@ -127,8 +132,11 @@ def embed_texts(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
 
 def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray,
               rng: np.random.Generator | None = None) -> Tensor:
-    """``embed_texts`` of texts already encoded and padded."""
-    hidden = encoder.forward(ids, attn, mode="embed", training=rng is not None, rng=rng)
+    """``embed_texts`` of texts already encoded and padded: with ``rng``
+    through ``Encoder.forward``'s training pass, without it through the
+    evaluation pass, ``forward_placements``."""
+    hidden = (encoder.forward(ids, attn, mode="embed", training=True, rng=rng)
+              if rng is not None else forward_placements([encoder], ids, attn)[0])
     return encoder.sequence_embedding(hidden, attn)
 
 
@@ -137,6 +145,8 @@ def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
     """``embed_ids`` of each item, computed in ``T.STEP_DTYPE`` and returned
     as float64 rows renormalised in float64, so each is unit-norm to float64
     precision; equal rows stay equal."""
+    if not items:
+        raise TaskError("empty retrieval item set")
     max_len = fitted_max_len(encoder, max_len)
     rows, n_truncated = [], 0
     with T.cast_weights(encoder.params), T.no_grad():
@@ -156,6 +166,7 @@ def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],
 class RetrievalEvalResult:
     per_query_ap: list[float]
     map_at_r: float
+    chance_map_at_r: float  # the mean AP@R of a uniformly random ranking
 
 
 def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = None,
@@ -163,6 +174,11 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
     """Mean over queries of (1/R) sum_i P(i), with R the query's same-class
     reference count and P(i) the precision at rank i when that retrieval is
     correct, else 0. Ties break by ascending item id.
+
+    Chance is the expected MAP@R of uniformly random rankings. Of a query's
+    N = n - 1 candidates, rank i holds a hit with chance R/N, and given
+    that, the ranks above it hold (i - 1)(R - 1)/(N - 1) hits on average:
+    E[AP@R] = (1/N) sum_{i=1..R} (1 + (i - 1)(R - 1)/(N - 1)) / i.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     labels = list(labels)
@@ -208,7 +224,10 @@ def map_at_r(embeddings: np.ndarray, labels: Sequence, ids: Sequence | None = No
         # the precision at each hit, summed in rank order as a loop would
         ap = np.cumsum(np.where(hits, np.cumsum(hits, axis=1) / ranks, 0.0), axis=1)
         aps.extend((ap[np.arange(len(q)), r - 1] / r).tolist())
-    return RetrievalEvalResult(per_query_ap=aps, map_at_r=float(np.mean(aps)))
+    harmonic = np.cumsum(1.0 / np.arange(1, r_all.max() + 1))[r_all - 1]  # sum_i 1/i
+    chance = (harmonic + (r_all - 1) * (r_all - harmonic) / max(n - 2, 1)) / (n - 1)
+    return RetrievalEvalResult(per_query_ap=aps, map_at_r=float(np.mean(aps)),
+                               chance_map_at_r=float(np.mean(chance)))
 
 
 # -- pair classification ---------------------------------------------------
@@ -267,6 +286,8 @@ def eval_pairs(encoder: Encoder, pairs: Sequence[PairRecord], vocab: Vocabulary,
                max_len: int | None = None) -> dict:
     """Confusion counts, precision, recall and F1 of the clone rule logit > 0;
     each pass embeds ``EVAL_BATCH // 2`` pairs, so ``EVAL_BATCH`` sequences."""
+    if not pairs:
+        raise TaskError("empty pair set")
     if "head.pair.w" not in encoder.params:
         raise TaskError("the model has no pair-classification head")
     max_len = fitted_max_len(encoder, max_len)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tasks
 from . import tensor as T
-from .adapters import FreezeMode, apply_freeze
+from .adapters import FreezeMode, apply_freeze, forward_placements
 from .corpus import PairRecord, RetrievalRecord
 from .encoder import Encoder
 from .schema import JsonConfig, check
@@ -173,8 +173,9 @@ _EVAL_MASK_SEED = 12345
 
 def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                   cfg: TrainConfig) -> float:
-    """Deterministic masked-LM loss: fixed mask seed, dropout off, no tape,
-    in ``T.STEP_DTYPE`` (``T.cast_weights``)."""
+    """Deterministic masked-LM loss: fixed mask seed, ``mlm_loss`` of each
+    batch through the evaluation pass (``forward_placements``: no dropout,
+    no tape), in ``T.STEP_DTYPE`` (``T.cast_weights``)."""
     losses = []
     with T.cast_weights(encoder.params), T.no_grad():
         for start in range(0, len(texts), cfg.batch_size):
@@ -182,9 +183,11 @@ def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
             ids, attn = encode_batch(chunk, vocab, cfg.max_len)
             batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate,
                                    seed=_EVAL_MASK_SEED + start)
-            if (batch.labels == MaskedBatch.IGNORE).all():
+            rows = np.nonzero(batch.labels != MaskedBatch.IGNORE)
+            if not len(rows[0]):
                 continue
-            losses.append(mlm_loss(encoder, batch).item())
+            hidden = forward_placements([encoder], batch.input_ids, batch.attention_mask, rows)[0]
+            losses.append(T.cross_entropy(encoder.mlm_logits(hidden), batch.labels[rows]).item())
     if not losses:
         raise TrainingError("no maskable validation tokens")
     return float(np.mean(losses))

@@ -395,6 +395,7 @@ def test_eval_cloze_cli(pipeline, tmp_path):
                  "--set", "synthetic.n=30"]) == 0
     rep = _report(tmp_path)
     assert 0.0 <= rep["accuracy"] <= 1.0 and rep["n_examples"] > 0
+    assert 0.0 < rep["chance_accuracy"] < 1.0
     assert (tmp_path / "predictions.json").exists()
 
 
@@ -434,6 +435,10 @@ def test_train_task_adapter_and_eval_clone_cli(pipeline, tmp_path):
                  "--set", "synthetic.per_class=5"]) == 0
     rep2 = _report(tmp_path / "ec")
     assert 0.0 <= rep2["map_at_r"] <= 1.0
+    # 5 classes of 5: each query has R = 4 of N = 24 candidates
+    assert rep2["n_items"] == 25
+    assert rep2["chance_map_at_r"] == pytest.approx(
+        sum((1 + (i - 1) * 3 / 23) / i for i in range(1, 5)) / 24, abs=1e-12)
 
 
 def test_sweep_layers_cli(pipeline, tmp_path):

@@ -83,6 +83,26 @@ def test_map_at_r_matches_oracle_random():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [[2, 2], [2, 3, 5], [6, 2, 2, 3], [4] * 5, [3] * 20])
+def test_map_at_r_chance_matches_random_rankings(sizes):
+    """The closed-form MAP@R of a random ranking against 10k simulated
+    rankings: per query, its R hits shuffled among its N = n - 1
+    candidates, AP@R scored as the oracle scores it."""
+    labels = [c for c, k in enumerate(sizes) for _ in range(k)]
+    n, draws = len(labels), 10_000
+    chance = map_at_r(np.eye(n), labels).chance_map_at_r
+    rng = np.random.default_rng(0)
+    aps = np.zeros(draws)
+    for lab in labels:
+        r = labels.count(lab) - 1
+        hits = rng.permuted(np.tile(np.arange(n - 1) < r, (draws, 1)), axis=1)[:, :r]
+        aps += (hits * np.cumsum(hits, axis=1) / np.arange(1, r + 1)).sum(axis=1) / r / n
+    assert abs(aps.mean() - chance) < 4 * aps.std() / np.sqrt(draws)
+    per_query = [sum((1 + (i - 1) * (r - 1) / max(n - 2, 1)) / i for i in range(1, r + 1)) / (n - 1)
+                 for r in (labels.count(lab) - 1 for lab in labels)]
+    assert chance == pytest.approx(np.mean(per_query), abs=1e-15)
+
+
 # classes of 2-6 members, a seed for continuous (tie-free) embeddings, a metric
 retrieval_sets = st.tuples(st.lists(st.integers(2, 6), min_size=1, max_size=6),
                            st.integers(0, 2 ** 32 - 1), st.sampled_from(["cosine", "euclidean"]))
@@ -206,6 +226,7 @@ def test_eval_cloze_runs_and_validates(encoder):
     assert res.n == 1 and res.accuracy in (0.0, 1.0)
     assert res.predictions[0]["prediction"] in (10, 11)
 
+    assert res.chance_accuracy == 0.5
     with pytest.raises(TaskError):
         eval_cloze(encoder, [], mask_id=4)
     bad = _cloze_example(encoder, 10, 11)
@@ -318,6 +339,17 @@ def test_max_len_above_max_positions_is_refused(encoder, vocab, call):
     with pytest.raises(TaskError, match=r"^max_len 25 exceeds the model's max_positions 24$"):
         run(CFG.max_positions + 1)
     run(CFG.max_positions)
+
+
+@pytest.mark.parametrize("call, name", [("embed_corpus", "retrieval item"),
+                                        ("eval_pairs", "pair")])
+def test_an_empty_set_is_refused_by_name(encoder, vocab, call, name):
+    """As ``eval_cloze`` refuses an empty cloze example set: neither numpy's
+    concatenation error nor an F1 of 0.0."""
+    if "head.pair.w" not in encoder.params:
+        register_pair_head(encoder.params, CFG.hidden_size)
+    with pytest.raises(TaskError, match=f"^empty {name} set$"):
+        {"embed_corpus": embed_corpus, "eval_pairs": eval_pairs}[call](encoder, [], vocab)
 
 
 # -- pair classification ---------------------------------------------------

@@ -136,16 +136,15 @@ def test_non_finite_step_stops_with_report(corpus_and_vocab, monkeypatch,
 def test_non_finite_forward_pass_stops_with_report(corpus_and_vocab, monkeypatch,
                                                    faulty, step, val_steps):
     """A forward pass that raises NumericError, in a training batch
-    (``faulty=True``) or in validation, stops the run with its report."""
+    (``faulty=True``: ``Encoder.forward``) or in validation (the evaluation
+    pass, ``forward_placements``), stops the run with its report."""
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
-    clean = Encoder.forward
 
-    def overflowing(self, *args, **kwargs):
-        if kwargs.get("training", False) == faulty:
-            raise T.NumericError("non-finite hidden states")
-        return clean(self, *args, **kwargs)
-    monkeypatch.setattr(Encoder, "forward", overflowing)
+    def overflowing(*args, **kwargs):
+        raise T.NumericError("non-finite hidden states")
+    monkeypatch.setattr(*((Encoder, "forward") if faulty else (training, "forward_placements")),
+                        overflowing)
     before = checksum(enc.params)
     cfg = TrainConfig(learning_rate=1e-3, max_steps=5, eval_every=5, max_len=32)
     with pytest.raises(TrainingError, match=f"non-finite hidden states at step {step}") as info:
