@@ -306,7 +306,7 @@ def cmd_sweep_layers(args, run, seed, out: Path) -> dict:
     rows = []
     for (i, plan), result in zip(placements, results):
         rows.append({"i": i, "accuracy": result.accuracy,
-                     "l_layers": sorted(plan.l_layers)})
+                     "chance_accuracy": result.chance_accuracy, "l_layers": sorted(plan.l_layers)})
         print(f"layers 1..{i}: accuracy {result.accuracy:.4f}")
     return {"mode": "retrain" if args.retrain_per_layer else "truncate",
             "metric": "cloze_accuracy", "rows": rows}
@@ -324,12 +324,13 @@ def cmd_zero_shot(args, run, seed, out: Path) -> dict:
                        f"trained on {trained_on!r}: zero-shot needs an unseen language")
     encoder = build_model(manifest, state)
     del state  # the model holds its own copy
-    scores = {}
+    scores, chance = {}, {}
     for language in (trained_on, unseen):
-        examples = _cloze_examples(run, vocab, seed, language=language)
-        scores[language] = tasks.eval_cloze(encoder, examples, vocab.mask_id).accuracy
+        result = tasks.eval_cloze(encoder, _cloze_examples(run, vocab, seed, language=language),
+                                  vocab.mask_id)
+        scores[language], chance[language] = result.accuracy, result.chance_accuracy
     return {"train_language": trained_on, "eval_language": unseen,
-            "cloze_accuracy": scores,
+            "cloze_accuracy": scores, "chance_accuracy": chance,
             "transfer_gap": scores[trained_on] - scores[unseen]}
 
 

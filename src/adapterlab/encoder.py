@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .adapters import AdapterStack, PlacementPlan
+from .adapters import AdapterStack, PlacementPlan, forward_placements
 from .schema import JsonConfig, check
 from .tensor import ParameterSet, Tensor
 
@@ -112,11 +112,11 @@ class Encoder:
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, L, h))
         return T.linear(ctx, p[f"layer.{l}.attn.o.w"], p[f"layer.{l}.attn.o.b"])
 
-    def forward(self, ids: np.ndarray, attention_mask: np.ndarray,
-                mode: str = "mlm", training: bool = False,
+    def forward(self, ids: np.ndarray, attention_mask: np.ndarray, mode: str = "mlm",
                 rng: np.random.Generator | None = None, rows: tuple | None = None) -> Tensor:
-        """Hidden states [batch, len, h]; ``mode`` is {"mlm", "embed"}; dropout
-        runs only with ``training``, which needs ``rng``.
+        """Hidden states [batch, len, h]: ``adapters.forward_placements`` of
+        this encoder alone. ``mode`` is {"mlm", "embed"}; dropout runs
+        exactly when ``rng`` is given.
 
         ``rows``, a (batch indices, position indices) pair of distinct
         positions, asks for only those states, [len(rows[0]), h]: the last
@@ -125,15 +125,7 @@ class Encoder:
         """
         if mode not in ("mlm", "embed"):
             raise ValueError(f"unknown mode {mode!r}")
-        if training and rng is None:
-            raise ValueError("training=True needs an rng for dropout")
-        rng = rng if training else None
-        x, mask_bias = self.embed_step(ids, attention_mask, rng)
-        L = self.config.num_layers
-        for l in range(1, L + 1):
-            x = self.layer_adapters(l, *self.layer_backbone(l, x, mask_bias, rng,
-                                                            rows if l == L else None))
-        return x
+        return forward_placements([self], ids, attention_mask, rows, rng)[0]
 
     def embed_step(self, ids: np.ndarray, attention_mask: np.ndarray,
                    rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
@@ -166,19 +158,12 @@ class Encoder:
         return T.key_mask_bias(attention_mask)[:, None, None, :]
 
     def layer_backbone(self, l: int, x: Tensor, mask_bias: np.ndarray,
-                       rng: np.random.Generator | None = None,
-                       rows: tuple | None = None) -> tuple[Tensor, Tensor]:
+                       rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """The backbone's part of layer ``l`` on the states ``x`` that layer
         l-1 (0: ``embed_step``) gave: ``layer_attention``, then
-        ``layer_ffn``, on the ``rows`` of both when ``rows`` is given (as in
-        ``forward``); returns LN1's output and the feed-forward output,
+        ``layer_ffn``; returns LN1's output and the feed-forward output,
         which ``layer_adapters`` takes."""
-        attn = self.layer_attention(l, x, mask_bias, rng)
-        drawn_as = None
-        if rows is not None:
-            drawn_as = (x.shape, rows)
-            x, attn = T.tslice(x, rows), T.tslice(attn, rows)
-        return self.layer_ffn(l, x, attn, rng, drawn_as)
+        return self.layer_ffn(l, x, self.layer_attention(l, x, mask_bias, rng), rng)
 
     def layer_attention(self, l: int, x: Tensor, mask_bias: np.ndarray,
                         rng: np.random.Generator | None = None) -> Tensor:

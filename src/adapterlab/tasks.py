@@ -5,8 +5,8 @@ Every evaluation computes in ``tensor.STEP_DTYPE`` (float32), as a training
 step does: ``eval_cloze_placements``, ``embed_corpus`` and ``eval_pairs``
 each run their passes inside one ``tensor.cast_weights`` per model, and the
 float64 master weights come back unchanged. Each pass is
-``adapters.forward_placements``, which runs the batch's sequences as
-parallel parts, bit for bit as one pass.
+``adapters.forward_placements``, which under ``T.no_grad`` runs the batch's
+sequences as parallel parts, bit for bit as one pass.
 
 Retrieval uses cosine similarity on unit-norm mean-pooled embeddings with
 deterministic tie-break by ascending item id. Pair classification feeds
@@ -126,18 +126,15 @@ class EmbedResult:
 def embed_texts(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                 max_len: int, rng: np.random.Generator | None = None) -> Tensor:
     """Unit-norm mean-pooled embeddings [len(texts), h]: encode, run the
-    ``embed`` forward pass (with dropout when ``rng`` is given), pool."""
+    forward pass (with dropout when ``rng`` is given), pool."""
     return embed_ids(encoder, *encode_batch(texts, vocab, max_len), rng)
 
 
 def embed_ids(encoder: Encoder, ids: np.ndarray, attn: np.ndarray,
               rng: np.random.Generator | None = None) -> Tensor:
-    """``embed_texts`` of texts already encoded and padded: with ``rng``
-    through ``Encoder.forward``'s training pass, without it through the
-    evaluation pass, ``forward_placements``."""
-    hidden = (encoder.forward(ids, attn, mode="embed", training=True, rng=rng)
-              if rng is not None else forward_placements([encoder], ids, attn)[0])
-    return encoder.sequence_embedding(hidden, attn)
+    """``embed_texts`` of texts already encoded and padded, through
+    ``Encoder.forward``: in parts under ``T.no_grad`` without ``rng``."""
+    return encoder.sequence_embedding(encoder.forward(ids, attn, rng=rng), attn)
 
 
 def embed_corpus(encoder: Encoder, items: Sequence[RetrievalRecord],

@@ -109,6 +109,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record tape here: outside every ``no_grad`` block."""
+    return _grad_enabled
+
+
 @contextlib.contextmanager
 def compute_dtype(dtype):
     """Hold float data in ``dtype`` inside the block (float64 outside it)."""

@@ -6,7 +6,9 @@ correction, inverted dropout, early stopping on a validation metric.
 Each step is mixed precision: the forward and backward passes run in
 float32 over float32 copies of the weights (``tensor.cast_weights``), and
 Adam updates the float64 master weights with the float64 gradients.
-Validation computes in float32 too, as every evaluation does.
+Validation computes in float32 too, as every evaluation does. Both run the
+one forward walk (``Encoder.forward``): a step with tape and dropout in the
+calling thread, validation under ``T.no_grad`` in parallel parts.
 
 All randomness flows from TrainConfig.seed through one generator, so a fixed
 seed and data order reproduce checkpoints bit-exactly.
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import tasks
 from . import tensor as T
-from .adapters import FreezeMode, apply_freeze, forward_placements
+from .adapters import FreezeMode, apply_freeze
 from .corpus import PairRecord, RetrievalRecord
 from .encoder import Encoder
 from .schema import JsonConfig, check
@@ -163,8 +165,7 @@ def mlm_loss(encoder: Encoder, batch: MaskedBatch,
     """Cross-entropy over the masked positions, which alone run the last
     layer's per-position work and the MLM head; ``rng`` turns dropout on."""
     rows = np.nonzero(batch.labels != MaskedBatch.IGNORE)
-    hidden = encoder.forward(batch.input_ids, batch.attention_mask, mode="mlm",
-                             training=rng is not None, rng=rng, rows=rows)
+    hidden = encoder.forward(batch.input_ids, batch.attention_mask, rng=rng, rows=rows)
     return T.cross_entropy(encoder.mlm_logits(hidden), batch.labels[rows])
 
 
@@ -174,8 +175,9 @@ _EVAL_MASK_SEED = 12345
 def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
                   cfg: TrainConfig) -> float:
     """Deterministic masked-LM loss: fixed mask seed, ``mlm_loss`` of each
-    batch through the evaluation pass (``forward_placements``: no dropout,
-    no tape), in ``T.STEP_DTYPE`` (``T.cast_weights``)."""
+    batch without dropout, under ``T.no_grad`` (so the forward pass runs
+    in parts, ``adapters.forward_placements``) and in ``T.STEP_DTYPE``
+    (``T.cast_weights``)."""
     losses = []
     with T.cast_weights(encoder.params), T.no_grad():
         for start in range(0, len(texts), cfg.batch_size):
@@ -183,11 +185,8 @@ def eval_mlm_loss(encoder: Encoder, texts: Sequence[str], vocab: Vocabulary,
             ids, attn = encode_batch(chunk, vocab, cfg.max_len)
             batch = apply_mlm_mask(ids, attn, vocab, cfg.mask_rate,
                                    seed=_EVAL_MASK_SEED + start)
-            rows = np.nonzero(batch.labels != MaskedBatch.IGNORE)
-            if not len(rows[0]):
-                continue
-            hidden = forward_placements([encoder], batch.input_ids, batch.attention_mask, rows)[0]
-            losses.append(T.cross_entropy(encoder.mlm_logits(hidden), batch.labels[rows]).item())
+            if not (batch.labels == MaskedBatch.IGNORE).all():
+                losses.append(mlm_loss(encoder, batch).item())
     if not losses:
         raise TrainingError("no maskable validation tokens")
     return float(np.mean(losses))

@@ -450,6 +450,14 @@ def test_sweep_layers_cli(pipeline, tmp_path):
     rep = _report(tmp_path)
     assert [row["i"] for row in rep["rows"]] == [0, 1, 2]
     assert rep["mode"] == "truncate"
+    # every placement sees the probes eval-cloze sees, so the same chance
+    assert _run(["eval-cloze", "--out", str(tmp_path / "cloze"), "--seed", "0",
+                 "--set", f"vocab={vocab}",
+                 "--set", f"model={root / 'la' / 'l_adapter.ckpt'}",
+                 "--set", "synthetic.n=20"]) == 0
+    chance = _report(tmp_path / "cloze")["chance_accuracy"]
+    assert 0.0 < chance < 1.0
+    assert [row["chance_accuracy"] for row in rep["rows"]] == [chance] * 3
 
 
 def test_sweep_layers_null_range_is_the_full_range(pipeline, tmp_path):
@@ -477,7 +485,8 @@ def test_zero_shot_cli(pipeline, tmp_path):
                  "--set", f"vocab={vocab}", "--set", "synthetic.n=20"]) == 0
     rep = _report(tmp_path)
     assert rep["train_language"] == "alpha"
-    assert set(rep["cloze_accuracy"]) == {"alpha", "beta"}
+    assert set(rep["cloze_accuracy"]) == set(rep["chance_accuracy"]) == {"alpha", "beta"}
+    assert all(0.0 < c < 1.0 for c in rep["chance_accuracy"].values())
 
 
 def test_zero_shot_on_a_backbone_exits_1_naming_it(pipeline, tmp_path, capsys):

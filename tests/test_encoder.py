@@ -1,9 +1,14 @@
 """Encoder: shapes, input validation, padding invariance, tied MLM
-projection, and sequence embeddings."""
+projection, sequence embeddings, and the forward walk against a plain
+sequential loop over the layer functions."""
+
+import contextlib
+import threading
 
 import numpy as np
 import pytest
 
+from adapterlab import adapters
 from adapterlab import tensor as T
 from adapterlab.encoder import PAPER_SCALE_CONFIG, Encoder, EncoderConfig
 
@@ -113,19 +118,9 @@ def test_dropout_only_in_training(encoder):
     assert (a == b).all()
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(10)
-    c = encoder.forward(ids, attn, training=True, rng=rng1).data
-    d = encoder.forward(ids, attn, training=True, rng=rng2).data
+    c = encoder.forward(ids, attn, rng=rng1).data
+    d = encoder.forward(ids, attn, rng=rng2).data
     assert not np.allclose(c, d)
-
-
-@pytest.mark.parametrize("dropout", [0.1, 0.0])
-def test_training_forward_without_an_rng_raises(dropout):
-    """Dropout follows the rng below ``forward``, so ``training=True`` with
-    no rng would silently run none; it is refused, whatever the rate."""
-    enc = Encoder(EncoderConfig(**{**CFG.to_dict(), "dropout": dropout}), seed=0)
-    ids, attn = _batch(np.random.default_rng(5))
-    with pytest.raises(ValueError, match="rng"):
-        enc.forward(ids, attn, training=True)
 
 
 def test_paper_scale_config_shape():
@@ -163,14 +158,15 @@ def test_forward_rows_equals_the_gathered_full_forward(adapted, training):
     """Equal-seeded rngs give equal states on the rows, and leave both rngs
     at the same point: the row path draws every dropout mask as before."""
     ids, attn, rows = _rows_batch()
-    rng_full, rng_rows = np.random.default_rng(5), np.random.default_rng(5)
-    full = adapted.forward(ids, attn, training=training, rng=rng_full)
-    part = adapted.forward(ids, attn, training=training, rng=rng_rows, rows=rows)
+    rng_full, rng_rows = (np.random.default_rng(5) if training else None for _ in range(2))
+    full = adapted.forward(ids, attn, rng=rng_full)
+    part = adapted.forward(ids, attn, rng=rng_rows, rows=rows)
     assert part.shape == (len(rows[0]), CFG.hidden_size)
     assert np.abs(part.data - full.data[rows]).max() < 1e-12
     head_full = adapted.mlm_logits(full).data[rows]
     assert np.abs(adapted.mlm_logits(part).data - head_full).max() < 1e-12
-    assert rng_full.random() == rng_rows.random()
+    if training:
+        assert rng_full.random() == rng_rows.random()
 
 
 def test_forward_refuses_an_all_pad_row(encoder):
@@ -178,3 +174,70 @@ def test_forward_refuses_an_all_pad_row(encoder):
     attn[1] = 0
     with pytest.raises(ValueError, match="no unmasked key"):
         encoder.forward(ids, attn)
+
+
+def _sequential_forward(enc, ids, attn, rng=None, rows=None):
+    """The forward pass as a plain loop over the layer functions, the
+    reference of ``Encoder.forward``: the last layer's per-position work
+    runs on the ``rows`` alone, its dropout mask drawn at the full shape."""
+    x, mask_bias = enc.embed_step(ids, attn, rng)
+    L = enc.config.num_layers
+    for l in range(1, L + 1):
+        if l < L or rows is None:
+            h1, f = enc.layer_backbone(l, x, mask_bias, rng)
+        else:
+            a = enc.layer_attention(l, x, mask_bias, rng)
+            h1, f = enc.layer_ffn(l, T.tslice(x, rows), T.tslice(a, rows), rng, (x.shape, rows))
+        x = enc.layer_adapters(l, h1, f)
+    return x
+
+
+@pytest.mark.parametrize("float32", [False, True], ids=["float64", "cast_weights"])
+@pytest.mark.parametrize("with_rows", [False, True], ids=["all", "rows"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["no-rng", "rng"])
+def test_forward_is_the_sequential_layer_loop(adapted, dropout, with_rows, float32):
+    """L-, T- and invertible adapters, every parameter trainable: the
+    states, the MLM loss and every gradient of ``Encoder.forward`` are bit
+    for bit the reference loop's, and both leave the rng at one point."""
+    ids, attn, rows = _rows_batch()
+    rows = rows if with_rows else None
+    labels = np.random.default_rng(4).integers(0, CFG.vocab_size, size=ids.shape)
+    labels = labels[rows] if with_rows else labels
+    runs = []
+    for forward in (_sequential_forward, type(adapted).forward):
+        rng = np.random.default_rng(5) if dropout else None
+        with T.cast_weights(adapted.params) if float32 else contextlib.nullcontext():
+            hidden = forward(adapted, ids, attn, rng=rng, rows=rows)
+            loss = T.cross_entropy(adapted.mlm_logits(hidden), labels)
+            grads = T.gradients(loss, adapted.params)
+        runs.append((hidden.data, loss.item(), grads, rng and rng.bit_generator.state))
+    (want, want_loss, want_grads, want_rng), (got, got_loss, got_grads, got_rng) = runs
+    assert got.dtype == (np.float32 if float32 else np.float64)
+    assert np.array_equal(got, want) and got_loss == want_loss and got_rng == want_rng
+    assert set(got_grads) == set(want_grads) == set(adapted.params.names())
+    assert all(np.array_equal(got_grads[n], g) for n, g in want_grads.items())
+
+
+def test_a_pass_with_tape_runs_whole_in_the_calling_thread(adapted, monkeypatch):
+    """With ``PARTS`` at 3, a pass that records tape still runs as one part
+    in the calling thread and equals the one-part pass; under ``no_grad``
+    the same batch runs on the pool. Dropout runs one encoder at a time."""
+    ids, attn, rows = _rows_batch()
+    real, threads = type(adapted).embed_step, []
+
+    def embed_step(self, *args):
+        threads.append(threading.current_thread())
+        return real(self, *args)
+
+    monkeypatch.setattr(type(adapted), "embed_step", embed_step)
+    monkeypatch.setattr(adapters, "PARTS", 1)
+    want = adapted.forward(ids, attn, rows=rows)
+    monkeypatch.setattr(adapters, "PARTS", 3)
+    got = adapted.forward(ids, attn, rows=rows)
+    assert np.array_equal(got.data, want.data) and got.requires_grad
+    assert threads == [threading.current_thread()] * 2
+    with T.no_grad():
+        adapted.forward(ids, attn, rows=rows)
+    assert len(threads) == 5 and threading.current_thread() not in threads[2:]
+    with pytest.raises(ValueError, match="one encoder"):
+        adapters.forward_placements([adapted, adapted], ids, attn, rng=np.random.default_rng(0))

@@ -50,8 +50,11 @@ def _model(vocab, num_layers, plan, seed):
 
 
 def _one_pass(encoders, ids, attention_mask, rows=None):
-    """The unsplit evaluation pass: ``Encoder.forward`` of each encoder."""
-    return [e.forward(ids, attention_mask, rows=rows) for e in encoders]
+    """The unsplit pass: ``Encoder.forward`` of each encoder, alone and in
+    one part."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapters, "PARTS", 1)
+        return [e.forward(ids, attention_mask, rows=rows) for e in encoders]
 
 
 def _texts(rng, n):
@@ -104,8 +107,8 @@ def test_every_split_equals_one_pass_at_every_entry_point(vocab, num_layers, l_l
              for i in range(num_layers + 1)]
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        for module in (tasks, training):
-            mp.setattr(module, "forward_placements", _one_pass)
+        mp.setattr(adapters, "PARTS", 1)  # every pass, through Encoder.forward or not
+        mp.setattr(tasks, "forward_placements", _one_pass)  # the sweep, encoder by encoder
         want = {name: run() for name, run in _evaluations(sweep, vocab, rng, n).items()}
     for parts in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
@@ -168,7 +171,7 @@ def test_a_bad_last_sequence_raises_what_one_pass_raises(vocab, parts, fault, mo
     assert str(one.value) == "token id out of vocabulary range"
     monkeypatch.setattr(adapters, "PARTS", parts)
     for rows in (None, (np.arange(5), np.zeros(5, dtype=int))):
-        with pytest.raises(ValueError) as split:
+        with pytest.raises(ValueError) as split, T.no_grad():
             forward_placements([model], ids, attn, rows)
         assert type(split.value) is type(one.value) and str(split.value) == str(one.value)
 

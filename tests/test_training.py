@@ -135,16 +135,18 @@ def test_non_finite_step_stops_with_report(corpus_and_vocab, monkeypatch,
                          ids=["training-batch", "validation"])
 def test_non_finite_forward_pass_stops_with_report(corpus_and_vocab, monkeypatch,
                                                    faulty, step, val_steps):
-    """A forward pass that raises NumericError, in a training batch
-    (``faulty=True``: ``Encoder.forward``) or in validation (the evaluation
-    pass, ``forward_placements``), stops the run with its report."""
+    """An ``Encoder.forward`` that raises NumericError, in a training batch
+    (``faulty=True``: the pass records tape) or in validation (under
+    ``T.no_grad``), stops the run with its report."""
     texts, vocab = corpus_and_vocab
     enc = _encoder(vocab)
+    real = Encoder.forward
 
     def overflowing(*args, **kwargs):
-        raise T.NumericError("non-finite hidden states")
-    monkeypatch.setattr(*((Encoder, "forward") if faulty else (training, "forward_placements")),
-                        overflowing)
+        if T.grad_enabled() == faulty:
+            raise T.NumericError("non-finite hidden states")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(Encoder, "forward", overflowing)
     before = checksum(enc.params)
     cfg = TrainConfig(learning_rate=1e-3, max_steps=5, eval_every=5, max_len=32)
     with pytest.raises(TrainingError, match=f"non-finite hidden states at step {step}") as info:
@@ -562,12 +564,11 @@ def test_mlm_loss_equals_the_full_head_loss_and_gradients(corpus_and_vocab, trai
     batch = apply_mlm_mask(ids, attn, vocab, 0.3, seed=1)
 
     def full_head_loss(rng):
-        hidden = enc.forward(batch.input_ids, batch.attention_mask, training=training_mode,
-                             rng=rng)
+        hidden = enc.forward(batch.input_ids, batch.attention_mask, rng=rng)
         return T.cross_entropy(enc.mlm_logits(hidden), batch.labels)
 
     got = training.mlm_loss(enc, batch, np.random.default_rng(2) if training_mode else None)
-    want = full_head_loss(np.random.default_rng(2))
+    want = full_head_loss(np.random.default_rng(2) if training_mode else None)
     assert abs(got.item() - want.item()) < 1e-12
     got_grads, want_grads = T.gradients(got, enc.params), T.gradients(want, enc.params)
     assert set(got_grads) == set(want_grads) == set(enc.params.names())
