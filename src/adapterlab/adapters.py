@@ -18,7 +18,7 @@ import dataclasses
 import enum
 import hashlib
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -263,12 +263,14 @@ def forward_placements(encoders: list[Encoder], ids: np.ndarray, attention_mask:
     """``forward(ids, attention_mask, rows=rows, rng=rng)`` of each encoder:
     the one forward pass, of which ``Encoder.forward`` is the one-encoder call.
 
-    Encoders that share a ``ParameterSet`` and place the same adapters in
-    steps 0..k (``PlacementPlan.step``) hold the same states after step k,
-    so each distinct prefix of steps runs once, and so does the backbone's
-    part of each layer (``Encoder.layer_backbone``) on each distinct state.
-    The prefixes run depth first; a state lives while a step that starts
-    from it is pending.
+    The encoders are placement views of one model (``placement_view``): they
+    share one ``ParameterSet``, and encoders of another model are a
+    ``ValueError``. Views that place the same adapters in steps 0..k
+    (``PlacementPlan.step``) hold the same states after step k, so each
+    distinct prefix of steps runs once, and so does the backbone's part of
+    each layer (``Encoder.layer_backbone``) on each distinct state. The
+    prefixes run depth first; a state lives while a step that starts from
+    it is pending.
 
     With the tape on (outside ``T.no_grad``) or an ``rng`` (dropout, for
     one encoder only), the batch runs as one part in the calling thread,
@@ -281,21 +283,24 @@ def forward_placements(encoders: list[Encoder], ids: np.ndarray, attention_mask:
     per-row work (``Encoder.layer_ffn``, whose dropout mask is drawn at the
     full shape, and ``layer_adapters``) runs on 2-D operands, whose GEMM may
     round a row by its place in the block, so it runs once on all the
-    batch's rows, in the calling thread. The inputs are checked whole
-    first, so a bad batch raises what one pass raises, and every part ends
-    before an error propagates."""
+    batch's rows, in the calling thread. ``Encoder.mask_bias`` checks the
+    inputs whole, once per call, and each part takes its slice of the bias,
+    so a bad batch raises what one pass raises, and every part ends before
+    an error propagates."""
+    model = encoders[0]
+    if any(e.params is not model.params for e in encoders):
+        raise ValueError("forward_placements runs placement views of one model")
     if rng is not None and len(encoders) != 1:
         raise ValueError(f"dropout runs one encoder at a time, not {len(encoders)}")
-    ids, attention_mask = np.asarray(ids), np.asarray(attention_mask)
-    for encoder in {id(e.config): e for e in encoders}.values():
-        encoder.mask_bias(ids, attention_mask)
+    ids = np.asarray(ids)
+    mask_bias = model.mask_bias(ids, attention_mask)
     n = len(ids)
     k = 1 if T.grad_enabled() or rng is not None else max(1, min(PARTS, n))
     edges = [i * n // k for i in range(k + 1)]
     if rows is not None:
         part_of_row = np.searchsorted(edges, rows[0], side="right") - 1
         picked = [np.flatnonzero(part_of_row == j) for j in range(k)]
-    jobs = [(encoders, ids[lo:hi], attention_mask[lo:hi],
+    jobs = [(encoders, ids[lo:hi], mask_bias[lo:hi],
              None if rows is None else (rows[0][picked[j]] - lo, rows[1][picked[j]]), rng)
             for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     if k == 1:
@@ -306,18 +311,16 @@ def forward_placements(encoders: list[Encoder], ids: np.ndarray, attention_mask:
         parts = [f.result() for f in futures]  # the first part's error, if any
     finals: list[Tensor | None] = [None] * len(encoders)
     for ends in zip(*parts):  # one group of encoders: its result in each part
-        group = ends[0][0]
-        results = [result for _, result in ends]
-        encoder = encoders[group[0]]
-        l = encoder.config.num_layers
-        if rows is None:  # each branch's final states, part by part
-            branches = [(branch, _join([r[b][1] for r in results]))
-                        for b, (branch, _) in enumerate(results[0])]
+        group, results = ends[0][0], [result for _, result in ends]
+        if rows is None:  # a branch past the last layer: its states, part by part
+            branches = [(group, _join(results))]
         else:  # the rows of the last layer's input and attention, part by part
+            l = model.config.num_layers
             x, attn = (_join([r[m] for r in results], picked) for m in (0, 1))
-            drawn_as = (ids.shape + (encoder.config.hidden_size,), rows)
-            branches = _last_adapters(encoders, group, l,
-                                      *encoder.layer_ffn(l, x, attn, rng, drawn_as))
+            drawn_as = (ids.shape + (model.config.hidden_size,), rows)
+            h1, f = model.layer_ffn(l, x, attn, rng, drawn_as)
+            branches = [(branch, encoders[branch[0]].layer_adapters(l, h1, f))
+                        for branch in _split(encoders, group, l)]
         for branch, y in branches:
             for i in branch:
                 finals[i] = y
@@ -325,18 +328,11 @@ def forward_placements(encoders: list[Encoder], ids: np.ndarray, attention_mask:
 
 
 def _split(encoders: list[Encoder], group, l: int):
-    """``group`` by its ``ParameterSet`` and the adapters of step ``l``."""
+    """``group`` by the adapters its encoders place in step ``l``."""
     branches: dict[tuple, list[int]] = {}
     for i in group:
-        branches.setdefault((id(encoders[i].params),) + encoders[i].adapters.plan.step(l),
-                            []).append(i)
+        branches.setdefault(encoders[i].adapters.plan.step(l), []).append(i)
     return list(branches.values())
-
-
-def _last_adapters(encoders: list[Encoder], group, l: int, h1: Tensor, f: Tensor) -> list:
-    """(branch, final states) of each branch of ``group`` in the last layer ``l``."""
-    return [(branch, encoders[branch[0]].layer_adapters(l, h1, f))
-            for branch in _split(encoders, group, l)]
 
 
 def _join(parts: list[Tensor], picked: list[np.ndarray] | None = None) -> Tensor:
@@ -351,35 +347,33 @@ def _join(parts: list[Tensor], picked: list[np.ndarray] | None = None) -> Tensor
     return T.Tensor(stacked)
 
 
-def _forward_part(encoders: list[Encoder], ids: np.ndarray, attention_mask: np.ndarray,
+def _forward_part(encoders: list[Encoder], ids: np.ndarray, mask_bias: np.ndarray,
                   rows: tuple | None, rng: np.random.Generator | None) -> list[tuple]:
     """One part of ``forward_placements``, with dropout drawn from ``rng``
-    if given: a (group, result) per group of encoders that reach the last
-    layer together, in depth-first order. The result is the group's
-    ``_last_adapters`` or, with ``rows``, the ``rows`` of the states the
-    last layer starts from and of its attention."""
+    if given: in depth-first order, a (branch, final states) per branch of
+    encoders past the last layer or, with ``rows``, a (group, the ``rows``
+    of the states the last layer starts from and of its attention) per
+    group of encoders that reach the last layer together."""
     out = []
-    # (encoders that share steps 0..l-1, step l, the state and mask bias it starts from)
-    pending = [(group, 0, None, None) for group in _split(encoders, range(len(encoders)), 0)]
+    last = encoders[0].config.num_layers
+    # (encoders that share steps 0..l-1, step l, the state it starts from)
+    pending = [(group, 0, None) for group in _split(encoders, range(len(encoders)), 0)]
     while pending:
-        group, l, x, mask_bias = pending.pop()
+        group, l, x = pending.pop()
         encoder = encoders[group[0]]
         if l == 0:
-            x, mask_bias = encoder.embed_step(ids, attention_mask, rng)
-            pending.append((group, 1, x, mask_bias))
-        elif l < encoder.config.num_layers:
-            h1, f = encoder.layer_backbone(l, x, mask_bias, rng)
-            for branch in _split(encoders, group, l):
-                pending.append((branch, l + 1, encoders[branch[0]].layer_adapters(l, h1, f),
-                                mask_bias))
-            del h1, f  # not alive beside the next layer's
-        elif rows is None:
-            out.append((group, _last_adapters(encoders, group, l,
-                                              *encoder.layer_backbone(l, x, mask_bias, rng))))
-        else:
+            pending.append((group, 1, encoder.embed_step(ids, rng)))
+        elif l > last:
+            out.append((group, x))
+        elif l == last and rows is not None:
             attn = encoder.layer_attention(l, x, mask_bias, rng)
             out.append((group, (T.tslice(x, rows), T.tslice(attn, rows))))
             del attn
+        else:
+            h1, f = encoder.layer_backbone(l, x, mask_bias, rng)
+            for branch in _split(encoders, group, l):
+                pending.append((branch, l + 1, encoders[branch[0]].layer_adapters(l, h1, f)))
+            del h1, f  # not alive beside the next layer's
         del x
     return out
 
@@ -400,11 +394,21 @@ def apply_freeze(params: ParameterSet, mode: FreezeMode) -> list[str]:
     return sorted(names)
 
 
+def blob_sha256(array: np.ndarray) -> str:
+    """SHA-256 of ``array``'s blob: its raw little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8")).hexdigest()
+
+
+def digest(sums: Mapping[str, str]) -> str:
+    """SHA-256 over each parameter name in sorted order, each followed by its
+    ``blob_sha256`` in ``sums``: a digest of the parameters by name and
+    bytes, which reuses sums already taken (``checkpoint`` takes them at load)."""
+    sha = hashlib.sha256()
+    for name in sorted(sums):
+        sha.update(f"{name}\n{sums[name]}\n".encode())
+    return sha.hexdigest()
+
+
 def checksum(params: ParameterSet, prefix: str = "") -> str:
-    """SHA-256 over the raw little-endian bytes of all matching parameters."""
-    digest = hashlib.sha256()
-    for name in sorted(params.names()):
-        if name.startswith(prefix):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
-    return digest.hexdigest()
+    """``digest`` of every parameter whose name starts with ``prefix``."""
+    return digest({n: blob_sha256(t.data) for n, t in params.items() if n.startswith(prefix)})

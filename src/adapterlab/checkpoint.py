@@ -20,7 +20,6 @@ parameter name; ``save_model`` writes one.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -28,11 +27,10 @@ import re
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .adapters import AdapterConfig, PlacementPlan, attach
+from .adapters import AdapterConfig, PlacementPlan, attach, blob_sha256, digest
 from .encoder import Encoder, EncoderConfig
 from .schema import JsonConfig, check
 from .tasks import register_pair_head
@@ -103,23 +101,8 @@ class Origin:
 
 class State(dict):
     """Parameter name -> array, as ``load_checkpoint`` resolved it, with the
-    ``origin`` ``build_model`` gives the model (None for a stream)."""
-    origin: Origin | None = None
-
-
-def blob_sha256(array: np.ndarray) -> str:
-    """SHA-256 of ``array``'s blob: its raw little-endian float64 bytes."""
-    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8")).hexdigest()
-
-
-def digest(sums: Mapping[str, str]) -> str:
-    """SHA-256 over each parameter name in sorted order, each followed by its
-    ``blob_sha256`` in ``sums``: a digest of the parameters by name and
-    bytes, as ``adapters.checksum``, that reuses the sums taken at load."""
-    sha = hashlib.sha256()
-    for name in sorted(sums):
-        sha.update(f"{name}\n{sums[name]}\n".encode())
-    return sha.hexdigest()
+    ``origin`` ``build_model`` gives the model."""
+    origin: Origin
 
 
 def save_checkpoint(path, manifest: Manifest, params: dict[str, np.ndarray]) -> None:
@@ -171,24 +154,20 @@ def _read(path) -> tuple[Manifest, dict[str, np.ndarray], dict[str, str]]:
                     f"{path}: blob of parameter {name} holds {len(blob)} bytes, "
                     f"shape {shape} needs {math.prod(shape) * 8}")
             params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-            sums[name] = hashlib.sha256(blob).hexdigest()
+            sums[name] = blob_sha256(params[name])
     return manifest, params, sums
 
 
-def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
-    """Returns (manifest, state): the manifest of ``path``, and the
+def load_checkpoint(path) -> tuple[Manifest, State]:
+    """Returns (manifest, state): the manifest of the file ``path``, and the
     parameters of its whole chain of parents, later files winning. Each file
     is read and checked in full before its parent is opened; a parent that
     is missing, already in the chain, or holds other weights than its child
     was trained on is a ``CheckpointError`` naming both files."""
-    on_file = isinstance(path, (str, os.PathLike))
     files = [(path, *_read(path))]  # (path, manifest, blobs, sums), the named file first
-    chain = [Path(path).resolve()] if on_file else []
+    chain = [Path(path).resolve()]
     while (link := files[-1][1].parent) is not None:
         child = files[-1][0]
-        if not on_file:
-            raise CheckpointError(f"{child}: a checkpoint read from a stream cannot "
-                                  f"resolve its parent {link.path}")
         parent = (Path(child).resolve().parent / link.path).resolve()
         if parent in chain:
             raise CheckpointError(f"{child}: its parent {parent} is already in its "
@@ -212,8 +191,7 @@ def load_checkpoint(path) -> tuple[Manifest, dict[str, np.ndarray]]:
                     f"{manifest.parent.sha256[:12]})")
         state.update(blobs)
         sums.update(file_sums)
-    if on_file:
-        state.origin = Origin(tuple(chain), files[0][1].vocab, sums)
+    state.origin = Origin(tuple(chain), files[0][1].vocab, sums)
     return files[0][1], state
 
 

@@ -127,24 +127,23 @@ class Encoder:
             raise ValueError(f"unknown mode {mode!r}")
         return forward_placements([self], ids, attention_mask, rows, rng)[0]
 
-    def embed_step(self, ids: np.ndarray, attention_mask: np.ndarray,
-                   rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
-        """The checked inputs' embedding states [batch, len, h], after the
-        invertible adapter and dropout (with ``rng``), and the attention
-        mask bias that every ``layer_backbone`` of the pass takes."""
-        ids = np.asarray(ids)
+    def embed_step(self, ids: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """The embedding states [batch, len, h] of ``ids`` that passed
+        ``mask_bias``'s checks, after the invertible adapter and dropout
+        (with ``rng``)."""
         c, p = self.config, self.params
-        mask_bias = self.mask_bias(ids, attention_mask)
         positions = np.arange(ids.shape[1])
         x = T.add(T.embedding(p["emb.tok"], ids),
                   T.embedding(p["emb.pos"], positions))
         x = self.adapters.embed_forward(T.layer_norm(x, p["emb.ln.w"], p["emb.ln.b"]))
-        return T.dropout(x, c.dropout, rng), mask_bias
+        return T.dropout(x, c.dropout, rng)
 
     def mask_bias(self, ids: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
-        """The attention mask bias of a pass over ``ids``, once the inputs
-        pass ``embed_step``'s checks, in this order: the length, the ids'
-        range, the mask's shape, a key kept in every row."""
+        """The attention mask bias [batch, 1, 1, len] of a pass over ``ids``,
+        which every ``layer_backbone`` of the pass takes, once the inputs
+        pass its checks, in this order: the length, the ids' range, the
+        mask's shape, a key kept in every row. ``forward_placements`` calls
+        it once per batch and hands each part its slice."""
         ids = np.asarray(ids)
         attention_mask = np.asarray(attention_mask)
         c = self.config

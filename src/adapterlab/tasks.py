@@ -3,7 +3,7 @@
 
 Every evaluation computes in ``tensor.STEP_DTYPE`` (float32), as a training
 step does: ``eval_cloze_placements``, ``embed_corpus`` and ``eval_pairs``
-each run their passes inside one ``tensor.cast_weights`` per model, and the
+each run their passes inside one ``tensor.cast_weights`` per call, and the
 float64 master weights come back unchanged. Each pass is
 ``adapters.forward_placements``, which under ``T.no_grad`` runs the batch's
 sequences as parallel parts, bit for bit as one pass.
@@ -16,7 +16,6 @@ a pair is predicted a clone when its logit is > 0.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from collections import Counter
 from typing import Sequence
@@ -67,14 +66,14 @@ def eval_cloze(encoder: Encoder, examples: Sequence[ClozeRecord],
 
 def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeRecord],
                           mask_id: int) -> list[ClozeResult]:
-    """``eval_cloze`` of each encoder, such as the placement views of one
-    model (``adapters.placement_view``), which share every step prefix their
-    plans share (``adapters.forward_placements``). Each distinct
-    ``ParameterSet`` is cast once for the whole call."""
+    """``eval_cloze`` of each encoder, the placement views of one model
+    (``adapters.placement_view``), which share every step prefix their plans
+    share (``adapters.forward_placements``, which refuses views of several
+    models). The model is cast once for the whole call."""
     if not examples:
         raise TaskError("empty cloze example set")
-    vocab_size = min(e.config.vocab_size for e in encoders)
-    max_positions = min(e.config.max_positions for e in encoders)
+    model = encoders[0]
+    vocab_size, max_positions = model.config.vocab_size, model.config.max_positions
     for ex in examples:
         if ex.answer not in ex.candidates:
             raise TaskError(f"example {ex.id}: gold answer not in candidates")
@@ -90,10 +89,7 @@ def eval_cloze_placements(encoders: Sequence[Encoder], examples: Sequence[ClozeR
             raise TaskError(f"example {ex.id}: expected exactly one mask "
                             f"at position {ex.mask_index}")
     predictions: list[list[dict]] = [[] for _ in encoders]
-    with contextlib.ExitStack() as stack:
-        for params in {id(e.params): e.params for e in encoders}.values():
-            stack.enter_context(T.cast_weights(params))
-        stack.enter_context(T.no_grad())
+    with T.cast_weights(model.params), T.no_grad():
         for start in range(0, len(examples), EVAL_BATCH):
             chunk = examples[start:start + EVAL_BATCH]
             # ids are pre-tokenized; pad with 0 and mask it out

@@ -180,7 +180,8 @@ def _sequential_forward(enc, ids, attn, rng=None, rows=None):
     """The forward pass as a plain loop over the layer functions, the
     reference of ``Encoder.forward``: the last layer's per-position work
     runs on the ``rows`` alone, its dropout mask drawn at the full shape."""
-    x, mask_bias = enc.embed_step(ids, attn, rng)
+    mask_bias = enc.mask_bias(ids, attn)
+    x = enc.embed_step(ids, rng)
     L = enc.config.num_layers
     for l in range(1, L + 1):
         if l < L or rows is None:

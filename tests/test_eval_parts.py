@@ -176,6 +176,30 @@ def test_a_bad_last_sequence_raises_what_one_pass_raises(vocab, parts, fault, mo
         assert type(split.value) is type(one.value) and str(split.value) == str(one.value)
 
 
+@pytest.mark.parametrize("with_rows", [False, True], ids=["all", "rows"])
+def test_a_walk_checks_and_masks_its_batch_once(vocab, with_rows, monkeypatch):
+    """With ``PARTS`` at 3, a sweep whose placements start with two step-0
+    groups (with and without the invertible adapter) calls
+    ``Encoder.mask_bias`` once, in the calling thread, not once per part or
+    per group."""
+    plan = PlacementPlan.full(2, t_adapters=True, invertible=True)
+    model = _model(vocab, 2, plan, 0)
+    sweep = [placement_view(model, plan.truncated(i, 2)) for i in range(3)]
+    real, threads = Encoder.mask_bias, []
+
+    def mask_bias(self, *args):
+        threads.append(threading.current_thread())
+        return real(self, *args)
+
+    monkeypatch.setattr(Encoder, "mask_bias", mask_bias)
+    monkeypatch.setattr(adapters, "PARTS", 3)
+    ids, attn = pad_batch([[5, 6, 7], [5, 6], [7], [6, 5, 7, 5]], vocab.pad_id)
+    rows = (np.arange(4), np.zeros(4, dtype=int)) if with_rows else None
+    with T.no_grad():
+        forward_placements(sweep, ids, attn, rows)
+    assert threads == [threading.current_thread()]
+
+
 @pytest.mark.parametrize("parts", [2, 3, PER_SEQUENCE])
 @pytest.mark.parametrize("name", ["embed_corpus", "eval_mlm_loss"])
 def test_every_part_ends_before_an_error_propagates(vocab, parts, name, monkeypatch):
@@ -187,14 +211,14 @@ def test_every_part_ends_before_an_error_propagates(vocab, parts, name, monkeypa
     masters = {n: t.data.tobytes() for n, t in model.params.items()}
     real, calls, ended, lock = Encoder.embed_step, [], [], threading.Lock()
 
-    def embed_step(self, ids, attention_mask, rng=None):
+    def embed_step(self, ids, rng=None):
         with lock:
             calls.append(len(calls))
             first = len(calls) == 1
         if first:
             raise RuntimeError("a part fails")
         time.sleep(0.05)
-        out = real(self, ids, attention_mask, rng)
+        out = real(self, ids, rng)
         with lock:
             ended.append((T._grad_enabled, self.params["emb.tok"].data.dtype.name))
         return out

@@ -485,8 +485,9 @@ def test_an_evaluation_that_raises_keeps_the_float64_masters(vocab, name, fault,
     assert _masters(encoder) == before
 
 
-def test_cloze_casts_each_distinct_parameter_set_once(vocab, monkeypatch):
-    """Placement views of one model share one cast; another model gets its own."""
+def test_cloze_views_share_one_cast_and_refuse_a_foreign_model(vocab, monkeypatch):
+    """Placement views of one model share one cast; views of two models are
+    a ``ValueError``, and the masters come back byte for byte."""
     casts, cast_weights = [], T.cast_weights
 
     def counting(params, *args):
@@ -496,8 +497,12 @@ def test_cloze_casts_each_distinct_parameter_set_once(vocab, monkeypatch):
     encoder, other = _paired_encoder(), Encoder(CFG, seed=1)
     views = [placement_view(encoder, PlacementPlan()) for _ in range(3)]
     examples = [_cloze_example(encoder, 10, 11)]
-    eval_cloze_placements([encoder, *views, other, encoder], examples, mask_id=4)
-    assert casts == [encoder.params, other.params]
+    eval_cloze_placements([encoder, *views, encoder], examples, mask_id=4)
+    assert casts == [encoder.params]
+    before = _masters(encoder)
+    with pytest.raises(ValueError, match="^forward_placements runs placement views of one model$"):
+        eval_cloze_placements([encoder, *views, other], examples, mask_id=4)
+    assert _masters(encoder) == before
 
 
 def test_embed_corpus_rows_are_float64_and_unit_norm(encoder, vocab):
